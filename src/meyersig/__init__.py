@@ -37,7 +37,6 @@ from .exactnum import (
     kernel_basis,
     parse_matrix,
     rank,
-    rat,
     signature_symmetric,
 )
 from .symplectic import (

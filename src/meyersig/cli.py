@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import localsig, meyer, varieties
 from .errors import ContractViolation, InvalidInput
-from .exactnum import parse_matrix
+from .exactnum import parse_matrix, parse_rational
 from .symplectic import SymplecticElement
 
 EXIT_OK = 0
@@ -37,111 +37,97 @@ def _jsonable(value):
     return value
 
 
+def _record(pairs: list[tuple[str, object]]) -> dict:
+    return {k: _jsonable(v) for k, v in pairs}
+
+
+def _print(render) -> None:
+    """Print the line ``render()`` builds: the one place results become text.
+
+    An integer past the interpreter's digit limit has no string form; the
+    inputs asked for a result too large to print, so that is an input error.
+    """
+    try:
+        line = render()
+    except ValueError as exc:
+        raise InvalidInput(
+            f"result too large to print (over {sys.get_int_max_str_digits()} digits)"
+        ) from exc
+    print(line)
+
+
 def _emit(pairs: list[tuple[str, object]], as_json: bool, prefix: str = "") -> None:
     if as_json:
-        print(json.dumps({k: _jsonable(v) for k, v in pairs}))
+        _print(lambda: json.dumps(_record(pairs)))
     else:
-        body = " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
-        print(prefix + body if prefix else body)
+        _print(lambda: prefix + " ".join(f"{k}={_fmt(v)}" for k, v in pairs))
+
+
+def _emit_value(key: str, value, as_json: bool) -> None:
+    """A single result: bare in text, {key: value} in JSON."""
+    if as_json:
+        _emit([(key, value)], as_json)
+    else:
+        _print(lambda: _fmt(value))
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
 
 
 def _load_symplectic(path: str) -> SymplecticElement:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
-    mat = parse_matrix(text)
-    if mat.rows != mat.cols or mat.rows % 2 != 0 or mat.rows < 2:
-        raise InvalidInput(
-            f"{path!r}: need an even square matrix of size >= 2, got {mat.shape}"
-        )
-    return SymplecticElement(mat)
-
-
-def _parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInput(f"bad rational {token!r}") from exc
-
-
-def _parse_degrees(token: str) -> tuple[int, ...]:
-    if token.strip() == "":
-        return ()
-    try:
-        return tuple(int(t) for t in token.split(","))
-    except ValueError as exc:
-        raise InvalidInput(f"bad degree list {token!r}") from exc
+    return SymplecticElement(parse_matrix(_read(path)))
 
 
 def cmd_tau(args) -> int:
     a1 = _load_symplectic(args.a1)
     a2 = _load_symplectic(args.a2)
-    value = meyer.tau(a1, a2)
-    if args.json:
-        print(json.dumps({"tau": value}))
-    else:
-        print(value)
+    _emit_value("tau", meyer.tau(a1, a2), args.json)
     return EXIT_OK
 
 
 def cmd_phi1(args) -> int:
-    el = _load_symplectic(args.matrix)
-    if el.g != 1:
-        raise InvalidInput(f"phi1 needs a 2x2 matrix, got genus {el.g}")
-    value = meyer.phi1(el)
-    if args.json:
-        print(json.dumps({"phi1": str(value)}))
-    else:
-        print(value)
+    _emit_value("phi1", meyer.phi1(_load_symplectic(args.matrix)), args.json)
     return EXIT_OK
 
 
-def _ci_pairs(inv: varieties.SurfaceInvariants, rep: varieties.LassoReport):
-    pairs: list[tuple[str, object]] = [
-        ("sign", inv.sign),
-        ("chi", inv.chi),
-        ("deg", inv.deg),
-        ("genus", inv.genus),
-        ("deg_DX", rep.deg_DX),
-        ("phi", rep.phi),
-        ("alpha", rep.alpha),
-        ("beta", rep.beta),
-    ]
-    if inv.genus == 1:
-        pairs.append(("genus_boundary", True))
-    return pairs
+def _invariant_pairs(inv: varieties.SurfaceInvariants | None):
+    if inv is None:
+        return []
+    return [("sign", inv.sign), ("chi", inv.chi), ("deg", inv.deg), ("genus", inv.genus)]
+
+
+def _value_pairs(rep: varieties.LassoReport):
+    return [("deg_DX", rep.deg_DX), ("phi", rep.phi)]
+
+
+def _ratio_pairs(rep: varieties.LassoReport):
+    return [("alpha", rep.alpha), ("beta", rep.beta)]
 
 
 def cmd_ci(args) -> int:
-    degrees = _parse_degrees(args.degrees)
+    degrees = varieties.parse_degrees(args.degrees)
     inv, rep = varieties.ci_surface_invariants(args.m, degrees)
-    _emit(_ci_pairs(inv, rep), args.json)
+    pairs = _invariant_pairs(inv) + _value_pairs(rep) + _ratio_pairs(rep)
+    if inv.genus == 1:
+        pairs.append(("genus_boundary", True))
+    _emit(pairs, args.json)
     return EXIT_OK
 
 
 def cmd_veronese(args) -> int:
-    spec = varieties.CISpec(args.m, _parse_degrees(args.degrees), args.n, args.d)
-    rep = varieties.veronese_ci_lasso(spec)
-    _emit(
-        [
-            ("alpha", rep.alpha),
-            ("beta", rep.beta),
-            ("deg_DX", rep.deg_DX),
-            ("phi", rep.phi),
-        ],
-        args.json,
-    )
+    degrees = varieties.parse_degrees(args.degrees)
+    rep = varieties.veronese_ci_lasso(varieties.CISpec(args.m, degrees, args.n, args.d))
+    _emit(_ratio_pairs(rep) + _value_pairs(rep), args.json)
     return EXIT_OK
 
 
 def cmd_lasso_power(args) -> int:
-    value = meyer.lasso_power(_parse_rational(args.phi), args.n)
-    if args.json:
-        print(json.dumps({"phi": str(value)}))
-    else:
-        print(value)
+    _emit_value("phi", meyer.lasso_power(parse_rational(args.phi), args.n), args.json)
     return EXIT_OK
 
 
@@ -159,12 +145,7 @@ def cmd_germ(args) -> int:
 
 
 def cmd_fibration(args) -> int:
-    try:
-        with open(args.ledger, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {args.ledger!r}: {exc}") from exc
-    led = localsig.ledger_from_json(text)
+    led = localsig.ledger_from_json(_read(args.ledger))
     if args.solve:
         solved = localsig.solve_unknown_germ(led)
         _emit(
@@ -191,40 +172,22 @@ def cmd_fibration(args) -> int:
 
 
 def cmd_presets(args) -> int:
+    presets = [varieties.resolve_preset(name) for name in varieties.named_presets()]
     if args.json:
-        out = []
-        for name in varieties.named_presets():
-            preset = varieties.resolve_preset(name)
-            item: dict = {"name": name}
-            if preset.invariants is not None:
-                inv = preset.invariants
-                item.update(sign=inv.sign, chi=inv.chi, deg=inv.deg, genus=inv.genus)
-            rep = preset.report
-            item.update(
-                deg_DX=rep.deg_DX,
-                phi=str(rep.phi),
-                alpha=None if rep.alpha is None else str(rep.alpha),
-                beta=rep.beta,
-            )
-            out.append(item)
-        print(json.dumps(out))
+        records = [
+            [("name", p.name)]
+            + _invariant_pairs(p.invariants)
+            + _value_pairs(p.report)
+            + _ratio_pairs(p.report)
+            for p in presets
+        ]
+        _print(lambda: json.dumps([_record(pairs) for pairs in records]))
         return EXIT_OK
-    for name in varieties.named_presets():
-        preset = varieties.resolve_preset(name)
-        pairs: list[tuple[str, object]] = []
-        if preset.invariants is not None:
-            inv = preset.invariants
-            pairs += [
-                ("sign", inv.sign),
-                ("chi", inv.chi),
-                ("deg", inv.deg),
-                ("genus", inv.genus),
-            ]
-        rep = preset.report
-        if rep.alpha is not None:
-            pairs += [("alpha", rep.alpha), ("beta", rep.beta)]
-        pairs += [("deg_DX", rep.deg_DX), ("phi", rep.phi)]
-        _emit(pairs, as_json=False, prefix=f"{name} ")
+    for p in presets:
+        # text shows alpha/beta only on the closed-form routes, ahead of the value
+        ratio = _ratio_pairs(p.report) if p.report.alpha is not None else []
+        pairs = _invariant_pairs(p.invariants) + ratio + _value_pairs(p.report)
+        _emit(pairs, as_json=False, prefix=f"{p.name} ")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ what makes every downstream value reproducible bit for bit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,12 +23,23 @@ from .errors import AsymmetricGram, MatrixFormatError
 
 Rational = Fraction
 
-RatVector = tuple  # tuple of Fraction
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
 
 
-def rat(numerator: int | str | Fraction, denominator: int = 1) -> Fraction:
-    """Build a reduced rational; accepts "p/q" strings as well."""
-    return Fraction(numerator) / denominator if denominator != 1 else Fraction(numerator)
+def parse_rational(token: str) -> Fraction:
+    """Parse an optional sign, ASCII digits and an optional "/q" denominator.
+
+    Decimals, exponents, underscores and non-ASCII digits are rejected; so are
+    a zero denominator and integers beyond the interpreter's digit limit.
+    """
+    if not _RATIONAL.fullmatch(token):
+        raise MatrixFormatError(f"bad rational {token!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError as exc:
+        raise MatrixFormatError(f"zero denominator in {token!r}") from exc
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise MatrixFormatError("bad rational: too many digits") from exc
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -85,13 +97,6 @@ class RatMatrix:
             [[dot(row, col) for col in ot.data] for row in self.data], cols=other.cols
         )
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
         return RatMatrix(
@@ -101,10 +106,6 @@ class RatMatrix:
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self.data], cols=self.cols)
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix([[c * a for a in row] for row in self.data], cols=self.cols)
 
     def mul_vec(self, v: Sequence) -> tuple:
         vv = tuple(Fraction(x) for x in v)
@@ -326,7 +327,7 @@ def signature_symmetric(form: SymmetricForm | RatMatrix) -> int:
 def parse_matrix(text: str) -> RatMatrix:
     """Parse the matrix text format: "rows cols" then row-major entries.
 
-    Entries are integers or "p/q" tokens separated by arbitrary whitespace.
+    Entries are ``parse_rational`` tokens separated by arbitrary whitespace.
     """
     tokens = text.split()
     if len(tokens) < 2:
@@ -342,10 +343,7 @@ def parse_matrix(text: str) -> RatMatrix:
         raise MatrixFormatError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(body)}"
         )
-    try:
-        entries = [Fraction(tok) for tok in body]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixFormatError(f"bad entry: {exc}") from exc
+    entries = [parse_rational(tok) for tok in body]
     return RatMatrix(
         [entries[r * cols : (r + 1) * cols] for r in range(rows)], cols=cols
     )

@@ -23,6 +23,7 @@ from .errors import (
     UnknownName,
     ZeroOrManyUnknowns,
 )
+from .exactnum import parse_rational
 
 BASES = ("disk", "P1")
 
@@ -115,6 +116,7 @@ _GERM_TABLE: tuple[tuple[str, Fraction, int], ...] = (
     ("R4/F_R", Fraction(2, 17), 0),
     ("NT5/F_I", Fraction(-1, 2), 0),
 )
+_GERMS = {name: FiberGerm(name, phi, nbhd) for name, phi, nbhd in _GERM_TABLE}
 
 
 def ledger() -> tuple[FiberGerm, ...]:
@@ -125,14 +127,14 @@ def ledger() -> tuple[FiberGerm, ...]:
     F_Rprime and F_R (topologically trivial, nonzero local signature).
     Genus 5 (non-trigonal fibers): the one-node germ F_I.
     """
-    return tuple(FiberGerm(name, phi, nbhd) for name, phi, nbhd in _GERM_TABLE)
+    return tuple(_GERMS.values())
 
 
 def germ(name: str) -> FiberGerm:
-    for entry in ledger():
-        if entry.name == name:
-            return entry
-    raise UnknownName(f"unknown germ {name!r}")
+    entry = _GERMS.get(name)
+    if entry is None:
+        raise UnknownName(f"unknown germ {name!r}")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -210,10 +212,7 @@ def _parse_phi(value) -> Fraction | None:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"bad phi value {value!r}") from exc
+        return parse_rational(value)
     raise InvalidInput(f"bad phi value {value!r}")
 
 

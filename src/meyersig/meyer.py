@@ -17,11 +17,12 @@ rather than hard-coded, so every number stays traceable to the cocycle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import GenusMismatch, InconsistentRelations, InvalidInput
+from .errors import ContractViolation, GenusMismatch, InconsistentRelations, InvalidInput
 from .exactnum import (
     RatMatrix,
     SymmetricForm,
@@ -63,7 +64,8 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
     """Value of the signature cocycle on a pair of same-genus elements."""
     value = signature_symmetric(tau_form(a1, a2))
-    assert abs(value) <= 4 * a1.g
+    if abs(value) > 4 * a1.g:
+        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {4 * a1.g}")
     return value
 
 
@@ -100,6 +102,7 @@ def _relator_tau_sum(letters: list[str]) -> int:
     return total
 
 
+@functools.cache
 def phi1_base() -> PhiBase:
     """Solve for phi(S), phi(T) from the relations S^4 = I and (ST)^6 = I.
 
@@ -107,7 +110,8 @@ def phi1_base() -> PhiBase:
     0 = sum_i phi(g_i) - sum_i tau(g_1..g_i, g_{i+1}), which yields a
     triangular linear system in (phi(S), phi(T)). The solution is then
     validated on an independent coincidence of words, (ST)^3 = S^2 = -I;
-    failure means the cocycle itself is broken.
+    failure means the cocycle itself is broken. The solve is deterministic,
+    so it runs once per process.
     """
     phi_s = Fraction(_relator_tau_sum(["S"] * 4), 4)
     phi_t = Fraction(_relator_tau_sum(["S", "T"] * 6), 6) - phi_s

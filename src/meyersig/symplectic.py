@@ -12,6 +12,7 @@ Dehn twist; the twist itself is its inverse.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .errors import (
 from .exactnum import RatMatrix
 
 
+@functools.cache
 def standard_J(g: int) -> RatMatrix:
     """The 2g x 2g block matrix [[0, I_g], [-I_g, 0]]."""
     if g < 1:
@@ -44,7 +46,10 @@ def standard_J(g: int) -> RatMatrix:
 
 
 class SymplecticElement:
-    """A 2g x 2g integer matrix A with A^t J A = J, validated on construction."""
+    """A 2g x 2g integer matrix A with A^t J A = J, validated on construction.
+
+    Elements derived from validated data skip the check (see ``_derived``).
+    """
 
     __slots__ = ("mat", "g")
 
@@ -57,34 +62,41 @@ class SymplecticElement:
             raise NotSymplectic("entries must be integers")
         g = mat.rows // 2
         j = standard_J(g)
+        # for a 2x2 matrix A^t J A = det(A) J, so this also rejects det != 1
         if mat.transpose() * j * mat != j:
             raise NotSymplectic("matrix does not preserve the alternating form")
-        if g == 1:
-            a, b = mat.data[0]
-            c, d = mat.data[1]
-            if a * d - b * c != 1:
-                raise NotSymplectic("2x2 symplectic matrix must have determinant 1")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "g", g)
+
+    @classmethod
+    def _derived(cls, mat: RatMatrix) -> "SymplecticElement":
+        """Wrap a matrix that is symplectic by construction: a product, inverse,
+        power, transvection or direct sum of validated data. No re-check."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "mat", mat)
+        object.__setattr__(el, "g", mat.rows // 2)
+        return el
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticElement is immutable")
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        return cls(RatMatrix.identity(2 * g))
+        if g < 1:
+            raise NotSymplectic(f"genus must be >= 1, got {g}")
+        return cls._derived(RatMatrix.identity(2 * g))
 
     def __mul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if not isinstance(other, SymplecticElement):
             return NotImplemented
         if self.g != other.g:
             raise GenusMismatch(f"genus {self.g} times genus {other.g}")
-        return SymplecticElement(self.mat * other.mat)
+        return SymplecticElement._derived(self.mat * other.mat)
 
     def inverse(self) -> "SymplecticElement":
         # A^{-1} = J^{-1} A^t J, and J^{-1} = -J
         j = standard_J(self.g)
-        return SymplecticElement((-j) * self.mat.transpose() * j)
+        return SymplecticElement._derived((-j) * self.mat.transpose() * j)
 
     def __pow__(self, e: int) -> "SymplecticElement":
         if e < 0:
@@ -127,7 +139,7 @@ def transvection(v: Sequence[int]) -> SymplecticElement:
     rows = [
         [Fraction(int(i == j)) + vv[i] * w[j] for j in range(n)] for i in range(n)
     ]
-    return SymplecticElement(RatMatrix(rows, cols=n))
+    return SymplecticElement._derived(RatMatrix(rows, cols=n))
 
 
 def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
@@ -159,18 +171,20 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
             tj, sj = source(j)
             row.append(mats[ti].data[si][sj] if ti == tj else Fraction(0))
         rows.append(row)
-    return SymplecticElement(RatMatrix(rows, cols=n))
+    return SymplecticElement._derived(RatMatrix(rows, cols=n))
 
 
 _S = ((0, -1), (1, 0))
 _T = ((1, 1), (0, 1))
 
 
+@functools.cache
 def gen_S() -> SymplecticElement:
     """The order-4 generator [[0, -1], [1, 0]] of SL(2,Z)."""
     return SymplecticElement(_S)
 
 
+@functools.cache
 def gen_T() -> SymplecticElement:
     """The parabolic generator [[1, 1], [0, 1]] of SL(2,Z)."""
     return SymplecticElement(_T)

@@ -37,18 +37,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
-    """Topological data of an embedded surface.
-
-    ``h1_rank_small`` records the caller's assertion that the first homology
-    rank is smaller than twice the section genus over some PID; it is not
-    verifiable from the stored numbers.
-    """
+    """Topological data of an embedded surface."""
 
     sign: int
     chi: int
     deg: int
     genus: int
-    h1_rank_small: bool = True
 
     def __post_init__(self):
         if self.deg < 1:
@@ -248,7 +242,7 @@ def resolve_preset(name: str) -> PresetReport:
         if len(parts) != 3:
             raise InvalidInput(f"expected ci:<m>:<n1,...>, got {name!r}")
         m = _parse_int(parts[1])
-        degrees = _parse_degrees(parts[2])
+        degrees = parse_degrees(parts[2])
         inv, report = ci_surface_invariants(m, degrees)
         return PresetReport(name, inv, report)
     if name.startswith("veronese-ci:"):
@@ -258,7 +252,7 @@ def resolve_preset(name: str) -> PresetReport:
                 f"expected veronese-ci:<m>:<degrees>:<n>:<d>, got {name!r}"
             )
         m = _parse_int(parts[1])
-        degrees = _parse_degrees(parts[2])
+        degrees = parse_degrees(parts[2])
         n = _parse_int(parts[3])
         d = _parse_int(parts[4])
         return PresetReport(name, None, veronese_ci_lasso(CISpec(m, degrees, n, d)))
@@ -272,7 +266,8 @@ def _parse_int(token: str) -> int:
         raise InvalidInput(f"bad integer {token!r}") from exc
 
 
-def _parse_degrees(token: str) -> tuple[int, ...]:
+def parse_degrees(token: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank string is the empty list (m = 0)."""
     if token.strip() == "":
         return ()
     return tuple(_parse_int(t) for t in token.split(","))

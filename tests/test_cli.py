@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from meyersig import ledger_to_json, ledger_from_json, solve_unknown_germ
+from meyersig import ledger_to_json, ledger_from_json, meyer, solve_unknown_germ
 from meyersig.cli import main
 
 
@@ -32,6 +32,14 @@ def test_tau_json(capsys, twist_file):
     code, out, _ = run_cli(capsys, "tau", "--json", "--a1", twist_file, "--a2", twist_file)
     assert code == 0
     assert json.loads(out) == {"tau": -1}
+
+
+def test_tau_bound_violation_is_contract_violation(capsys, twist_file, monkeypatch):
+    monkeypatch.setattr(meyer, "signature_symmetric", lambda form: 5)
+    code, out, err = run_cli(capsys, "tau", "--a1", twist_file, "--a2", twist_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error") and err.count("\n") == 1
 
 
 def test_tau_genus_mismatch_is_input_error(capsys, twist_file, tmp_path):
@@ -119,6 +127,24 @@ def test_lasso_power_rejects_bad_input(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "lasso-power", "--phi", "1/2", "--n", "0")
     assert code == 2
+    code, _, _ = run_cli(capsys, "lasso-power", "--phi", "1.5", "--n", "2")
+    assert code == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["veronese", "--m", "0", "--degrees", "", "--n", "6000", "--d", "10"],
+        ["ci", "--m", "2", "--degrees", ",".join(["9" * 3000] * 2)],
+    ],
+    ids=["veronese", "ci"],
+)
+def test_result_too_large_to_print_is_input_error(capsys, argv, as_json):
+    code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error") and err.count("\n") == 1
 
 
 def test_presets_listing(capsys):
@@ -201,6 +227,16 @@ def test_fibration_check_with_unknown_is_contract_violation(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, "fibration", "--ledger", str(path))
     assert code == 3
+    assert "error" in err
+
+
+def test_fibration_rejects_non_rational_phi(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    payload = dict(FIBRATION, germs=[{"name": "R4/F_I", "phi": "1e0", "count": 1}])
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "fibration", "--ledger", str(path))
+    assert code == 2
+    assert out == ""
     assert "error" in err
 
 

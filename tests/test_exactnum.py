@@ -17,6 +17,7 @@ from meyersig import (
     rank,
     signature_symmetric,
 )
+from meyersig.exactnum import parse_rational
 
 
 def diag(*entries) -> RatMatrix:
@@ -236,11 +237,33 @@ def test_parse_and_format_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "2", "a b", "2 2 1 2 3", "2 2 1 2 3 4 5", "1 1 x", "1 1 1/0"],
+    [
+        "",
+        "2",
+        "a b",
+        "2 2 1 2 3",
+        "2 2 1 2 3 4 5",
+        "1 1 x",
+        "1 1 1/0",
+        # entries are [+-]digits[/digits] in ASCII, nothing else Fraction() reads
+        "1 1 1.5",
+        "1 1 1e0",
+        "1 1 1_0",
+        "1 1 \uff11",
+        "1 1 1/-2",
+        pytest.param("1 1 " + "9" * 4301, id="1 1 <4301 digits>"),
+    ],
 )
 def test_parse_matrix_rejects_garbage(text):
     with pytest.raises(MatrixFormatError):
         parse_matrix(text)
+
+
+def test_parse_rational_accepts_signs_and_fractions():
+    assert parse_rational("-3/4") == Fr(-3, 4)
+    assert parse_rational("+2") == 2
+    assert parse_rational("0/5") == 0
+    assert parse_matrix("1 2 -3/4 +2").data == ((Fr(-3, 4), Fr(2)),)
 
 
 def test_inverse_round_trip():

@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 from meyersig import (
+    ContractViolation,
     GenusMismatch,
     InvalidInput,
     RatMatrix,
@@ -21,6 +24,7 @@ from meyersig import (
     tau_cocycle_defect,
     tau_form,
 )
+from meyersig import meyer
 from conftest import random_sl2
 
 TWIST = SymplecticElement([[1, -1], [0, 1]])
@@ -103,7 +107,33 @@ def test_tau_bound(seeded):
             assert abs(value) <= tau_form(a1, a2).dim
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_tau_bound_violation_raises(monkeypatch, g):
+    monkeypatch.setattr(meyer, "signature_symmetric", lambda form: 4 * g + 1)
+    eye = SymplecticElement.identity(g)
+    with pytest.raises(ContractViolation):
+        tau(eye, eye)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so none may carry a contract
+    package = Path(__file__).resolve().parents[1] / "src" / "meyersig"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 # --- phi1 -------------------------------------------------------------------
+
+
+def test_phi_base_is_solved_once():
+    assert phi1_base() is phi1_base()
 
 
 def test_phi_base_relations_hold():

@@ -41,6 +41,8 @@ def test_constructor_rejects_non_symplectic():
         SymplecticElement([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(NotSymplectic):
         SymplecticElement([[Fr(1, 2), 0], [0, 2]])
+    with pytest.raises(NotSymplectic):  # det -1: A^t J A = -J
+        SymplecticElement([[0, 1], [1, 0]])
 
 
 def test_transvection_basis_vectors():
@@ -94,8 +96,9 @@ def test_direct_sum_identities():
     i1 = SymplecticElement.identity(1)
     assert direct_sum(i1, i1) == SymplecticElement.identity(2)
     a = SymplecticElement([[1, -1], [0, 1]])
-    s = direct_sum(a, i1)  # constructor itself checks symplecticity
+    s = direct_sum(a, i1)
     assert s.g == 2
+    assert SymplecticElement(s.mat) == s  # the validating constructor accepts it
     # the a-block of the first summand lands in rows/cols (0, 2)
     assert s.mat.data[0][2] == Fr(-1)
 
@@ -107,16 +110,25 @@ def test_direct_sum_random_blocks_stay_symplectic():
         b = random_transvection_product(r, 2, 5)
         s = direct_sum(a, b)
         assert s.g == 3
+        assert SymplecticElement(s.mat) == s
 
 
 def test_products_inverses_powers_stay_symplectic():
+    # derived elements skip validation; the validating constructor must
+    # accept each of them and give back an equal element
     r = random.Random(14)
     for g in (1, 2, 3):
+        eye = SymplecticElement.identity(g)
+        derived = [eye, direct_sum(gen_S(), eye), gen_T() ** -3]
         for _ in range(8):
             a = random_transvection_product(r, g, r.randint(1, 30))
-            a.inverse()
-            a**3
-            a**-2
+            b = random_transvection_product(r, g, r.randint(1, 5))
+            v = tuple(r.randint(-3, 3) for _ in range(2 * g))
+            derived += [a, a * b, a.inverse(), a**3, a**-2, direct_sum(a, b)]
+            if any(v):
+                derived.append(transvection(v))
+        for x in derived:
+            assert SymplecticElement(x.mat) == x
 
 
 def test_fast_inverse_formula():
