@@ -29,11 +29,9 @@ from .errors import (
 )
 from .exactnum import (
     RatMatrix,
-    Rational,
     SymmetricForm,
     format_matrix,
     gram_restrict,
-    hstack,
     kernel_basis,
     parse_matrix,
     rank,

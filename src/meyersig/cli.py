@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import localsig, meyer, varieties
 from .errors import ContractViolation, InvalidInput
-from .exactnum import parse_matrix, parse_rational
+from .exactnum import parse_integer, parse_matrix, parse_rational
 from .symplectic import SymplecticElement
 
 EXIT_OK = 0
@@ -41,6 +42,12 @@ def _record(pairs: list[tuple[str, object]]) -> dict:
     return {k: _jsonable(v) for k, v in pairs}
 
 
+def _too_large() -> InvalidInput:
+    return InvalidInput(
+        f"result too large to print (over {sys.get_int_max_str_digits()} digits)"
+    )
+
+
 def _print(render) -> None:
     """Print the line ``render()`` builds: the one place results become text.
 
@@ -50,9 +57,7 @@ def _print(render) -> None:
     try:
         line = render()
     except ValueError as exc:
-        raise InvalidInput(
-            f"result too large to print (over {sys.get_int_max_str_digits()} digits)"
-        ) from exc
+        raise _too_large() from exc
     print(line)
 
 
@@ -75,7 +80,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -121,7 +126,13 @@ def cmd_ci(args) -> int:
 
 def cmd_veronese(args) -> int:
     degrees = varieties.parse_degrees(args.degrees)
-    rep = varieties.veronese_ci_lasso(varieties.CISpec(args.m, degrees, args.n, args.d))
+    spec = varieties.CISpec(args.m, degrees, args.n, args.d)
+    # deg D_X is a multiple of d^(n-2): refuse before computing a power whose
+    # decimal form alone is past the digit limit (0 means no limit)
+    limit = sys.get_int_max_str_digits()
+    if limit and spec.d > 1 and spec.n - 2 >= limit / math.log10(spec.d):
+        raise _too_large()
+    rep = varieties.veronese_ci_lasso(spec)
     _emit(_ratio_pairs(rep) + _value_pairs(rep), args.json)
     return EXIT_OK
 
@@ -215,20 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phi1)
 
     p = sub.add_parser("ci", parents=[common], help="complete intersection surface invariants and lasso value")
-    p.add_argument("--m", type=int, required=True, help="number of defining degrees")
+    p.add_argument("--m", type=parse_integer, required=True, help="number of defining degrees")
     p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,3")
     p.set_defaults(func=cmd_ci)
 
     p = sub.add_parser("veronese", parents=[common], help="lasso value for a Veronese-embedded complete intersection")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_integer, required=True)
     p.add_argument("--degrees", required=True, help="comma-separated degrees; '' for m=0")
-    p.add_argument("--n", type=int, required=True, help="dimension of the variety")
-    p.add_argument("--d", type=int, required=True, help="Veronese degree")
+    p.add_argument("--n", type=parse_integer, required=True, help="dimension of the variety")
+    p.add_argument("--d", type=parse_integer, required=True, help="Veronese degree")
     p.set_defaults(func=cmd_veronese)
 
     p = sub.add_parser("lasso-power", parents=[common], help="Meyer value on the n-th power of a lasso")
     p.add_argument("--phi", required=True, help="value on the lasso, as p/q")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
     p.set_defaults(func=cmd_lasso_power)
 
     p = sub.add_parser("germ", parents=[common], help="look up a built-in fiber germ")

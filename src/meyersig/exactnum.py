@@ -1,11 +1,12 @@
 """Exact rational linear algebra.
 
-Everything is built on ``fractions.Fraction``; no floating point enters any
-computation path. The primitives the rest of the package relies on are:
+Elimination divides, so it runs on ``fractions.Fraction``; no floating point
+enters any computation path. The primitives the rest of the package relies
+on are:
 
 * right kernel bases of exact matrices (``kernel_basis``),
-* Gram matrices of a bilinear pairing restricted to a list of vectors
-  (``gram_restrict``),
+* Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
+  of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric forms by congruence diagonalization
   (``signature_symmetric``).
 
@@ -21,9 +22,19 @@ from typing import Iterable, Sequence
 
 from .errors import AsymmetricGram, MatrixFormatError
 
-Rational = Fraction
-
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+
+
+def parse_integer(token: str) -> int:
+    """Parse an optional sign and ASCII digits: the integers of ``parse_rational``.
+
+    Anything else, and integers beyond the digit limit, raise ``ValueError``,
+    so this also serves as an argparse ``type``.
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"bad integer {token!r}")
+    return int(token)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -97,13 +108,6 @@ class RatMatrix:
             [[dot(row, col) for col in ot.data] for row in self.data], cols=other.cols
         )
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self.data], cols=self.cols)
 
@@ -132,16 +136,9 @@ class RatMatrix:
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
         return RatMatrix([row[n:] for row in aug], cols=n)
 
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for row in self.data for a in row)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def _same_shape(self, other: "RatMatrix") -> None:
-        if self.shape != other.shape:
-            raise MatrixFormatError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,14 +153,6 @@ class RatMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-
-def hstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.rows != b.rows:
-        raise MatrixFormatError(f"hstack of {a.shape} and {b.shape}")
-    return RatMatrix(
-        [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)], cols=a.cols + b.cols
-    )
 
 
 def _rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -241,25 +230,25 @@ class SymmetricForm:
         return f"SymmetricForm({self.gram!r})"
 
 
-def gram_restrict(pairing: RatMatrix, basis: Sequence[Sequence]) -> SymmetricForm:
-    """Gram matrix G[i][j] = <b_i, b_j> of an ambient pairing on given vectors.
+def gram_restrict(s: Sequence[Sequence], basis: Sequence[Sequence]) -> SymmetricForm:
+    """Gram matrix G[i][j] = (x_i + y_i)^t S y_j of basis vectors b = (x | y).
 
-    The ambient pairing is an arbitrary square matrix P with
-    <u, v> = u^t P v. P itself need not be symmetric; the restriction to the
-    supplied vectors must be, and an asymmetric result raises AsymmetricGram
-    (a non-kernel basis, or a bug).
+    S is an n x n matrix and each basis vector has length 2n. S itself need
+    not be symmetric; the restriction to the supplied vectors must be, and an
+    asymmetric result raises AsymmetricGram (a non-kernel basis, or a bug).
     """
-    if pairing.rows != pairing.cols:
+    n = len(s)
+    if any(len(row) != n for row in s):
         raise MatrixFormatError("pairing matrix must be square")
-    vecs = [tuple(Fraction(x) for x in v) for v in basis]
-    for v in vecs:
-        if len(v) != pairing.cols:
+    for v in basis:
+        if len(v) != 2 * n:
             raise MatrixFormatError(
-                f"basis vector of length {len(v)} against pairing of size {pairing.cols}"
+                f"basis vector of length {len(v)} against pairing of size {n}"
             )
-    images = [pairing.mul_vec(v) for v in vecs]
-    g = [[dot(u, img) for img in images] for u in vecs]
-    return SymmetricForm(RatMatrix(g, cols=len(vecs)))
+    sums = [[a + b for a, b in zip(v[:n], v[n:])] for v in basis]
+    images = [[dot(row, v[n:]) for row in s] for v in basis]
+    g = [[dot(u, img) for img in images] for u in sums]
+    return SymmetricForm(RatMatrix(g, cols=len(basis)))
 
 
 def _swap_symmetric(g: list[list[Fraction]], i: int, j: int) -> None:
@@ -333,7 +322,7 @@ def parse_matrix(text: str) -> RatMatrix:
     if len(tokens) < 2:
         raise MatrixFormatError("expected a 'rows cols' header")
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
+        rows, cols = parse_integer(tokens[0]), parse_integer(tokens[1])
     except ValueError as exc:
         raise MatrixFormatError(f"bad header {tokens[:2]!r}") from exc
     if rows < 0 or cols < 0:

@@ -89,6 +89,8 @@ class FiberGerm:
 def germ_sigma(phi_value: Fraction | int | str, nbhd_sign: int) -> Fraction:
     """Local signature: Meyer value of the lifted monodromy plus the
     signature of a fiber neighbourhood."""
+    if isinstance(phi_value, str):
+        phi_value = parse_rational(phi_value)
     return Fraction(phi_value) + nbhd_sign
 
 
@@ -254,9 +256,11 @@ def ledger_from_obj(obj) -> FibrationLedger:
 
 
 def ledger_from_json(text: str) -> FibrationLedger:
+    # JSONDecodeError is a ValueError, as is an integer past the digit limit;
+    # nesting deeper than the interpreter's stack raises RecursionError
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"bad ledger JSON: {exc}") from exc
     return ledger_from_obj(obj)
 

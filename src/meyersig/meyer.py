@@ -27,23 +27,15 @@ from .exactnum import (
     RatMatrix,
     SymmetricForm,
     gram_restrict,
-    hstack,
     kernel_basis,
+    parse_rational,
     signature_symmetric,
 )
-from .symplectic import SL2Word, SymplecticElement, gen_S, gen_T, sl2_word, standard_J
+from .symplectic import IntMatrix, SL2Word, SymplecticElement, apply_J, gen_S, gen_T, sl2_word
 
 
-def _pairing_matrix(a2: SymplecticElement) -> RatMatrix:
-    """Ambient 4g x 4g matrix P with <u, v> = u^t P v for u = (x|y), v = (x'|y')."""
-    n = 2 * a2.g
-    s = standard_J(a2.g) * (RatMatrix.identity(n) - a2.mat)
-    zero = Fraction(0)
-    rows = []
-    for i in range(2 * n):
-        srow = s.data[i % n]
-        rows.append([zero] * n + list(srow))
-    return RatMatrix(rows, cols=2 * n)
+def _minus_identity(m: IntMatrix) -> IntMatrix:
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
@@ -54,11 +46,12 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
     """
     if a1.g != a2.g:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
-    n = 2 * a1.g
-    eye = RatMatrix.identity(n)
-    m = hstack(a1.inverse().mat - eye, a2.mat - eye)
-    basis = kernel_basis(m)
-    return gram_restrict(_pairing_matrix(a2), basis)
+    left = _minus_identity(a1.inverse().mat)
+    right = _minus_identity(a2.mat)
+    basis = kernel_basis(RatMatrix([a + b for a, b in zip(left, right)], cols=4 * a1.g))
+    # S = J (I - A2), the 2g x 2g block of the pairing
+    s = apply_J(tuple(tuple(-x for x in row) for row in right))
+    return gram_restrict(s, basis)
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
@@ -193,4 +186,6 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
     """
     if n < 1:
         raise InvalidInput(f"power must be >= 1, got {n}")
+    if isinstance(phi_sigma, str):
+        phi_sigma = parse_rational(phi_sigma)
     return Fraction(phi_sigma) * n + (n - 1)

@@ -27,6 +27,35 @@ from .errors import (
 )
 from .exactnum import RatMatrix
 
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def _int_rows(data: RatMatrix | Iterable[Iterable], error: type[Exception]) -> IntMatrix:
+    """Outside matrix data (a RatMatrix, nested lists, Fractions) as rows of
+    ints; raises ``error`` unless every entry is an integer."""
+    if isinstance(data, RatMatrix):
+        data = data.data
+    rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise error("entries must be integers")
+    return tuple(tuple(x.numerator for x in row) for row in rows)
+
+
+def _identity(n: int) -> IntMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def apply_J(m: IntMatrix) -> IntMatrix:
+    """J * M for J = [[0, I], [-I, 0]], applied as a signed swap of the row
+    halves, (M[g:], -M[:g]), instead of a matrix product."""
+    g = len(m) // 2
+    return m[g:] + tuple(tuple(-x for x in row) for row in m[:g])
+
 
 @functools.cache
 def standard_J(g: int) -> RatMatrix:
@@ -36,11 +65,11 @@ def standard_J(g: int) -> RatMatrix:
     n = 2 * g
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * n
+        row = [0] * n
         if i < g:
-            row[g + i] = Fraction(1)
+            row[g + i] = 1
         else:
-            row[i - g] = Fraction(-1)
+            row[i - g] = -1
         rows.append(row)
     return RatMatrix(rows, cols=n)
 
@@ -48,33 +77,30 @@ def standard_J(g: int) -> RatMatrix:
 class SymplecticElement:
     """A 2g x 2g integer matrix A with A^t J A = J, validated on construction.
 
-    Elements derived from validated data skip the check (see ``_derived``).
+    ``mat`` is a tuple of int tuples. Elements derived from validated data
+    skip the check (see ``_derived``).
     """
 
     __slots__ = ("mat", "g")
 
     def __init__(self, mat: RatMatrix | Iterable[Iterable]):
-        if not isinstance(mat, RatMatrix):
-            mat = RatMatrix(mat)
-        if mat.rows != mat.cols or mat.rows % 2 != 0 or mat.rows < 2:
-            raise NotSymplectic(f"need an even square matrix of size >= 2, got {mat.shape}")
-        if not mat.is_integral():
-            raise NotSymplectic("entries must be integers")
-        g = mat.rows // 2
-        j = standard_J(g)
+        rows = _int_rows(mat, NotSymplectic)
+        n = len(rows)
+        if n < 2 or n % 2 != 0 or any(len(row) != n for row in rows):
+            raise NotSymplectic(f"need an even square matrix of size >= 2, got {n} rows")
         # for a 2x2 matrix A^t J A = det(A) J, so this also rejects det != 1
-        if mat.transpose() * j * mat != j:
+        if _matmul(tuple(zip(*rows)), apply_J(rows)) != apply_J(_identity(n)):
             raise NotSymplectic("matrix does not preserve the alternating form")
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "mat", rows)
+        object.__setattr__(self, "g", n // 2)
 
     @classmethod
-    def _derived(cls, mat: RatMatrix) -> "SymplecticElement":
-        """Wrap a matrix that is symplectic by construction: a product, inverse,
+    def _derived(cls, mat: IntMatrix) -> "SymplecticElement":
+        """Wrap int rows that are symplectic by construction: a product, inverse,
         power, transvection or direct sum of validated data. No re-check."""
         el = object.__new__(cls)
         object.__setattr__(el, "mat", mat)
-        object.__setattr__(el, "g", mat.rows // 2)
+        object.__setattr__(el, "g", len(mat) // 2)
         return el
 
     def __setattr__(self, name, value):
@@ -84,19 +110,18 @@ class SymplecticElement:
     def identity(cls, g: int) -> "SymplecticElement":
         if g < 1:
             raise NotSymplectic(f"genus must be >= 1, got {g}")
-        return cls._derived(RatMatrix.identity(2 * g))
+        return cls._derived(_identity(2 * g))
 
     def __mul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if not isinstance(other, SymplecticElement):
             return NotImplemented
         if self.g != other.g:
             raise GenusMismatch(f"genus {self.g} times genus {other.g}")
-        return SymplecticElement._derived(self.mat * other.mat)
+        return SymplecticElement._derived(_matmul(self.mat, other.mat))
 
     def inverse(self) -> "SymplecticElement":
-        # A^{-1} = J^{-1} A^t J, and J^{-1} = -J
-        j = standard_J(self.g)
-        return SymplecticElement._derived((-j) * self.mat.transpose() * j)
+        # A^{-1} = J^{-1} A^t J = J (J A)^t: two signed swaps and a transpose
+        return SymplecticElement._derived(apply_J(tuple(zip(*apply_J(self.mat)))))
 
     def __pow__(self, e: int) -> "SymplecticElement":
         if e < 0:
@@ -126,20 +151,16 @@ def transvection(v: Sequence[int]) -> SymplecticElement:
 
     For nonzero v of length 2g this is I + v (Jv)^t, always symplectic.
     """
-    vv = tuple(Fraction(x) for x in v)
+    (vv,) = _int_rows((v,), MatrixFormatError)
     if len(vv) % 2 != 0 or not vv:
         raise MatrixFormatError(f"vector length must be even and positive, got {len(vv)}")
-    if all(x == 0 for x in vv):
+    if not any(vv):
         raise ZeroVector("transvection direction must be nonzero")
-    if any(x.denominator != 1 for x in vv):
-        raise MatrixFormatError("transvection direction must be integral")
     g = len(vv) // 2
-    w = standard_J(g).mul_vec(vv)
-    n = 2 * g
-    rows = [
-        [Fraction(int(i == j)) + vv[i] * w[j] for j in range(n)] for i in range(n)
-    ]
-    return SymplecticElement._derived(RatMatrix(rows, cols=n))
+    w = vv[g:] + tuple(-x for x in vv[:g])  # Jv, the signed swap of apply_J
+    return SymplecticElement._derived(
+        tuple(tuple(int(i == j) + vi * wj for j, wj in enumerate(w)) for i, vi in enumerate(vv))
+    )
 
 
 def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
@@ -162,16 +183,11 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
         return 1, g2 + (i - g - g1)
 
     mats = (a.mat, b.mat)
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        ti, si = source(i)
-        row = []
-        for j in range(n):
-            tj, sj = source(j)
-            row.append(mats[ti].data[si][sj] if ti == tj else Fraction(0))
-        rows.append(row)
-    return SymplecticElement._derived(RatMatrix(rows, cols=n))
+    coords = [source(i) for i in range(2 * g)]
+    rows = tuple(
+        tuple(mats[ti][si][sj] if ti == tj else 0 for tj, sj in coords) for ti, si in coords
+    )
+    return SymplecticElement._derived(rows)
 
 
 _S = ((0, -1), (1, 0))
@@ -273,18 +289,10 @@ def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
     the bit lengths of the entries, -I is normalized to S^2 and S-exponents
     are reduced mod 4.
     """
-    if isinstance(a, SymplecticElement):
-        mat = a.mat
-    elif isinstance(a, RatMatrix):
-        mat = a
-    else:
-        mat = RatMatrix(a)
-    if mat.shape != (2, 2):
-        raise NotUnimodular(f"need a 2x2 matrix, got {mat.shape}")
-    if not mat.is_integral():
-        raise NotUnimodular("entries must be integers")
-    (af, bf), (cf, df) = mat.data
-    aa, bb, cc, dd = int(af), int(bf), int(cf), int(df)
+    mat = a.mat if isinstance(a, SymplecticElement) else _int_rows(a, NotUnimodular)
+    if len(mat) != 2 or any(len(row) != 2 for row in mat):
+        raise NotUnimodular("need a 2x2 matrix")
+    (aa, bb), (cc, dd) = mat
     if aa * dd - bb * cc != 1:
         raise NotUnimodular("determinant must be 1")
 

@@ -33,6 +33,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
+from .exactnum import parse_integer
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def resolve_preset(name: str) -> PresetReport:
 
 def _parse_int(token: str) -> int:
     try:
-        return int(token)
+        return parse_integer(token)
     except ValueError as exc:
         raise InvalidInput(f"bad integer {token!r}") from exc
 

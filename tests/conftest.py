@@ -1,6 +1,9 @@
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from meyersig import SymplecticElement, gen_S, gen_T, random_transvection_product
 
@@ -25,3 +28,17 @@ def seeded():
 
 def sample_symplectic(r: random.Random, g: int, length: int = 8) -> SymplecticElement:
     return random_transvection_product(r, g, length)
+
+
+# Tier-1 runs the property tests on a fixed example sequence and keeps no
+# example database, so a run is repeatable and leaves no .hypothesis/ behind.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # Hypothesis also caches constants it reads from the source tree, during
+    # collection; keep that cache in a temporary directory, not .hypothesis/.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)

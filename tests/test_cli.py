@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from meyersig import ledger_to_json, ledger_from_json, meyer, solve_unknown_germ
+from meyersig import ledger_to_json, ledger_from_json, meyer, solve_unknown_germ, varieties
 from meyersig.cli import main
 
 
@@ -129,6 +129,70 @@ def test_lasso_power_rejects_bad_input(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "lasso-power", "--phi", "1.5", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ci", "--m", "1", "--degrees", "\uff13"],
+        ["ci", "--m", "1", "--degrees", "1_0"],
+        ["ci", "--m", "\uff11", "--degrees", "3"],
+        ["veronese", "--m", "0", "--degrees", "", "--n", "\uff14", "--d", "2"],
+        ["veronese", "--m", "0", "--degrees", "", "--n", "4", "--d", "2_0"],
+        ["lasso-power", "--phi", "1", "--n", "1_0"],
+        ["lasso-power", "--phi", "1", "--n", " 2"],
+    ],
+    ids=[
+        "ci-degree-fullwidth",
+        "ci-degree-underscore",
+        "ci-m",
+        "veronese-n",
+        "veronese-d",
+        "lasso-n-underscore",
+        "lasso-n-space",
+    ],
+)
+def test_integer_options_use_the_ascii_grammar(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "option", [["phi1", "--matrix"], ["fibration", "--ledger"]], ids=["phi1", "fibration"]
+)
+def test_non_utf8_file_is_input_error(capsys, tmp_path, option):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe2 2\n1 0\n0 1\n")
+    code, out, err = run_cli(capsys, *option, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["3000000", "9" * 4000], ids=["3e6", "4000-digit"])
+def test_veronese_rejects_unprintable_powers_before_computing(capsys, monkeypatch, n):
+    def computed(spec):
+        pytest.fail("d**(n-2) was computed although its digits are past the limit")
+
+    monkeypatch.setattr(varieties, "veronese_ci_lasso", computed)
+    code, out, err = run_cli(
+        capsys, "veronese", "--m", "0", "--degrees", "", "--n", n, "--d", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert "too large to print" in err
+
+
+def test_veronese_bound_keeps_printable_results(capsys):
+    # d**(n-2) has 1998 digits and prints: the bound counts decimal digits
+    code, out, err = run_cli(
+        capsys, "veronese", "--m", "0", "--degrees", "", "--n", "2000", "--d", "10"
+    )
+    assert code == 0
+    assert err == ""
+    assert "deg_DX=16208100000" in out
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

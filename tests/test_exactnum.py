@@ -11,7 +11,6 @@ from meyersig import (
     SymmetricForm,
     format_matrix,
     gram_restrict,
-    hstack,
     kernel_basis,
     parse_matrix,
     rank,
@@ -172,13 +171,9 @@ def test_signature_against_root_counting_oracle():
 # --- gram_restrict ----------------------------------------------------------
 
 
-def _twist_pairing(n: int) -> RatMatrix:
-    # ambient pairing (x+y)^t J (I - A^n) y' for A = [[1,-1],[0,1]]
-    s = RatMatrix([[0, 0], [0, -n]])
-    rows = []
-    for i in range(4):
-        rows.append([Fr(0), Fr(0)] + list(s.data[i % 2]))
-    return RatMatrix(rows)
+def _twist_pairing(n: int) -> list[list[int]]:
+    # S = J (I - A^n) for A = [[1,-1],[0,1]]; the pairing is (x+y)^t S y'
+    return [[0, 0], [0, -n]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -199,9 +194,9 @@ def test_gram_restrict_empty_basis():
 
 
 def test_gram_restrict_rejects_asymmetric_result():
-    pairing = RatMatrix([[0, 1], [0, 0]])
+    pairing = [[0, 1], [0, 0]]
     with pytest.raises(AsymmetricGram):
-        gram_restrict(pairing, [(1, 0), (0, 1)])
+        gram_restrict(pairing, [(0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 def test_gram_vanishes_on_identity_kernel():
@@ -210,17 +205,15 @@ def test_gram_vanishes_on_identity_kernel():
     from meyersig import SymplecticElement, standard_J
 
     m = SymplecticElement([[2, 1], [1, 1]])
-    eye = RatMatrix.identity(2)
-    block = hstack(RatMatrix.zeros(2, 2), m.mat - eye)
-    basis = kernel_basis(block)
-    s = standard_J(1) * (eye - m.mat)
+    m_minus_eye = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(m.mat)]
+    basis = kernel_basis(RatMatrix([[0, 0] + row for row in m_minus_eye]))
+    s = standard_J(1) * -RatMatrix(m_minus_eye)
     for u in basis:
         for v in basis:
             xy = (u[0] + u[2], u[1] + u[3])
             image = s.mul_vec((v[2], v[3]))
             assert xy[0] * image[0] + xy[1] * image[1] == 0
-    pairing_rows = [[Fr(0), Fr(0)] + list(s.data[i % 2]) for i in range(4)]
-    form = gram_restrict(RatMatrix(pairing_rows), basis)
+    form = gram_restrict(s.data, basis)
     assert form.gram == RatMatrix.zeros(form.dim, form.dim)
 
 
@@ -252,6 +245,11 @@ def test_parse_and_format_round_trip():
         "1 1 \uff11",
         "1 1 1/-2",
         pytest.param("1 1 " + "9" * 4301, id="1 1 <4301 digits>"),
+        # so is the header: [+-]digits in ASCII, nothing else int() reads
+        "1_0 1 5",
+        "\uff11 1 5",
+        "\u0661 1 5",
+        "1 +1_0 5",
     ],
 )
 def test_parse_matrix_rejects_garbage(text):

@@ -187,6 +187,13 @@ def test_germ_sigma_examples():
     assert germ_sigma(Fr(5, 9), 0) == Fr(5, 9)
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e0", "x", "1_0"])
+def test_germ_sigma_reads_strings_through_the_numeral_grammar(text):
+    with pytest.raises(InvalidInput):
+        germ_sigma(text, 0)
+    assert germ_sigma("28/17", -1) == Fr(11, 17)
+
+
 def test_smooth_germ_check():
     assert smooth_germ_check(FiberGerm("ok", Fr(0), 0, smooth=True)) is True
     assert smooth_germ_check(germ("R4/F_I")) is False  # not flagged, skipped
@@ -310,6 +317,9 @@ def test_ledger_json_parsing_defaults_and_unknowns():
         '{"total_sign": 0, "germs": [{"phi": "1/2"}]}',
         '{"total_sign": 0, "germs": [{"name": "a", "phi": "x"}]}',
         '{"total_sign": 0, "germs": [{"name": "a", "phi": "1/2", "count": 0}]}',
+        # json raises ValueError and RecursionError here, not JSONDecodeError
+        pytest.param('{"total_sign": ' + "1" * 5000 + ', "germs": []}', id="5000-digit int"),
+        pytest.param("[" * 100_000, id="deep nesting"),
     ],
 )
 def test_ledger_json_rejects_malformed(text):

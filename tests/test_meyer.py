@@ -54,6 +54,20 @@ def test_tau_form_on_twist_powers_is_the_expected_diagonal():
         assert form.gram == expected
 
 
+def test_tau_path_multiplies_no_rational_matrices(monkeypatch):
+    # symplectic products are on ints and J is applied as a signed row swap
+    def refuse(self, other):
+        pytest.fail("RatMatrix product on the tau path")
+
+    monkeypatch.setattr(RatMatrix, "__mul__", refuse)
+    r = random.Random(23)
+    for g in (1, 2, 3):
+        a1 = random_transvection_product(r, g, 5)
+        a2 = random_transvection_product(r, g, 5)
+        assert tau_cocycle_defect(a1, a2, a1.inverse()) == 0
+    assert phi1(TWIST**3) == 3 * phi1(TWIST) + 2
+
+
 def test_tau_genus_mismatch():
     with pytest.raises(GenusMismatch):
         tau(SymplecticElement.identity(1), SymplecticElement.identity(2))
@@ -213,6 +227,13 @@ def test_lasso_power_examples():
 def test_lasso_power_cross_checked_against_cocycle():
     # phi(sigma^2) = 2 phi(sigma) - tau(rho(sigma), rho(sigma)) with tau = -1
     assert lasso_power(Fr(-9, 17), 2) == 2 * Fr(-9, 17) - tau(TWIST, TWIST)
+
+
+@pytest.mark.parametrize("text", ["1e0", "x", "1.5", "1_0"])
+def test_lasso_power_reads_strings_through_the_numeral_grammar(text):
+    with pytest.raises(InvalidInput):
+        lasso_power(text, 2)
+    assert lasso_power("-9/17", 2) == Fr(-1, 17)
 
 
 def test_lasso_power_rejects_nonpositive():

@@ -18,6 +18,7 @@ from meyersig import (
     standard_J,
     transvection,
 )
+from meyersig.symplectic import apply_J
 from conftest import random_sl2
 
 
@@ -34,6 +35,13 @@ def test_standard_J_antisymmetric(g):
     assert j.transpose() == -j
 
 
+def test_apply_J_is_the_product_with_standard_J():
+    r = random.Random(10)
+    for g in (1, 2, 3, 4):
+        m = tuple(tuple(r.randint(-5, 5) for _ in range(2 * g)) for _ in range(2 * g))
+        assert RatMatrix(apply_J(m)) == standard_J(g) * RatMatrix(m)
+
+
 def test_constructor_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
         SymplecticElement([[1, 0], [0, 2]])
@@ -46,8 +54,8 @@ def test_constructor_rejects_non_symplectic():
 
 
 def test_transvection_basis_vectors():
-    assert transvection((1, 0)).mat == RatMatrix([[1, -1], [0, 1]])
-    assert transvection((0, 1)).mat == RatMatrix([[1, 0], [1, 1]])
+    assert transvection((1, 0)).mat == ((1, -1), (0, 1))
+    assert transvection((0, 1)).mat == ((1, 0), (1, 1))
 
 
 def test_transvection_matches_pointwise_definition():
@@ -64,7 +72,7 @@ def test_transvection_matches_pointwise_definition():
             e = tuple(Fr(int(i == k)) for i in range(2 * g))
             coeff = sum(a * b for a, b in zip(e, j.mul_vec(v)))
             image = tuple(a + coeff * b for a, b in zip(e, v))
-            assert tuple(t.mat.data[i][k] for i in range(2 * g)) == image
+            assert tuple(t.mat[i][k] for i in range(2 * g)) == image
 
 
 def test_transvection_squared_doubles_coefficient():
@@ -84,7 +92,7 @@ def test_transvection_squared_doubles_coefficient():
                 for i in range(n)
             ]
         )
-        assert (t * t).mat == doubled
+        assert RatMatrix((t * t).mat) == doubled
 
 
 def test_transvection_rejects_zero_vector():
@@ -100,7 +108,7 @@ def test_direct_sum_identities():
     assert s.g == 2
     assert SymplecticElement(s.mat) == s  # the validating constructor accepts it
     # the a-block of the first summand lands in rows/cols (0, 2)
-    assert s.mat.data[0][2] == Fr(-1)
+    assert s.mat[0][2] == -1
 
 
 def test_direct_sum_random_blocks_stay_symplectic():
@@ -131,6 +139,27 @@ def test_products_inverses_powers_stay_symplectic():
             assert SymplecticElement(x.mat) == x
 
 
+def test_mat_holds_only_ints():
+    r = random.Random(16)
+    a = random_transvection_product(r, 2, 6)
+    elements = [
+        SymplecticElement([[1, -1], [0, 1]]),
+        SymplecticElement([[Fr(1), Fr(-1)], [Fr(0), Fr(1)]]),
+        SymplecticElement(RatMatrix([[1, -1], [0, 1]])),
+        SymplecticElement.identity(2),
+        a,
+        a.inverse(),
+        a * a,
+        a**-3,
+        direct_sum(gen_S(), gen_T()),
+        transvection((1, -2, 0, Fr(3))),
+    ]
+    for x in elements:
+        assert type(x.mat) is tuple
+        assert all(type(row) is tuple for row in x.mat)
+        assert all(type(entry) is int for row in x.mat for entry in row)
+
+
 def test_fast_inverse_formula():
     r = random.Random(15)
     for g in (1, 2, 3):
@@ -138,8 +167,8 @@ def test_fast_inverse_formula():
         jinv = -j
         for _ in range(8):
             a = random_transvection_product(r, g, 6)
-            assert a.inverse().mat == jinv * a.mat.transpose() * j
-            assert a.inverse().mat == a.mat.inverse()
+            assert RatMatrix(a.inverse().mat) == jinv * RatMatrix(a.mat).transpose() * j
+            assert RatMatrix(a.inverse().mat) == RatMatrix(a.mat).inverse()
             assert a * a.inverse() == SymplecticElement.identity(g)
 
 
@@ -148,7 +177,7 @@ def test_fast_inverse_formula():
 
 def test_word_for_translation_power():
     w = sl2_word(gen_T() ** 5)
-    assert w.evaluate().mat == RatMatrix([[1, 5], [0, 1]])
+    assert w.evaluate().mat == ((1, 5), (0, 1))
     assert str(w) == "TTTTT"
 
 

@@ -21,6 +21,7 @@ from meyersig import (
     stratum_codim,
     veronese_ci_lasso,
 )
+from meyersig.varieties import parse_degrees
 
 
 # --- generic surface --------------------------------------------------------
@@ -234,3 +235,19 @@ def test_preset_keys_parse():
         resolve_preset("ci:1")
     with pytest.raises(InvalidInput):
         resolve_preset("veronese-ci:0::4:x")
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["ci:1:\uff13", "ci:1:1_0", "ci:\uff11:3", "veronese-ci:0::\uff14:2", "veronese-ci:0::4:2_0"],
+)
+def test_preset_keys_use_the_ascii_integer_grammar(key):
+    with pytest.raises(InvalidInput):
+        resolve_preset(key)
+
+
+@pytest.mark.parametrize("token", ["\uff13", "1_0", "2, 3", "3,", "+"])
+def test_parse_degrees_rejects_non_ascii_integers(token):
+    with pytest.raises(InvalidInput):
+        parse_degrees(token)
+    assert parse_degrees("2,+3") == (2, 3)
