@@ -1,23 +1,31 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra over the integers, with rational input allowed.
 
-Elimination divides, so it runs on ``fractions.Fraction``; no floating point
-enters any computation path. The primitives the rest of the package relies
-on are:
+Every elimination is integer-preserving: rows are cleared of denominators by
+positive multiples, a pivot step cross-multiplies instead of dividing, and
+each new row or block is divided by its content. Integer input therefore
+never meets ``fractions.Fraction``; only rational ``RatMatrix`` input does,
+and only while its denominators are cleared. No floating point enters any
+computation path. The primitives the rest of the package relies on are:
 
-* right kernel bases of exact matrices (``kernel_basis``),
+* right kernel bases of exact matrices, as primitive integer vectors
+  (``kernel_basis``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric forms by congruence diagonalization
   (``signature_symmetric``).
 
-Signatures are integers decided by signs of exact pivots, so exactness is
-what makes every downstream value reproducible bit for bit.
+Rescaling basis vectors by positive constants is a congruence, so none of
+these scalings moves a signature (Sylvester's law of inertia); signatures
+are integers decided by signs of exact pivots, and every downstream value is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AsymmetricGram, MatrixFormatError
@@ -53,19 +61,24 @@ def parse_rational(token: str) -> Fraction:
         raise MatrixFormatError("bad rational: too many digits") from exc
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise MatrixFormatError(f"dot of vectors with lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 class RatMatrix:
-    """Immutable dense matrix with Fraction entries, row-major."""
+    """Immutable dense matrix of exact rationals, row-major.
+
+    ``int`` entries are kept as they are; any other entry becomes a Fraction.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+        rows = tuple(
+            tuple(x if type(x) is int else Fraction(x) for x in row) for row in data
+        )
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -83,14 +96,11 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
@@ -122,13 +132,13 @@ class RatMatrix:
         if self.rows != self.cols:
             raise MatrixFormatError("inverse of non-square matrix")
         n = self.rows
-        aug = [list(self.data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        aug = [list(self.data[i]) + [int(i == j) for j in range(n)] for i in range(n)]
         for k in range(n):
             piv = next((r for r in range(k, n) if aug[r][k] != 0), None)
             if piv is None:
                 raise MatrixFormatError("matrix is singular")
             aug[k], aug[piv] = aug[piv], aug[k]
-            p = aug[k][k]
+            p = Fraction(aug[k][k])
             aug[k] = [x / p for x in aug[k]]
             for r in range(n):
                 if r != k and aug[r][k] != 0:
@@ -155,49 +165,82 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(m: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(row) for row in m.data]
+def _primitive(row: list[int]) -> list[int]:
+    """Row divided by the gcd of its entries (a zero row stays zero)."""
+    d = math.gcd(*row)
+    return [x // d for x in row] if d > 1 else row
+
+
+def _cleared(row: Iterable, lcm: int) -> list[int]:
+    """Integer row: the exact rationals of ``row`` times ``lcm``, which every
+    denominator divides. Fraction-free for int entries."""
+    return [x.numerator * (lcm // x.denominator) for x in row]
+
+
+def _integer_rows(m: RatMatrix | Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rows of M scaled to primitive integer rows (same row space), and the
+    column count."""
+    if isinstance(m, RatMatrix):
+        rows, cols = m.data, m.cols
+    else:
+        rows, cols = m, len(m[0]) if m else 0
+    return [
+        _primitive(_cleared(row, math.lcm(*(x.denominator for x in row)))) for row in rows
+    ], cols
+
+
+def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Each pivot step replaces every other row r by p*r - r[c]*(pivot row) and
+    divides it by its content. Returns the nonzero rows and their pivot
+    columns: row i is a nonzero multiple of row i of the reduced row echelon
+    form, so it is zero in every other pivot column.
+    """
     pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r >= m.rows:
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
             break
-        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
-        r += 1
-    return a, pivots
+    return rows[: len(pivots)], pivots
 
 
-def rank(m: RatMatrix) -> int:
-    return len(_rref(m)[1])
+def rank(m: RatMatrix | Sequence[Sequence]) -> int:
+    return len(_eliminate(*_integer_rows(m))[1])
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of {v : Mv = 0} in reduced-echelon-determined form.
+def kernel_basis(m: RatMatrix | Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """Basis of {v : Mv = 0} as primitive integer vectors.
 
-    One basis vector per free column f, carrying 1 at position f and the
-    negated reduced-echelon entries at the pivot positions. The output is
-    deterministic: it depends only on M, not on elimination order.
+    M is a ``RatMatrix`` or a sequence of rows of exact rationals. There is
+    one basis vector per free column f: the positive multiple, with coprime
+    integer entries, of the reduced-echelon vector that carries 1 at position
+    f and the negated reduced-echelon entries at the pivot positions. The
+    output depends only on M, not on elimination order.
     """
-    a, pivots = _rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows, cols = _integer_rows(m)
+    rows, pivots = _eliminate(rows, cols)
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -a[i][f]
-        basis.append(tuple(v))
+        # reduced-echelon entry of row i at column f is row[f] / row[pivot]
+        scale = math.lcm(*(abs(row[p]) for row, p in zip(rows, pivots) if row[f]))
+        v = [0] * cols
+        v[f] = scale
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(tuple(_primitive(v)))
     return basis
 
 
@@ -209,7 +252,8 @@ class SymmetricForm:
     def __init__(self, gram: RatMatrix):
         if gram.rows != gram.cols:
             raise AsymmetricGram(f"Gram matrix must be square, got {gram.shape}")
-        if gram != gram.transpose():
+        d = gram.data
+        if any(d[i][j] != d[j][i] for i in range(gram.rows) for j in range(i)):
             raise AsymmetricGram("Gram matrix is not symmetric")
         object.__setattr__(self, "gram", gram)
 
@@ -245,19 +289,20 @@ def gram_restrict(s: Sequence[Sequence], basis: Sequence[Sequence]) -> Symmetric
             raise MatrixFormatError(
                 f"basis vector of length {len(v)} against pairing of size {n}"
             )
-    sums = [[a + b for a, b in zip(v[:n], v[n:])] for v in basis]
-    images = [[dot(row, v[n:]) for row in s] for v in basis]
+    ys = [v[n:] for v in basis]
+    sums = [[a + b for a, b in zip(v, y)] for v, y in zip(basis, ys)]
+    images = [[dot(row, y) for row in s] for y in ys]
     g = [[dot(u, img) for img in images] for u in sums]
     return SymmetricForm(RatMatrix(g, cols=len(basis)))
 
 
-def _swap_symmetric(g: list[list[Fraction]], i: int, j: int) -> None:
+def _swap_symmetric(g: list[list[int]], i: int, j: int) -> None:
     g[i], g[j] = g[j], g[i]
     for row in g:
         row[i], row[j] = row[j], row[i]
 
 
-def _split_hyperbolic(g: list[list[Fraction]], i: int, j: int) -> None:
+def _split_hyperbolic(g: list[list[int]], i: int, j: int) -> None:
     # basis change b_i <- b_i + b_j, b_j <- b_i - b_j; with zero diagonal this
     # exposes the pivots +-2*g[i][j]
     n = len(g)
@@ -272,14 +317,20 @@ def _split_hyperbolic(g: list[list[Fraction]], i: int, j: int) -> None:
 def signature_symmetric(form: SymmetricForm | RatMatrix) -> int:
     """Signature (#positive - #negative diagonal pivots) of a symmetric form.
 
-    Exact congruence diagonalization: symmetric pivoting on the first nonzero
-    diagonal entry; when the active diagonal is entirely zero but some
-    off-diagonal entry remains, a hyperbolic basis change exposes a pair of
-    opposite pivots. Zero eigenvalues contribute nothing.
+    Integer-preserving congruence diagonalization. A rational Gram is first
+    multiplied by the positive lcm of its denominators. Symmetric pivoting
+    takes the first nonzero diagonal entry p and replaces the active block by
+    |p| times its Schur complement, divided by the block's content: both are
+    positive scalings, so no signature moves. When the active diagonal is
+    entirely zero but some off-diagonal entry remains, a hyperbolic basis
+    change exposes a pair of opposite pivots. Zero eigenvalues contribute
+    nothing.
     """
     if isinstance(form, RatMatrix):
         form = SymmetricForm(form)
-    g = [list(row) for row in form.gram.data]
+    data = form.gram.data
+    lcm = math.lcm(*(x.denominator for row in data for x in row))
+    g = [_cleared(row, lcm) for row in data]
     n = form.dim
     pos = neg = 0
     k = 0
@@ -296,19 +347,21 @@ def signature_symmetric(form: SymmetricForm | RatMatrix) -> int:
             continue
         if piv != k:
             _swap_symmetric(g, k, piv)
-        p = g[k][k]
+        top = g[k]
+        p = top[k]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for r in range(k + 1, n):
-            if g[r][k] == 0:
-                continue
-            f = g[r][k] / p
-            for c in range(k, n):
-                g[r][c] -= f * g[k][c]
-            for c in range(k, n):
-                g[c][r] -= f * g[c][k]
+        # p * (block) - (pivot column)(pivot row) is sign(p) |p| (Schur complement
+        # of p); divided by sign(p) times its content it stays a positive multiple
+        rest = range(k + 1, n)
+        block = [[p * x - g[r][k] * y for x, y in zip(g[r][k + 1 :], top[k + 1 :])] for r in rest]
+        d = math.gcd(*(x for row in block for x in row)) or 1
+        if p < 0:
+            d = -d
+        for r, row in zip(rest, block):
+            g[r][k + 1 :] = [x // d for x in row] if d != 1 else row
         k += 1
     return pos - neg
 

@@ -249,9 +249,12 @@ def ledger_from_obj(obj) -> FibrationLedger:
             raise InvalidInput(f"bad nbhd_sign {nbhd!r}")
         if not isinstance(count, int) or isinstance(count, bool):
             raise InvalidInput(f"bad count {count!r}")
-        entries.append(
-            LedgerEntry(str(item["name"]), _parse_phi(item.get("phi")), nbhd, count)
-        )
+        name = str(item["name"])
+        try:
+            name.encode("utf-8")  # a lone surrogate has no encoding to print
+        except UnicodeEncodeError as exc:
+            raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
+        entries.append(LedgerEntry(name, _parse_phi(item.get("phi")), nbhd, count))
     return FibrationLedger(total, tuple(entries))
 
 

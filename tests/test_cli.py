@@ -304,6 +304,18 @@ def test_fibration_rejects_non_rational_phi(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_fibration_rejects_lone_surrogate_names(capsys, tmp_path, mode):
+    # "\ud800" is valid JSON but decodes to a lone surrogate, which stdout
+    # cannot encode; both output modes refuse it up front
+    path = tmp_path / "fib.json"
+    path.write_text('{"total_sign": 0, "germs": [{"name": "\\ud800", "phi": null, "count": 1}]}')
+    code, out, err = run_cli(capsys, "fibration", "--ledger", str(path), "--solve", *mode)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_fibration_bad_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "fib.json"
     path.write_text("{nope")

@@ -14,6 +14,10 @@ from meyersig.cli import main
 
 # an OS argv never holds NUL
 text = st.text(st.characters(exclude_characters="\x00"), max_size=10)
+# JSON escapes such as "\ud800" decode to lone surrogates, which no UTF-8
+# output accepts
+surrogate = st.characters(categories=["Cs"])
+name = st.text(surrogate | st.characters(exclude_characters="\x00"), min_size=1, max_size=10)
 numeral = st.integers(-(10**6), 10**6).map(str) | st.sampled_from(
     ["-9/17", "1/0", "1_0", "\uff13", "1e0", "1.5", "", " 2", "9" * 5000]
 )
@@ -34,7 +38,7 @@ matrix_text = st.sampled_from(
     st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "x"]) | numeral, max_size=16),
 )
 germ_entry = st.fixed_dictionaries(
-    {"name": st.sampled_from(["R4/F_I", "R4/F_31"]) | text},
+    {"name": st.sampled_from(["R4/F_I", "R4/F_31"]) | name},
     optional={
         "phi": st.none() | numeral | st.integers() | st.floats() | st.booleans(),
         "nbhd_sign": st.integers() | st.booleans() | text,
@@ -43,6 +47,10 @@ germ_entry = st.fixed_dictionaries(
 )
 ledger = st.fixed_dictionaries(
     {"total_sign": st.integers() | text, "germs": st.lists(germ_entry, max_size=3)}
+)
+# one germ with no "phi" is the unknown that --solve prints, name and all
+solvable = st.fixed_dictionaries(
+    {"total_sign": st.integers(-9, 9), "germs": st.tuples(st.fixed_dictionaries({"name": name}))}
 )
 any_json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | text,
@@ -85,12 +93,11 @@ def argv(draw, command):
     return tokens
 
 
-@pytest.mark.parametrize("command", sorted(OPTIONS))
-@settings(max_examples=40)
-@given(data=st.data(), files=st.lists(file_bytes, min_size=1, max_size=2))
-def test_cli_ends_in_a_known_exit_code(command, data, files):
-    args = data.draw(argv(command))
-    out, err = io.StringIO(), io.StringIO()
+def run(args: list, files: list[bytes]) -> tuple[int, str]:
+    """``main(args)`` with FILE tokens bound to files holding ``files``;
+    returns the exit code and stderr. stdout encodes strictly, as a UTF-8
+    terminal or pipe does."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, data in enumerate(files):
@@ -100,5 +107,24 @@ def test_cli_ends_in_a_known_exit_code(command, data, files):
         resolved = [paths[i % len(paths)] if t is FILE else t for i, t in enumerate(args)]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(resolved)
+            out.flush()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(max_examples=40)
+@given(data=st.data(), files=st.lists(file_bytes, min_size=1, max_size=2))
+def test_cli_ends_in_a_known_exit_code(command, data, files):
+    code, err = run(data.draw(argv(command)), files)
     assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40)
+@given(ledger=solvable, as_json=st.booleans())
+def test_solved_germ_names_print_or_exit_2(ledger, as_json):
+    # the one output that echoes a string read from an input file
+    args = ["fibration", "--ledger", FILE, "--solve"] + ["--json"] * as_json
+    code, err = run(args, [json.dumps(ledger).encode()])
+    assert code in (0, 2)
+    assert "Traceback" not in err

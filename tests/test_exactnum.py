@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from meyersig import (
     AsymmetricGram,
@@ -91,6 +93,72 @@ def test_rank_plus_nullity():
         m = random_matrix(r, rows, cols)
         # independent rank route: row rank of the transpose
         assert rank(m.transpose()) + len(kernel_basis(m)) == m.cols
+
+
+def _fraction_rref(rows: list[list[Fr]], cols: int) -> tuple[list[list[Fr]], list[int]]:
+    """Textbook reduced row echelon form over Fraction: the kernel oracle."""
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+rational = st.just(Fr(0)) | st.sampled_from(
+    sorted({Fr(n, d) for n in range(-5, 6) for d in range(1, 7)}, key=abs)
+)
+rational_matrix = st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(rational, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: RatMatrix(rows, cols=shape[1]))
+)
+
+
+@given(m=rational_matrix)
+def test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors(m):
+    reduced, pivots = _fraction_rref(m.data, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank(m) == len(free)
+    for v, f in zip(basis, free):
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        expected = [Fr(0)] * m.cols
+        expected[f] = Fr(1)
+        for row, p in zip(reduced, pivots):
+            expected[p] = -row[f]
+        # v[f] is the positive multiplier, since the reduced-echelon vector has 1 there
+        assert v[f] > 0
+        assert list(v) == [v[f] * x for x in expected]
+
+
+@st.composite
+def rational_symmetric(draw):
+    n = draw(st.integers(1, 6))
+    a = [[Fr(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(rational)
+    return RatMatrix(a)
+
+
+@given(g=rational_symmetric())
+def test_signature_of_rational_form_equals_that_of_its_cleared_form(g):
+    lcm = math.lcm(*(x.denominator for row in g.data for x in row))
+    cleared = RatMatrix([[int(x * lcm) for x in row] for row in g.data])
+    assert signature_symmetric(g) == signature_symmetric(cleared)
 
 
 # --- signature --------------------------------------------------------------

@@ -320,6 +320,7 @@ def test_ledger_json_parsing_defaults_and_unknowns():
         # json raises ValueError and RecursionError here, not JSONDecodeError
         pytest.param('{"total_sign": ' + "1" * 5000 + ', "germs": []}', id="5000-digit int"),
         pytest.param("[" * 100_000, id="deep nesting"),
+        pytest.param('{"total_sign": 0, "germs": [{"name": "\\ud800"}]}', id="lone surrogate"),
     ],
 )
 def test_ledger_json_rejects_malformed(text):

@@ -1,9 +1,11 @@
 import ast
+import math
 import random
 from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from meyersig import (
     ContractViolation,
@@ -66,6 +68,27 @@ def test_tau_path_multiplies_no_rational_matrices(monkeypatch):
         a2 = random_transvection_product(r, g, 5)
         assert tau_cocycle_defect(a1, a2, a1.inverse()) == 0
     assert phi1(TWIST**3) == 3 * phi1(TWIST) + 2
+
+
+def test_tau_path_constructs_no_fractions(monkeypatch):
+    # kernel, Gram and signature are integer-preserving for integer input
+    r = random.Random(24)
+    pairs = [
+        (random_transvection_product(r, g, 5), random_transvection_product(r, g, 5))
+        for g in (1, 2, 3)
+        for _ in range(5)
+    ]
+    pairs += [(TWIST, TWIST**n) for n in (1, 3, -2)]
+
+    def refuse(*args, **kwargs):
+        pytest.fail("Fraction on the tau path")
+
+    for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__", "__neg__"):
+        monkeypatch.setattr(Fr, name, refuse)
+    values = [tau(a1, a2) for a1, a2 in pairs]
+    monkeypatch.undo()
+    assert -1 in values and len(set(values)) > 1
 
 
 def test_tau_genus_mismatch():
@@ -239,3 +262,63 @@ def test_lasso_power_reads_strings_through_the_numeral_grammar(text):
 def test_lasso_power_rejects_nonpositive():
     with pytest.raises(InvalidInput):
         lasso_power(Fr(1, 2), 0)
+
+
+# --- phi1 against the Dedekind-sum closed form ---------------------------------
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def dedekind_sum(h: int, k: int) -> Fr:
+    """s(h, k) for coprime h and k > 0, by reciprocity in O(log k) steps:
+    s(h, k) = s(h mod k, k) and, for 0 < h < k,
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1) / (12 h k) - 1/4."""
+    h %= k
+    if h == 0:
+        return Fr(0)
+    return Fr(h * h + k * k + 1, 12 * h * k) - Fr(1, 4) - dedekind_sum(k, h)
+
+
+def phi1_closed_form(a: int, b: int, c: int, d: int) -> Fr:
+    """Meyer's function through the Rademacher function
+    Phi(A) = (a + d)/c - 12 sign(c) s(a, |c|) (Atiyah 1987; Kirby-Melvin 1994)."""
+    if c == 0:
+        return -Fr(b, 3 * d) + _sign(b * (d + 1))
+    rademacher = Fr(a + d, c) - 12 * _sign(c) * dedekind_sum(a, abs(c))
+    return -rademacher / 3 + _sign(c * (a + d - 2))
+
+
+def test_dedekind_sums_by_reciprocity_match_the_definition():
+    def by_definition(h, k):
+        def saw(x: Fr) -> Fr:
+            return Fr(0) if x.denominator == 1 else x - math.floor(x) - Fr(1, 2)
+
+        return sum((saw(Fr(i, k)) * saw(Fr(h * i, k)) for i in range(1, k)), Fr(0))
+
+    for k in range(1, 30):
+        for h in range(-k, 2 * k):
+            if math.gcd(h, k) == 1:
+                assert dedekind_sum(h, k) == by_definition(h, k)
+
+
+def _word_product(word) -> tuple[int, int, int, int]:
+    # S = [[0, -1], [1, 0]], T = [[1, 1], [0, 1]], multiplied as plain ints
+    a, b, c, d = 1, 0, 0, 1
+    for gen, e in word:
+        for _ in range(e % 4 if gen == "S" else 1):
+            (p, q), (r, s) = ((0, -1), (1, 0)) if gen == "S" else ((1, e), (0, 1))
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
+
+
+st_words = st.lists(st.tuples(st.sampled_from("ST"), st.integers(-6, 6)), max_size=10)
+
+
+@given(word=st_words)
+def test_phi1_matches_the_dedekind_sum_closed_form(word):
+    a, b, c, d = _word_product(word)
+    expected = phi1_closed_form(a, b, c, d)
+    assert phi1_word(word) == expected
+    assert phi1([[a, b], [c, d]]) == expected
