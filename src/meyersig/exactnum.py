@@ -177,16 +177,11 @@ def _cleared(row: Iterable, lcm: int) -> list[int]:
     return [x.numerator * (lcm // x.denominator) for x in row]
 
 
-def _integer_rows(m: RatMatrix | Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Rows of M scaled to primitive integer rows (same row space), and the
-    column count."""
-    if isinstance(m, RatMatrix):
-        rows, cols = m.data, m.cols
-    else:
-        rows, cols = m, len(m[0]) if m else 0
+def _integer_rows(m: RatMatrix) -> list[list[int]]:
+    """Rows of M scaled to primitive integer rows (same row space)."""
     return [
-        _primitive(_cleared(row, math.lcm(*(x.denominator for x in row)))) for row in rows
-    ], cols
+        _primitive(_cleared(row, math.lcm(*(x.denominator for x in row)))) for row in m.data
+    ]
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -216,21 +211,20 @@ def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[
     return rows[: len(pivots)], pivots
 
 
-def rank(m: RatMatrix | Sequence[Sequence]) -> int:
-    return len(_eliminate(*_integer_rows(m))[1])
+def rank(m: RatMatrix) -> int:
+    return len(_eliminate(_integer_rows(m), m.cols)[1])
 
 
-def kernel_basis(m: RatMatrix | Sequence[Sequence]) -> list[tuple[int, ...]]:
+def kernel_basis(m: RatMatrix) -> list[tuple[int, ...]]:
     """Basis of {v : Mv = 0} as primitive integer vectors.
 
-    M is a ``RatMatrix`` or a sequence of rows of exact rationals. There is
-    one basis vector per free column f: the positive multiple, with coprime
+    There is one basis vector per free column f: the positive multiple, with coprime
     integer entries, of the reduced-echelon vector that carries 1 at position
     f and the negated reduced-echelon entries at the pivot positions. The
     output depends only on M, not on elimination order.
     """
-    rows, cols = _integer_rows(m)
-    rows, pivots = _eliminate(rows, cols)
+    cols = m.cols
+    rows, pivots = _eliminate(_integer_rows(m), cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:

@@ -48,7 +48,7 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
     left = _minus_identity(a1.inverse().mat)
     right = _minus_identity(a2.mat)
-    basis = kernel_basis([a + b for a, b in zip(left, right)])
+    basis = kernel_basis(RatMatrix([a + b for a, b in zip(left, right)], cols=4 * a1.g))
     # S = J (I - A2), the 2g x 2g block of the pairing
     s = apply_J(tuple(tuple(-x for x in row) for row in right))
     return gram_restrict(s, basis)
