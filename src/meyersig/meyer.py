@@ -12,7 +12,14 @@ result, by Sylvester's law of inertia.
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
 generators are *solved* from the group relations S^4 = I and (ST)^6 = I
-rather than hard-coded, so every number stays traceable to the cocycle.
+rather than hard-coded (``phi1_base``), and ``phi1_word`` derives its value
+on any word by folding tau along it. ``phi1`` itself evaluates the closed
+form -Phi/3 + eps, with Rademacher's integer function Phi (Atiyah 1987, "The
+logarithm of the Dedekind eta-function"; Kirby-Melvin 1994, "Dedekind sums,
+mu-invariants and the signature cocycle") folded in ints along the Euclidean
+word, so it evaluates no tau; once per process the closed form is checked
+against the solved generator values, so every number stays traceable to the
+cocycle.
 """
 
 from __future__ import annotations
@@ -31,7 +38,15 @@ from .exactnum import (
     parse_rational,
     signature_symmetric,
 )
-from .symplectic import IntMatrix, SL2Word, SymplecticElement, apply_J, gen_S, gen_T, sl2_word
+from .symplectic import (
+    IntMatrix,
+    SL2Word,
+    SymplecticElement,
+    _sl2_reduce,
+    apply_J,
+    gen_S,
+    gen_T,
+)
 
 
 def _minus_identity(m: IntMatrix) -> IntMatrix:
@@ -169,13 +184,69 @@ def phi1_word(
     return Fraction(0) if acc is None else acc[1]
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _rademacher(syllables: Iterable[tuple[str, int]]) -> int:
+    """Rademacher's integer function Phi on the product of S, T syllables.
+
+    Folded from Phi(T^n) = n, Phi(S^k) = 0 and
+    Phi(XY) = Phi(X) + Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry.
+    Only the bottom row (c, d) of the running product X is kept, and only up
+    to sign, as Phi(-X) = Phi(X): T^n and S^2 = -I have c = 0, so they add no
+    correction, and an odd power Y of S has c_Y = +-1 and c_XY = +-d with the
+    same sign, so it adds -3 sign(c d).
+    """
+    phi, c, d = 0, 0, 1
+    for gen, e in syllables:
+        if gen == "T":
+            phi += e
+            d += c * e
+        elif e % 2:
+            phi -= 3 * _sign(c * d)
+            c, d = d, -c
+    return phi
+
+
+def _phi1_closed_form(
+    entries: tuple[int, int, int, int], syllables: Iterable[tuple[str, int]]
+) -> Fraction:
+    """-Phi(A)/3 + eps(A) from the entries (a, b, c, d) of A and a word for A;
+    eps = sign(c(a + d - 2)) for c != 0 and sign(b(d + 1)) for c = 0."""
+    a, b, c, d = entries
+    eps = _sign(c * (a + d - 2)) if c else _sign(b * (d + 1))
+    return Fraction(3 * eps - _rademacher(syllables), 3)
+
+
+@functools.cache
+def _closed_form_matches_base() -> None:
+    """Tie the closed form to the cocycle, once per process: on S and T it must
+    give the values ``phi1_base`` solves from the relations."""
+    base = phi1_base()
+    for gen, el, solved in (("S", gen_S(), base.phi_S), ("T", gen_T(), base.phi_T)):
+        value = _phi1_closed_form(*_sl2_reduce(el))
+        if value != solved:
+            raise InconsistentRelations(
+                f"closed form phi({gen}) = {value} differs from the solved {solved}"
+            )
+
+
 def phi1(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> Fraction:
-    """The cobounding function on SL(2,Z): decompose into a word, then fold.
+    """The cobounding function on SL(2,Z), in closed form.
+
+    phi1(A) = -Phi(A)/3 + eps(A), with Rademacher's integer function Phi
+    folded in ints along the Euclidean word of A (``_rademacher``); no tau is
+    evaluated. The first call checks the closed form against the generator
+    values ``phi1_base`` solves from the relations; ``phi1_word(sl2_word(A))``
+    is the derivation it agrees with.
 
     phi1 is a class function, vanishes on the identity, and satisfies
     phi1(A^{-1}) = -phi1(A).
     """
-    return phi1_word(sl2_word(a))
+    entries, syllables = _sl2_reduce(a)
+    _closed_form_matches_base()
+    return _phi1_closed_form(entries, syllables)
 
 
 def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:

@@ -282,12 +282,14 @@ def _normalize_syllables(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], .
     return tuple(out)
 
 
-def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
-    """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
+def _sl2_reduce(
+    a: SymplecticElement | RatMatrix | Iterable[Iterable],
+) -> tuple[tuple[int, int, int, int], tuple[tuple[str, int], ...]]:
+    """Read a 2x2 integer matrix of determinant 1, or raise ``NotUnimodular``;
+    return its entries (a, b, c, d) and the syllables of ``sl2_word``.
 
-    Euclidean reduction of the first column: the word length is bounded by
-    the bit lengths of the entries, -I is normalized to S^2 and S-exponents
-    are reduced mod 4.
+    ``sl2_word`` and ``meyer.phi1`` share it, so each reads and checks its
+    input once.
     """
     mat = a.mat if isinstance(a, SymplecticElement) else _int_rows(a, NotUnimodular)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
@@ -295,6 +297,7 @@ def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
     (aa, bb), (cc, dd) = mat
     if aa * dd - bb * cc != 1:
         raise NotUnimodular("determinant must be 1")
+    entries = (aa, bb, cc, dd)
 
     raw: list[tuple[str, int]] = []
     # invariant: input = (product of raw) * [[aa, bb], [cc, dd]]
@@ -313,7 +316,17 @@ def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
         raw.append(("S", 2))
         if bb != 0:
             raw.append(("T", -bb))
-    return SL2Word(_normalize_syllables(raw))
+    return entries, _normalize_syllables(raw)
+
+
+def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
+    """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
+
+    Euclidean reduction of the first column: the word length is bounded by
+    the bit lengths of the entries, -I is normalized to S^2 and S-exponents
+    are reduced mod 4.
+    """
+    return SL2Word(_sl2_reduce(a)[1])
 
 
 def random_transvection_product(

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -10,7 +11,9 @@ from hypothesis import given, strategies as st
 from meyersig import (
     ContractViolation,
     GenusMismatch,
+    InconsistentRelations,
     InvalidInput,
+    NotUnimodular,
     RatMatrix,
     SymplecticElement,
     direct_sum,
@@ -322,3 +325,90 @@ def test_phi1_matches_the_dedekind_sum_closed_form(word):
     expected = phi1_closed_form(a, b, c, d)
     assert phi1_word(word) == expected
     assert phi1([[a, b], [c, d]]) == expected
+
+
+# --- public phi1: the closed form against the fold ------------------------------
+
+
+def fibonacci_matrix(n: int) -> list[list[int]]:
+    """[[F(n+1), F(n)], [F(n), F(n-1)]], of determinant (-1)^n."""
+    f_prev, f = 0, 1  # F(0), F(1)
+    for _ in range(n - 1):
+        f_prev, f = f, f + f_prev
+    return [[f + f_prev, f], [f, f_prev]]
+
+
+long_st_words = st.lists(st.tuples(st.sampled_from("ST"), st.integers(-50, 50)), max_size=40)
+
+
+@given(word=long_st_words)
+def test_phi1_agrees_with_the_fold_along_its_word(word):
+    a, b, c, d = _word_product(word)
+    matrix = [[a, b], [c, d]]
+    assert phi1(matrix) == phi1_word(sl2_word(matrix))
+
+
+EXPLICIT = {
+    **{f"fib{n}": fibonacci_matrix(n) for n in (10, 40, 160, 320)},
+    **{f"T^{n}": [[1, n], [0, 1]] for n in (-7, 1, 5)},
+    **{f"-T^{n}": [[-1, -n], [0, -1]] for n in (-7, 1, 5)},
+    "-I": [[-1, 0], [0, -1]],
+    "c=-1": [[1, 0], [-1, 1]],
+    "c=-5": [[2, 1], [-5, -2]],
+    "c=-4": [[3, -2], [-4, 3]],
+    "c=-3": [[-1, 0], [-3, -1]],
+    "c=-7": [[1, 1], [-7, -6]],
+}
+
+
+@pytest.mark.parametrize("matrix", list(EXPLICIT.values()), ids=list(EXPLICIT))
+def test_phi1_on_long_words_parabolics_and_negative_c(matrix):
+    (a, b), (c, d) = matrix
+    expected = phi1_closed_form(a, b, c, d)
+    assert phi1_word(sl2_word(matrix)) == expected
+    assert phi1(matrix) == expected
+
+
+def test_phi1_evaluates_no_tau(monkeypatch):
+    phi1(TWIST)  # solves phi1_base and checks the closed form against it
+
+    def refuse(*args, **kwargs):
+        pytest.fail("phi1 evaluated the cocycle")
+
+    monkeypatch.setattr(meyer, "tau", refuse)
+    monkeypatch.setattr(meyer, "kernel_basis", refuse)
+    matrix = fibonacci_matrix(160)
+    (a, b), (c, d) = matrix
+    assert phi1(matrix) == phi1_closed_form(a, b, c, d)
+
+
+@pytest.fixture
+def cold_phi1_caches():
+    meyer.phi1_base.cache_clear()
+    meyer._closed_form_matches_base.cache_clear()
+    yield
+    meyer._closed_form_matches_base.cache_clear()
+
+
+@pytest.mark.parametrize("field", ["phi_S", "phi_T"])
+def test_phi1_refuses_a_closed_form_the_relations_contradict(monkeypatch, cold_phi1_caches, field):
+    solved = phi1_base()
+    wrong = dataclasses.replace(solved, **{field: getattr(solved, field) + 1})
+    monkeypatch.setattr(meyer, "phi1_base", lambda: wrong)
+    with pytest.raises(InconsistentRelations):
+        phi1(TWIST)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        SymplecticElement.identity(2),
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1], [1, 0]],
+        [[1, Fr(1, 2)], [0, 1]],
+    ],
+    ids=["genus2", "3x3", "det-1", "non-integral"],
+)
+def test_phi1_rejects_what_is_not_in_sl2z(matrix):
+    with pytest.raises(NotUnimodular):
+        phi1(matrix)
