@@ -30,11 +30,9 @@ from .errors import (
 from .exactnum import (
     RatMatrix,
     SymmetricForm,
-    format_matrix,
     gram_restrict,
     kernel_basis,
     parse_matrix,
-    rank,
     signature_symmetric,
 )
 from .symplectic import (
@@ -45,7 +43,6 @@ from .symplectic import (
     gen_T,
     random_transvection_product,
     sl2_word,
-    standard_J,
     transvection,
 )
 from .meyer import (

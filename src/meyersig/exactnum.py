@@ -1,12 +1,12 @@
-"""Exact linear algebra over the integers, with rational input allowed.
+"""Exact numerals and the integer linear algebra behind ``tau``.
 
-Every elimination is integer-preserving: rows are cleared of denominators by
-positive multiples, a pivot step cross-multiplies instead of dividing, and
-each new row or block is divided by its content. Integer input therefore
-never meets ``fractions.Fraction``; only rational ``RatMatrix`` input does,
-and only while its denominators are cleared. No floating point enters any
-computation path. The primitives the rest of the package relies on are:
+The module holds:
 
+* numeral parsing: one grammar for integers (``parse_integer``) and one for
+  rationals (``parse_rational``), and the matrix text format
+  (``parse_matrix``),
+* ``RatMatrix``, an immutable container of exact entries that is parsed,
+  compared and handed to the helpers below, with no arithmetic of its own,
 * right kernel bases of exact matrices, as primitive integer vectors
   (``kernel_basis``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
@@ -14,10 +14,15 @@ computation path. The primitives the rest of the package relies on are:
 * signatures of symmetric forms by congruence diagonalization
   (``signature_symmetric``).
 
-Rescaling basis vectors by positive constants is a congruence, so none of
-these scalings moves a signature (Sylvester's law of inertia); signatures
-are integers decided by signs of exact pivots, and every downstream value is
-reproducible bit for bit.
+Every elimination is integer-preserving: rows are cleared of denominators by
+positive multiples, a pivot step cross-multiplies instead of dividing, and
+each new row or block is divided by its content. Integer input therefore
+never meets ``fractions.Fraction``; only rational ``RatMatrix`` input does,
+and only while its denominators are cleared. No floating point enters any
+computation path. Rescaling basis vectors by positive constants is a
+congruence, so none of these scalings moves a signature (Sylvester's law of
+inertia); signatures are integers decided by signs of exact pivots, and
+every downstream value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -62,23 +67,31 @@ def parse_rational(token: str) -> Fraction:
 
 
 def dot(u: Sequence, v: Sequence):
-    if len(u) != len(v):
-        raise MatrixFormatError(f"dot of vectors with lengths {len(u)} and {len(v)}")
     return sum(map(mul, u, v))
 
 
-class RatMatrix:
-    """Immutable dense matrix of exact rationals, row-major.
+def _entry(x):
+    """One matrix entry from outside: an ``int`` as it is, a ``str`` by
+    ``parse_rational``, anything else through ``Fraction``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return parse_rational(x)
+    return Fraction(x)
 
-    ``int`` entries are kept as they are; any other entry becomes a Fraction.
+
+class RatMatrix:
+    """Immutable dense matrix of exact rationals, row-major: the output of
+    ``parse_matrix`` and the input of ``kernel_basis`` and ``SymmetricForm``.
+
+    ``int`` entries are kept as they are, ``str`` entries are read by
+    ``parse_rational`` and any other entry becomes a Fraction.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(
-            tuple(x if type(x) is int else Fraction(x) for x in row) for row in data
-        )
+        rows = tuple(tuple(map(_entry, row)) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -93,58 +106,6 @@ class RatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise MatrixFormatError(f"cannot multiply {self.shape} by {other.shape}")
-        ot = other.transpose()
-        return RatMatrix(
-            [[dot(row, col) for col in ot.data] for row in self.data], cols=other.cols
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self.data], cols=self.cols)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        vv = tuple(Fraction(x) for x in v)
-        if len(vv) != self.cols:
-            raise MatrixFormatError(f"vector of length {len(vv)} against {self.shape}")
-        return tuple(dot(row, vv) for row in self.data)
-
-    def inverse(self) -> "RatMatrix":
-        """Exact inverse via Gauss-Jordan; raises on singular input."""
-        if self.rows != self.cols:
-            raise MatrixFormatError("inverse of non-square matrix")
-        n = self.rows
-        aug = [list(self.data[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = next((r for r in range(k, n) if aug[r][k] != 0), None)
-            if piv is None:
-                raise MatrixFormatError("matrix is singular")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            p = Fraction(aug[k][k])
-            aug[k] = [x / p for x in aug[k]]
-            for r in range(n):
-                if r != k and aug[r][k] != 0:
-                    f = aug[r][k]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-        return RatMatrix([row[n:] for row in aug], cols=n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -209,10 +170,6 @@ def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[
                 rows[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
         pivots.append(c)
     return rows[: len(pivots)], pivots
-
-
-def rank(m: RatMatrix) -> int:
-    return len(_eliminate(_integer_rows(m), m.cols)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[int, ...]]:
@@ -384,8 +341,3 @@ def parse_matrix(text: str) -> RatMatrix:
         [entries[r * cols : (r + 1) * cols] for r in range(rows)], cols=cols
     )
 
-
-def format_matrix(m: RatMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines += [" ".join(str(a) for a in row) for row in m.data]
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,17 +24,19 @@ from .errors import (
     NotUnimodular,
     ZeroVector,
 )
-from .exactnum import RatMatrix
+from .exactnum import RatMatrix, _entry
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _int_rows(data: RatMatrix | Iterable[Iterable], error: type[Exception]) -> IntMatrix:
-    """Outside matrix data (a RatMatrix, nested lists, Fractions) as rows of
-    ints; raises ``error`` unless every entry is an integer."""
+    """Outside matrix data (a RatMatrix, nested lists, numerals) as rows of
+    ints; raises ``error`` unless every entry is an integer. Entries are read
+    as ``RatMatrix`` reads them, so an ``int`` builds no Fraction and a string
+    must be a ``parse_rational`` numeral."""
     if isinstance(data, RatMatrix):
         data = data.data
-    rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+    rows = tuple(tuple(map(_entry, row)) for row in data)
     if any(x.denominator != 1 for row in rows for x in row):
         raise error("entries must be integers")
     return tuple(tuple(x.numerator for x in row) for row in rows)
@@ -55,23 +56,6 @@ def apply_J(m: IntMatrix) -> IntMatrix:
     halves, (M[g:], -M[:g]), instead of a matrix product."""
     g = len(m) // 2
     return m[g:] + tuple(tuple(-x for x in row) for row in m[:g])
-
-
-@functools.cache
-def standard_J(g: int) -> RatMatrix:
-    """The 2g x 2g block matrix [[0, I_g], [-I_g, 0]]."""
-    if g < 1:
-        raise MatrixFormatError(f"genus must be >= 1, got {g}")
-    n = 2 * g
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i < g:
-            row[g + i] = 1
-        else:
-            row[i - g] = -1
-        rows.append(row)
-    return RatMatrix(rows, cols=n)
 
 
 class SymplecticElement:

@@ -1,0 +1,82 @@
+"""Textbook exact linear algebra over ``Fraction``, the tests' reference.
+
+Matrices are sequences of rows; every result is a list of lists (or a list)
+of ``Fraction``s, which compare equal to the ``int``s the library returns.
+The module imports nothing from ``meyersig``, so a test that checks the
+library against it does not check the library against itself.
+"""
+
+from fractions import Fraction
+
+
+def _rows(m) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(m) -> list[list[Fraction]]:
+    return [list(col) for col in zip(*_rows(m))]
+
+
+def neg(m) -> list[list[Fraction]]:
+    return [[-x for x in row] for row in _rows(m)]
+
+
+def mat_vec(m, v) -> list[Fraction]:
+    v = [Fraction(x) for x in v]
+    rows = _rows(m)
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError("vector length does not match the matrix")
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def matmul(a, b) -> list[list[Fraction]]:
+    b_cols = transpose(b)
+    return [mat_vec(b_cols, row) for row in _rows(a)]
+
+
+def standard_J(g: int) -> list[list[Fraction]]:
+    """J = [[0, I_g], [-I_g, 0]], the form of the basis (a_1..a_g, b_1..b_g)."""
+    n = 2 * g
+    j = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(g):
+        j[i][g + i] = Fraction(1)
+        j[g + i][i] = Fraction(-1)
+    return j
+
+
+def rref(m, cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of ``m``, which has ``cols`` columns, and its
+    pivot columns."""
+    a = _rows(m)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def rank(m) -> int:
+    rows = _rows(m)
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def inverse(m) -> list[list[Fraction]]:
+    """Inverse of a square matrix: the right half of rref([m | I])."""
+    n = len(m)
+    reduced, pivots = rref([row + eye for row, eye in zip(_rows(m), identity(n))], 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]

@@ -59,20 +59,6 @@ def test_tau_form_on_twist_powers_is_the_expected_diagonal():
         assert form.gram == expected
 
 
-def test_tau_path_multiplies_no_rational_matrices(monkeypatch):
-    # symplectic products are on ints and J is applied as a signed row swap
-    def refuse(self, other):
-        pytest.fail("RatMatrix product on the tau path")
-
-    monkeypatch.setattr(RatMatrix, "__mul__", refuse)
-    r = random.Random(23)
-    for g in (1, 2, 3):
-        a1 = random_transvection_product(r, g, 5)
-        a2 = random_transvection_product(r, g, 5)
-        assert tau_cocycle_defect(a1, a2, a1.inverse()) == 0
-    assert phi1(TWIST**3) == 3 * phi1(TWIST) + 2
-
-
 def test_tau_path_constructs_no_fractions(monkeypatch):
     # kernel, Gram and signature are integer-preserving for integer input
     r = random.Random(24)
@@ -92,6 +78,33 @@ def test_tau_path_constructs_no_fractions(monkeypatch):
     values = [tau(a1, a2) for a1, a2 in pairs]
     monkeypatch.undo()
     assert -1 in values and len(set(values)) > 1
+
+
+def test_int_rows_are_read_without_fractions(monkeypatch):
+    # an all-int nested list is checked and converted in ints: validating it
+    # builds no Fraction, and phi1 builds one, its result
+    rows = [[2, 1], [-5, -2]]
+    expected = phi1(SymplecticElement(rows))  # runs the once-per-process check first
+    new = Fr.__new__
+    built = []
+
+    def refuse(*args, **kwargs):
+        pytest.fail("Fraction arithmetic while reading int rows")
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__", "__neg__"):
+        monkeypatch.setattr(Fr, name, refuse)
+    monkeypatch.setattr(Fr, "__new__", counted)
+    element = SymplecticElement(rows)
+    assert built == []
+    value = phi1(rows)
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert element.mat == ((2, 1), (-5, -2)) and value == expected
 
 
 def test_tau_genus_mismatch():

@@ -3,7 +3,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import linalg_oracle as oracle
 from meyersig import (
+    InvalidInput,
     NotSymplectic,
     NotUnimodular,
     RatMatrix,
@@ -13,9 +15,9 @@ from meyersig import (
     direct_sum,
     gen_S,
     gen_T,
+    phi1,
     random_transvection_product,
     sl2_word,
-    standard_J,
     transvection,
 )
 from meyersig.symplectic import apply_J
@@ -23,23 +25,22 @@ from conftest import random_sl2
 
 
 def test_standard_J_small():
-    assert standard_J(1) == RatMatrix([[0, 1], [-1, 0]])
-    assert standard_J(2) == RatMatrix(
-        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    )
+    # pins the oracle's J, which the tests below use, to the module's convention
+    assert oracle.standard_J(1) == [[0, 1], [-1, 0]]
+    assert oracle.standard_J(2) == [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_standard_J_antisymmetric(g):
-    j = standard_J(g)
-    assert j.transpose() == -j
+    j = oracle.standard_J(g)
+    assert oracle.transpose(j) == oracle.neg(j)
 
 
 def test_apply_J_is_the_product_with_standard_J():
     r = random.Random(10)
     for g in (1, 2, 3, 4):
         m = tuple(tuple(r.randint(-5, 5) for _ in range(2 * g)) for _ in range(2 * g))
-        assert RatMatrix(apply_J(m)) == standard_J(g) * RatMatrix(m)
+        assert list(map(list, apply_J(m))) == oracle.matmul(oracle.standard_J(g), m)
 
 
 def test_constructor_rejects_non_symplectic():
@@ -66,11 +67,11 @@ def test_transvection_matches_pointwise_definition():
         v = tuple(r.randint(-3, 3) for _ in range(2 * g))
         if all(x == 0 for x in v):
             continue
-        j = standard_J(g)
+        jv = oracle.mat_vec(oracle.standard_J(g), v)
         t = transvection(v)
         for k in range(2 * g):
             e = tuple(Fr(int(i == k)) for i in range(2 * g))
-            coeff = sum(a * b for a, b in zip(e, j.mul_vec(v)))
+            coeff = sum(a * b for a, b in zip(e, jv))
             image = tuple(a + coeff * b for a, b in zip(e, v))
             assert tuple(t.mat[i][k] for i in range(2 * g)) == image
 
@@ -83,8 +84,7 @@ def test_transvection_squared_doubles_coefficient():
         if all(x == 0 for x in v):
             continue
         t = transvection(v)
-        j = standard_J(g)
-        w = j.mul_vec(v)
+        w = oracle.mat_vec(oracle.standard_J(g), v)
         n = 2 * g
         doubled = RatMatrix(
             [
@@ -160,15 +160,28 @@ def test_mat_holds_only_ints():
         assert all(type(entry) is int for row in x.mat for entry in row)
 
 
+@pytest.mark.parametrize("token", ["1e0", "1.5", "1_0", "x"])
+@pytest.mark.parametrize(
+    "read",
+    [SymplecticElement, phi1, sl2_word, lambda rows: transvection(rows[0]), RatMatrix],
+    ids=["SymplecticElement", "phi1", "sl2_word", "transvection", "RatMatrix"],
+)
+def test_string_entries_outside_the_numeral_grammar_are_invalid(read, token):
+    # Fraction() reads "1e0", "1.5" and "1_0"; matrix entries follow parse_rational
+    with pytest.raises(InvalidInput):
+        read([[token, "-1"], ["0", "1"]])
+
+
 def test_fast_inverse_formula():
     r = random.Random(15)
     for g in (1, 2, 3):
-        j = standard_J(g)
-        jinv = -j
+        j = oracle.standard_J(g)
+        jinv = oracle.neg(j)
         for _ in range(8):
             a = random_transvection_product(r, g, 6)
-            assert RatMatrix(a.inverse().mat) == jinv * RatMatrix(a.mat).transpose() * j
-            assert RatMatrix(a.inverse().mat) == RatMatrix(a.mat).inverse()
+            inv = list(map(list, a.inverse().mat))
+            assert inv == oracle.matmul(oracle.matmul(jinv, oracle.transpose(a.mat)), j)
+            assert inv == oracle.inverse(a.mat)
             assert a * a.inverse() == SymplecticElement.identity(g)
 
 
