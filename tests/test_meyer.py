@@ -59,6 +59,10 @@ def test_tau_form_on_twist_powers_is_the_expected_diagonal():
         assert form.gram == expected
 
 
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                        "__truediv__", "__rtruediv__", "__floordiv__", "__neg__")
+
+
 def test_tau_path_constructs_no_fractions(monkeypatch):
     # kernel, Gram and signature are integer-preserving for integer input
     r = random.Random(24)
@@ -72,8 +76,7 @@ def test_tau_path_constructs_no_fractions(monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("Fraction on the tau path")
 
-    for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__", "__neg__"):
+    for name in ("__new__", *_FRACTION_ARITHMETIC):
         monkeypatch.setattr(Fr, name, refuse)
     values = [tau(a1, a2) for a1, a2 in pairs]
     monkeypatch.undo()
@@ -95,8 +98,7 @@ def test_int_rows_are_read_without_fractions(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__", "__neg__"):
+    for name in _FRACTION_ARITHMETIC:
         monkeypatch.setattr(Fr, name, refuse)
     monkeypatch.setattr(Fr, "__new__", counted)
     element = SymplecticElement(rows)
