@@ -6,6 +6,7 @@ rendered as "p/q", or "p" when the denominator is 1. Output is deterministic
 and byte-stable for fixed inputs.
 
 Exit codes: 0 success, 2 input error, 3 contract violation.
+Each handler imports only the layer it runs, so a call loads no other.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import localsig, meyer, varieties
 from .errors import ContractViolation, InvalidInput
 from .exactnum import parse_integer, parse_matrix, parse_rational
-from .symplectic import SymplecticElement
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -84,11 +83,13 @@ def _read(path: str) -> str:
         raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
 
 
-def _load_symplectic(path: str) -> SymplecticElement:
+def _load_symplectic(path: str):
+    from .symplectic import SymplecticElement
     return SymplecticElement(parse_matrix(_read(path)))
 
 
 def cmd_tau(args) -> int:
+    from . import meyer
     a1 = _load_symplectic(args.a1)
     a2 = _load_symplectic(args.a2)
     _emit_value("tau", meyer.tau(a1, a2), args.json)
@@ -96,25 +97,27 @@ def cmd_tau(args) -> int:
 
 
 def cmd_phi1(args) -> int:
+    from . import meyer
     _emit_value("phi1", meyer.phi1(_load_symplectic(args.matrix)), args.json)
     return EXIT_OK
 
 
-def _invariant_pairs(inv: varieties.SurfaceInvariants | None):
+def _invariant_pairs(inv):
     if inv is None:
         return []
     return [("sign", inv.sign), ("chi", inv.chi), ("deg", inv.deg), ("genus", inv.genus)]
 
 
-def _value_pairs(rep: varieties.LassoReport):
+def _value_pairs(rep):
     return [("deg_DX", rep.deg_DX), ("phi", rep.phi)]
 
 
-def _ratio_pairs(rep: varieties.LassoReport):
+def _ratio_pairs(rep):
     return [("alpha", rep.alpha), ("beta", rep.beta)]
 
 
 def cmd_ci(args) -> int:
+    from . import varieties
     degrees = varieties.parse_degrees(args.degrees)
     inv, rep = varieties.ci_surface_invariants(args.m, degrees)
     pairs = _invariant_pairs(inv) + _value_pairs(rep) + _ratio_pairs(rep)
@@ -125,6 +128,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_veronese(args) -> int:
+    from . import varieties
     degrees = varieties.parse_degrees(args.degrees)
     spec = varieties.CISpec(args.m, degrees, args.n, args.d)
     # deg D_X is a multiple of d^(n-2): refuse before computing a power whose
@@ -138,11 +142,13 @@ def cmd_veronese(args) -> int:
 
 
 def cmd_lasso_power(args) -> int:
+    from . import meyer
     _emit_value("phi", meyer.lasso_power(parse_rational(args.phi), args.n), args.json)
     return EXIT_OK
 
 
 def cmd_germ(args) -> int:
+    from . import localsig
     entry = localsig.germ(args.name)
     _emit(
         [
@@ -156,6 +162,7 @@ def cmd_germ(args) -> int:
 
 
 def cmd_fibration(args) -> int:
+    from . import localsig
     led = localsig.ledger_from_json(_read(args.ledger))
     if args.solve:
         solved = localsig.solve_unknown_germ(led)
@@ -183,6 +190,7 @@ def cmd_fibration(args) -> int:
 
 
 def cmd_presets(args) -> int:
+    from . import varieties
     presets = [varieties.resolve_preset(name) for name in varieties.named_presets()]
     if args.json:
         records = [

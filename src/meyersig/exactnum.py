@@ -72,12 +72,15 @@ def dot(u: Sequence, v: Sequence):
 
 def _entry(x):
     """One matrix entry from outside: an ``int`` as it is, a ``str`` by
-    ``parse_rational``, anything else through ``Fraction``."""
+    ``parse_rational``, anything else by ``Fraction`` (or ``MatrixFormatError``)."""
     if type(x) is int:
         return x
     if isinstance(x, str):
         return parse_rational(x)
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MatrixFormatError(f"bad matrix entry {x!r}") from exc
 
 
 class RatMatrix:
@@ -106,6 +109,9 @@ class RatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
+
+    def __reduce__(self):
+        return RatMatrix, (self.data, self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -210,6 +216,9 @@ class SymmetricForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricForm is immutable")
+
+    def __reduce__(self):
+        return SymmetricForm, (self.gram,)
 
     @property
     def dim(self) -> int:

@@ -13,9 +13,9 @@ The built-in germ table covers the genus-4 rank-4 families (names under
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     IncompleteLedger,
     InvalidInput,
@@ -28,16 +28,13 @@ from .exactnum import parse_rational
 BASES = ("disk", "P1")
 
 
-@dataclass(frozen=True)
-class ComplexSurfaceData:
+class ComplexSurfaceData(Record):
     """Holomorphic invariants of a complex surface fibered in curves."""
 
-    chi_O: int
-    K2: int
-    fiber_genus: int
-    base: str = "P1"
+    __slots__ = ("chi_O", "K2", "fiber_genus", "base")
+    _defaults = {"base": "P1"}
 
-    def __post_init__(self):
+    def _check(self):
         if self.fiber_genus < 2:
             raise InvalidInput(f"fiber genus must be >= 2, got {self.fiber_genus}")
         if self.base not in BASES:
@@ -72,14 +69,11 @@ def fiber_count(chi_top: int, g: int, base_chi: int = 2) -> int:
     return chi_top - base_chi * (2 - 2 * g)
 
 
-@dataclass(frozen=True)
-class FiberGerm:
+class FiberGerm(Record):
     """A named fiber germ with its Meyer value and neighbourhood signature."""
 
-    name: str
-    phi_value: Fraction
-    nbhd_sign: int
-    smooth: bool = False
+    __slots__ = ("name", "phi_value", "nbhd_sign", "smooth")
+    _defaults = {"smooth": False}
 
     @property
     def sigma(self) -> Fraction:
@@ -139,16 +133,12 @@ def germ(name: str) -> FiberGerm:
     return entry
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     """One germ type in a fibration, with multiplicity; phi None = unknown."""
 
-    name: str
-    phi: Fraction | None
-    nbhd_sign: int
-    count: int
+    __slots__ = ("name", "phi", "nbhd_sign", "count")
 
-    def __post_init__(self):
+    def _check(self):
         if self.count < 1:
             raise InvalidInput(f"count must be >= 1, got {self.count}")
 
@@ -157,19 +147,14 @@ class LedgerEntry:
         return None if self.phi is None else self.phi + self.nbhd_sign
 
 
-@dataclass(frozen=True)
-class FibrationLedger:
+class FibrationLedger(Record):
     """A fibration as its total signature plus a multiset of germ entries."""
 
-    total_sign: int
-    germs: tuple[LedgerEntry, ...]
+    __slots__ = ("total_sign", "germs")
 
 
-@dataclass(frozen=True)
-class FibrationReport:
-    total_sign: int
-    germ_sum: Fraction
-    residual: Fraction
+class FibrationReport(Record):
+    __slots__ = ("total_sign", "germ_sum", "residual")
 
     @property
     def ok(self) -> bool:
@@ -203,7 +188,7 @@ def solve_unknown_germ(led: FibrationLedger) -> LedgerEntry:
         (e.count * e.sigma for e in led.germs if e.sigma is not None), Fraction(0)
     )
     sigma = Fraction(led.total_sign - known, unknown.count)
-    return replace(unknown, phi=sigma - unknown.nbhd_sign)
+    return LedgerEntry(unknown.name, sigma - unknown.nbhd_sign, unknown.nbhd_sign, unknown.count)
 
 
 def _parse_phi(value) -> Fraction | None:

@@ -25,10 +25,10 @@ cocycle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, InvalidInput
 from .exactnum import (
     RatMatrix,
@@ -88,12 +88,10 @@ def tau_cocycle_defect(
     )
 
 
-@dataclass(frozen=True)
-class PhiBase:
+class PhiBase(Record):
     """Values of the genus-1 cobounding function on the generators S and T."""
 
-    phi_S: Fraction
-    phi_T: Fraction
+    __slots__ = ("phi_S", "phi_T")
 
 
 def _relator_tau_sum(letters: list[str]) -> int:

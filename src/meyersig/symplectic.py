@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     GenusMismatch,
     MatrixFormatError,
@@ -89,6 +89,9 @@ class SymplecticElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticElement is immutable")
+
+    def __reduce__(self):
+        return SymplecticElement, (self.mat,)
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
@@ -190,8 +193,7 @@ def gen_T() -> SymplecticElement:
     return SymplecticElement(_T)
 
 
-@dataclass(frozen=True)
-class SL2Word:
+class SL2Word(Record):
     """A word in the generators S, T as (generator, exponent) syllables.
 
     The product of the syllables, left to right, recovers the matrix the
@@ -199,9 +201,9 @@ class SL2Word:
     exponent, lowercase marking inverses: S, s, T, t.
     """
 
-    syllables: tuple[tuple[str, int], ...]
+    __slots__ = ("syllables",)
 
-    def __post_init__(self):
+    def _check(self):
         for gen, e in self.syllables:
             if gen not in ("S", "T"):
                 raise MatrixFormatError(f"unknown generator {gen!r}")

@@ -19,10 +19,10 @@ suite checks exhaustively for small multidegrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
+from ._record import Record
 from .errors import (
     ContractViolation,
     ExcludedCase,
@@ -36,33 +36,26 @@ from .errors import (
 from .exactnum import parse_integer
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
     """Topological data of an embedded surface."""
 
-    sign: int
-    chi: int
-    deg: int
-    genus: int
+    __slots__ = ("sign", "chi", "deg", "genus")
 
-    def __post_init__(self):
+    def _check(self):
         if self.deg < 1:
             raise InvalidInput(f"degree must be >= 1, got {self.deg}")
         if self.genus < 0:
             raise InvalidInput(f"genus must be >= 0, got {self.genus}")
 
 
-@dataclass(frozen=True)
-class LassoReport:
+class LassoReport(Record):
     """Discriminant degree and lasso value; alpha/beta filled on the
     closed-form routes, where phi = alpha / beta."""
 
-    deg_DX: int
-    phi: Fraction
-    alpha: Fraction | None = None
-    beta: int | None = None
+    __slots__ = ("deg_DX", "phi", "alpha", "beta")
+    _defaults = {"alpha": None, "beta": None}
 
-    def __post_init__(self):
+    def _check(self):
         if self.deg_DX < 1:
             raise NonPositiveDegDX(f"deg D_X = {self.deg_DX} is not positive")
         if self.alpha is not None and self.beta is not None:
@@ -70,8 +63,7 @@ class LassoReport:
                 raise ContractViolation("alpha/beta does not reduce to phi")
 
 
-@dataclass(frozen=True)
-class CISpec:
+class CISpec(Record):
     """Combinatorial description of a Veronese-embedded complete intersection.
 
     m defining degrees (each >= 2), ambient-slice dimension n >= 2, Veronese
@@ -80,12 +72,10 @@ class CISpec:
     (d, m, degrees) = (1, 1, (2,)) and (n, d, m) = (2, 2, 0).
     """
 
-    m: int
-    degrees: tuple[int, ...]
-    n: int = 2
-    d: int = 1
+    __slots__ = ("m", "degrees", "n", "d")
+    _defaults = {"n": 2, "d": 1}
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "degrees", tuple(int(x) for x in self.degrees))
         if self.m != len(self.degrees):
             raise InvalidInput(
@@ -218,11 +208,8 @@ VERONESE_P4_D2 = CISpec(m=0, degrees=(), n=4, d=2)
 built-in genus-5 family."""
 
 
-@dataclass(frozen=True)
-class PresetReport:
-    name: str
-    invariants: SurfaceInvariants | None
-    report: LassoReport
+class PresetReport(Record):
+    __slots__ = ("name", "invariants", "report")
 
 
 def named_presets() -> tuple[str, ...]:

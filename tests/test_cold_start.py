@@ -1,0 +1,150 @@
+"""What a fresh ``meyersig`` process loads, and what it prints.
+
+Every test here starts a new interpreter under ``python -S``, with only the
+source tree on ``PYTHONPATH``: modules that ``site`` or an earlier test
+imported cannot hide a missing import or an import that came back. The
+in-process CLI tests in ``test_cli.py`` run after every module is loaded and
+so cannot catch a subcommand handler that forgot to import its layer.
+"""
+
+import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import meyersig
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# runs the CLI on its arguments, then lists every loaded module on stderr
+PROBE = (
+    "import sys\n"
+    "from meyersig.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True, timeout=60
+    )
+
+
+def loaded_by(*argv) -> set[str]:
+    result = fresh_python("-c", PROBE, *argv)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.decode().split())
+
+
+def test_cli_import_loads_no_layer_and_no_dataclasses():
+    result = fresh_python("-c", "import sys, meyersig.cli; print(*sorted(sys.modules))")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.decode().split())
+    assert "meyersig.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "random", "meyersig.symplectic"}
+    assert loaded & unwanted == set()
+
+
+def test_ci_loads_only_varieties():
+    loaded = loaded_by("ci", "--m", "1", "--degrees", "3")
+    assert "meyersig.varieties" in loaded
+    assert loaded & {"meyersig.symplectic", "meyersig.meyer", "meyersig.localsig"} == set()
+
+
+def test_germ_loads_only_localsig():
+    loaded = loaded_by("germ", "--name", "R4/F_I")
+    assert "meyersig.localsig" in loaded
+    assert loaded & {"meyersig.meyer", "meyersig.symplectic", "meyersig.varieties"} == set()
+
+
+def imported_modules(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses imports inspect, which alone doubles the CLI's start-up
+    sources = sorted((SRC / "meyersig").glob("*.py"))
+    assert sources
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(name.split(".")[0] == "dataclasses" for name in imported_modules(node))
+    ]
+    assert imports == []
+
+
+LEDGER = (
+    '{"total_sign": -146, "germs": ['
+    '{"name": "R4/F_I", "phi": "-9/17", "nbhd_sign": 0, "count": 277}, '
+    '{"name": "R4/F_31", "phi": null, "nbhd_sign": -1, "count": 1}]}'
+)
+
+GOLDENS = {
+    "tau": (["tau", "--a1", "A.txt", "--a2", "A.txt"], b"-1\n"),
+    "phi1": (["phi1", "--json", "--matrix", "A.txt"], b'{"phi1": "-2/3"}\n'),
+    "ci": (
+        ["ci", "--m", "1", "--degrees", "3"],
+        b"sign=-5 chi=9 deg=3 genus=1 deg_DX=12 phi=-2/3 alpha=-8/3 beta=4 genus_boundary=true\n",
+    ),
+    "veronese": (
+        ["veronese", "--json", "--m", "0", "--degrees", "", "--n", "4", "--d", "2"],
+        b'{"alpha": "-5", "beta": 10, "deg_DX": 40, "phi": "-1/2"}\n',
+    ),
+    "lasso-power": (["lasso-power", "--phi", "-9/17", "--n", "2"], b"-1/17\n"),
+    "germ": (["germ", "--name", "R4/F_I"], b"phi=-9/17 nbhd_sign=0 sigma=-9/17\n"),
+    "fibration": (
+        ["fibration", "--ledger", "fib.json", "--solve"],
+        b"name=R4/F_31 phi=28/17 nbhd_sign=-1 sigma=11/17\n",
+    ),
+    "presets": (
+        ["presets"],
+        b"segre33 sign=0 chi=4 deg=18 genus=4 deg_DX=34 phi=-9/17\n"
+        b"veronese-p4-d2 alpha=-5 beta=10 deg_DX=40 phi=-1/2\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDENS.values(), ids=list(GOLDENS))
+def test_subcommand_golden_in_a_fresh_process(tmp_path, argv, stdout):
+    (tmp_path / "A.txt").write_text("2 2\n1 -1\n0 1\n")
+    (tmp_path / "fib.json").write_text(LEDGER)
+    result = fresh_python("-m", "meyersig", *argv, cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, b"")
+
+
+def test_every_public_name_resolves_to_its_defining_object():
+    assert len(meyersig.__all__) == len(set(meyersig.__all__)) == 70
+    listed = dir(meyersig)
+    for name in meyersig.__all__:
+        value = getattr(meyersig, name)
+        assert value.__module__.startswith("meyersig.")
+        assert value is getattr(importlib.import_module(value.__module__), name)
+        assert name in listed
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError):
+        meyersig.no_such_name
+    with pytest.raises(ImportError):
+        exec("from meyersig import no_such_name", {})
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(from fractions.*?)```", readme, re.S)
+    assert "from meyersig import (" in example
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -14,6 +13,7 @@ from meyersig import (
     InconsistentRelations,
     InvalidInput,
     NotUnimodular,
+    PhiBase,
     RatMatrix,
     SymplecticElement,
     direct_sum,
@@ -408,7 +408,9 @@ def cold_phi1_caches():
 @pytest.mark.parametrize("field", ["phi_S", "phi_T"])
 def test_phi1_refuses_a_closed_form_the_relations_contradict(monkeypatch, cold_phi1_caches, field):
     solved = phi1_base()
-    wrong = dataclasses.replace(solved, **{field: getattr(solved, field) + 1})
+    values = {"phi_S": solved.phi_S, "phi_T": solved.phi_T}
+    values[field] += 1
+    wrong = PhiBase(**values)
     monkeypatch.setattr(meyer, "phi1_base", lambda: wrong)
     with pytest.raises(InconsistentRelations):
         phi1(TWIST)

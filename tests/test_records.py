@@ -1,0 +1,256 @@
+"""Behaviour of the library's immutable value types.
+
+Every record type is pinned here: its exact ``repr``, construction from
+positional, keyword and default arguments, equality and hashing,
+immutability, the errors its validation raises, and copy and pickle round
+trips, which must rebuild each value through its validating constructor.
+"""
+
+import copy
+import pickle
+from fractions import Fraction as Fr
+
+import pytest
+
+from meyersig import (
+    CISpec,
+    ComplexSurfaceData,
+    ContractViolation,
+    ExcludedCase,
+    FiberGerm,
+    FibrationLedger,
+    FibrationReport,
+    InvalidInput,
+    LassoReport,
+    LedgerEntry,
+    MatrixFormatError,
+    NonPositiveDegDX,
+    NotSymplectic,
+    PhiBase,
+    PresetReport,
+    RatMatrix,
+    SL2Word,
+    SurfaceInvariants,
+    SymmetricForm,
+    SymplecticElement,
+)
+
+ENTRY = LedgerEntry("x", Fr(1, 2), -1, 2)
+SEGRE = SurfaceInvariants(0, 4, 18, 4)
+SEGRE_REPORT = LassoReport(34, Fr(-9, 17))
+
+# (class, positional arguments, the same arguments by keyword, a value that
+# differs in one field, repr). Positional arguments leave defaulted fields out.
+RECORDS = [
+    (
+        ComplexSurfaceData,
+        (1, 2, 4),
+        {"chi_O": 1, "K2": 2, "fiber_genus": 4, "base": "P1"},
+        ComplexSurfaceData(1, 2, 4, "disk"),
+        "ComplexSurfaceData(chi_O=1, K2=2, fiber_genus=4, base='P1')",
+    ),
+    (
+        FiberGerm,
+        ("R4/F_I", Fr(-9, 17), 0),
+        {"name": "R4/F_I", "phi_value": Fr(-9, 17), "nbhd_sign": 0, "smooth": False},
+        FiberGerm("R4/F_I", Fr(-9, 17), 0, True),
+        "FiberGerm(name='R4/F_I', phi_value=Fraction(-9, 17), nbhd_sign=0, smooth=False)",
+    ),
+    (
+        LedgerEntry,
+        ("R4/F_I", None, 0, 3),
+        {"name": "R4/F_I", "phi": None, "nbhd_sign": 0, "count": 3},
+        LedgerEntry("R4/F_I", None, 0, 4),
+        "LedgerEntry(name='R4/F_I', phi=None, nbhd_sign=0, count=3)",
+    ),
+    (
+        FibrationLedger,
+        (-4, (ENTRY,)),
+        {"total_sign": -4, "germs": (ENTRY,)},
+        FibrationLedger(-3, (ENTRY,)),
+        "FibrationLedger(total_sign=-4, germs=(LedgerEntry(name='x', phi=Fraction(1, 2), "
+        "nbhd_sign=-1, count=2),))",
+    ),
+    (
+        FibrationReport,
+        (-4, Fr(-4), Fr(0)),
+        {"total_sign": -4, "germ_sum": Fr(-4), "residual": Fr(0)},
+        FibrationReport(-4, Fr(-3), Fr(-1)),
+        "FibrationReport(total_sign=-4, germ_sum=Fraction(-4, 1), residual=Fraction(0, 1))",
+    ),
+    (
+        SurfaceInvariants,
+        (0, 4, 18, 4),
+        {"sign": 0, "chi": 4, "deg": 18, "genus": 4},
+        SurfaceInvariants(0, 4, 18, 5),
+        "SurfaceInvariants(sign=0, chi=4, deg=18, genus=4)",
+    ),
+    (
+        LassoReport,
+        (12, Fr(-2, 3)),
+        {"deg_DX": 12, "phi": Fr(-2, 3), "alpha": None, "beta": None},
+        LassoReport(12, Fr(-2, 3), Fr(-8, 3), 4),
+        "LassoReport(deg_DX=12, phi=Fraction(-2, 3), alpha=None, beta=None)",
+    ),
+    (
+        CISpec,
+        (1, ["3"]),
+        {"m": 1, "degrees": (3,), "n": 2, "d": 1},
+        CISpec(1, (3,), 2, 2),
+        "CISpec(m=1, degrees=(3,), n=2, d=1)",
+    ),
+    (
+        PresetReport,
+        ("segre33", SEGRE, SEGRE_REPORT),
+        {"name": "segre33", "invariants": SEGRE, "report": SEGRE_REPORT},
+        PresetReport("segre33", None, SEGRE_REPORT),
+        "PresetReport(name='segre33', invariants=SurfaceInvariants(sign=0, chi=4, deg=18, "
+        "genus=4), report=LassoReport(deg_DX=34, phi=Fraction(-9, 17), alpha=None, beta=None))",
+    ),
+    (
+        PhiBase,
+        (Fr(-1), Fr(2, 3)),
+        {"phi_S": Fr(-1), "phi_T": Fr(2, 3)},
+        PhiBase(Fr(-1), Fr(1, 3)),
+        "PhiBase(phi_S=Fraction(-1, 1), phi_T=Fraction(2, 3))",
+    ),
+    (
+        SL2Word,
+        ((("T", -1), ("S", 1)),),
+        {"syllables": (("T", -1), ("S", 1))},
+        SL2Word((("T", -1), ("S", 3))),
+        "SL2Word(syllables=(('T', -1), ('S', 1)))",
+    ),
+]
+RECORD_IDS = [case[0].__name__ for case in RECORDS]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_repr(cls, args, kwargs, other, text):
+    assert repr(cls(*args)) == text
+    assert repr(cls(**kwargs)) == text
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_positional_keyword_and_default_arguments_agree(cls, args, kwargs, other, text):
+    value = cls(*args)
+    assert cls(**kwargs) == value
+    assert cls(*kwargs.values()) == value
+    fields = list(kwargs)
+    # the leading fields by position, the rest by keyword
+    split = len(args) // 2
+    assert cls(*args[:split], **{k: kwargs[k] for k in fields[split:]}) == value
+    assert [getattr(value, k) for k in fields] == list(kwargs.values())
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_equality_and_hash(cls, args, kwargs, other, text):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert a != other and not (a == other)
+    assert a != tuple(kwargs.values())
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_records_are_immutable(cls, args, kwargs, other, text):
+    value = cls(*args)
+    for name in [*kwargs, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs, other, text):
+    first = next(iter(kwargs))
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), 0)
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*args, **{first: kwargs[first]})
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ComplexSurfaceData(1, 2, 1), InvalidInput),
+        (lambda: ComplexSurfaceData(1, 2, 4, "torus"), InvalidInput),
+        (lambda: LedgerEntry("x", None, 0, 0), InvalidInput),
+        (lambda: SurfaceInvariants(0, 4, 0, 4), InvalidInput),
+        (lambda: SurfaceInvariants(0, 4, 18, -1), InvalidInput),
+        (lambda: LassoReport(0, Fr(1)), NonPositiveDegDX),
+        (lambda: LassoReport(12, Fr(-2, 3), Fr(1), 4), ContractViolation),
+        (lambda: CISpec(2, (3,)), InvalidInput),
+        (lambda: CISpec(1, (1,)), InvalidInput),
+        (lambda: CISpec(1, (3,), n=1), InvalidInput),
+        (lambda: CISpec(1, (3,), d=0), InvalidInput),
+        (lambda: CISpec(0, ()), ExcludedCase),
+        (lambda: CISpec(1, (2,)), ExcludedCase),
+        (lambda: CISpec(0, (), 2, 2), ExcludedCase),
+        (lambda: SL2Word((("U", 1),)), MatrixFormatError),
+        (lambda: SL2Word((("S", 0),)), MatrixFormatError),
+    ],
+    ids=[
+        "surface-genus",
+        "surface-base",
+        "entry-count",
+        "invariants-degree",
+        "invariants-genus",
+        "lasso-degree",
+        "lasso-ratio",
+        "ci-m",
+        "ci-degree",
+        "ci-n",
+        "ci-d",
+        "ci-m0-d1",
+        "ci-quadric",
+        "ci-n2-d2-m0",
+        "word-generator",
+        "word-exponent",
+    ],
+)
+def test_validation_raises_the_documented_error(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+
+
+IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [
+    SymplecticElement([[1, -1], [0, 1]]),
+    SymplecticElement.identity(2),
+    RatMatrix([[1, Fr(1, 2)], [3, 4]]),
+    RatMatrix([], cols=3),
+    SymmetricForm(RatMatrix([[1, 2], [2, 4]])),
+]
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=list(ROUND_TRIPS))
+@pytest.mark.parametrize("value", IMMUTABLES, ids=lambda v: type(v).__name__)
+def test_copy_and_pickle_round_trip(value, trip):
+    twin = trip(value)
+    assert type(twin) is type(value)
+    assert twin == value
+    assert hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+    with pytest.raises(AttributeError):
+        twin.extra = 0
+
+
+def test_copies_rebuild_through_the_validating_constructor():
+    # an element that skipped validation does not survive a copy or a pickle
+    bad = SymplecticElement._derived(((2, 0), (0, 1)))
+    for trip in ROUND_TRIPS.values():
+        with pytest.raises(NotSymplectic):
+            trip(bad)

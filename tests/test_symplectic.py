@@ -172,6 +172,20 @@ def test_string_entries_outside_the_numeral_grammar_are_invalid(read, token):
         read([[token, "-1"], ["0", "1"]])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [None, float("nan"), float("inf"), [1], object()],
+    ids=["None", "nan", "inf", "list", "object"],
+)
+@pytest.mark.parametrize(
+    "read", [SymplecticElement, RatMatrix, phi1, sl2_word], ids=lambda f: f.__name__
+)
+def test_entries_fraction_cannot_read_are_invalid(read, entry):
+    # Fraction() raises TypeError, ValueError or OverflowError on these
+    with pytest.raises(InvalidInput):
+        read([[entry, 0], [0, 1]])
+
+
 def test_fast_inverse_formula():
     r = random.Random(15)
     for g in (1, 2, 3):

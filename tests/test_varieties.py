@@ -17,8 +17,12 @@ from meyersig import (
     generic_surface_lasso,
     hyperplane_genus,
     named_presets,
+    phi1,
+    phi1_word,
     resolve_preset,
+    sl2_word,
     stratum_codim,
+    transvection,
     veronese_ci_lasso,
 )
 from meyersig.varieties import parse_degrees
@@ -122,6 +126,25 @@ def test_veronese_plane_cubics():
     assert report.beta == 12
     assert report.phi == Fr(-2, 3)
     assert report.deg_DX == 12
+
+
+@pytest.mark.parametrize(
+    "lasso",
+    [
+        lambda: ci_surface_invariants(1, (3,)),
+        lambda: ci_surface_invariants(2, (2, 2)),
+        lambda: (None, veronese_ci_lasso(CISpec(0, (), 2, 3))),
+    ],
+    ids=["ci-cubic", "ci-two-quadrics", "veronese-plane-cubics"],
+)
+def test_genus_one_lassos_are_the_value_of_a_transvection(lasso):
+    # the monodromy of a genus-1 lasso is one transvection, [[1, -1], [0, 1]],
+    # so the closed forms must give the cocycle's value on it
+    inv, report = lasso()
+    assert inv is None or inv.genus == 1
+    twist = [[1, -1], [0, 1]]
+    assert transvection((1, 0)).mat == ((1, -1), (0, 1))
+    assert report.phi == phi1(twist) == phi1_word(sl2_word(twist)) == Fr(-2, 3)
 
 
 def test_veronese_matches_ci_at_d1():
