@@ -1,8 +1,11 @@
 class Record:
-    """Immutable value type in place of a frozen dataclass, whose import (with
-    ``inspect``) would double the CLI's start: fields in ``__slots__``, defaults
-    of trailing fields in ``_defaults``, validation in ``_check``. Equality, hash
-    and ``repr`` follow the fields; copies and pickles rebuild via the constructor."""
+    """The one base of the library's immutable values, in place of a frozen
+    dataclass, whose import (with ``inspect``) would double the CLI's start:
+    fields in ``__slots__``, defaults of trailing fields in ``_defaults``,
+    validation in ``_check``. Setting and deleting attributes are refused;
+    equality, hash and ``repr`` follow the fields; copies and pickles rebuild
+    via the constructor, called with the fields in ``__slots__`` order. A
+    subclass may keep its own ``__init__`` that takes those arguments."""
 
     __slots__ = ()
     _defaults: dict = {}

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
 
-from .errors import AsymmetricGram, MatrixFormatError
+from ._record import Record
+from .errors import AsymmetricGram, InvalidInput, MatrixFormatError
 
 _INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
@@ -48,6 +49,14 @@ def parse_integer(token: str) -> int:
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"bad integer {token!r}")
     return int(token)
+
+
+def _int_arg(x, name: str) -> int:
+    """An integer argument from a library caller: an ``int`` is returned as it
+    is; a ``bool``, float, string or anything else raises ``InvalidInput``."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidInput(f"{name} must be an int, got {type(x).__name__}")
+    return x
 
 
 def parse_rational(token: str) -> Fraction:
@@ -83,7 +92,7 @@ def _entry(x):
         raise MatrixFormatError(f"bad matrix entry {x!r}") from exc
 
 
-class RatMatrix:
+class RatMatrix(Record):
     """Immutable dense matrix of exact rationals, row-major: the output of
     ``parse_matrix`` and the input of ``kernel_basis`` and ``SymmetricForm``.
 
@@ -91,7 +100,7 @@ class RatMatrix:
     ``parse_rational`` and any other entry becomes a Fraction.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data", "cols")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(map(_entry, row)) for row in data)
@@ -104,28 +113,15 @@ class RatMatrix:
         else:
             width = 0 if cols is None else cols
         object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __reduce__(self):
-        return RatMatrix, (self.data, self.cols)
+    @property
+    def rows(self) -> int:
+        return len(self.data)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.shape == other.shape
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.data))
+        return (len(self.data), self.cols)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
@@ -201,37 +197,22 @@ def kernel_basis(m: RatMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-class SymmetricForm:
+class SymmetricForm(Record):
     """A symmetric bilinear form carried by its Gram matrix."""
 
     __slots__ = ("gram",)
 
     def __init__(self, gram: RatMatrix):
-        if gram.rows != gram.cols:
-            raise AsymmetricGram(f"Gram matrix must be square, got {gram.shape}")
         d = gram.data
-        if any(d[i][j] != d[j][i] for i in range(gram.rows) for j in range(i)):
+        if len(d) != gram.cols:
+            raise AsymmetricGram(f"Gram matrix must be square, got {gram.shape}")
+        if any(d[i][j] != d[j][i] for i in range(len(d)) for j in range(i)):
             raise AsymmetricGram("Gram matrix is not symmetric")
         object.__setattr__(self, "gram", gram)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricForm is immutable")
-
-    def __reduce__(self):
-        return SymmetricForm, (self.gram,)
-
     @property
     def dim(self) -> int:
-        return self.gram.rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricForm) and self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
-    def __repr__(self) -> str:
-        return f"SymmetricForm({self.gram!r})"
+        return self.gram.cols
 
 
 def gram_restrict(s: Sequence[Sequence], basis: Sequence[Sequence]) -> SymmetricForm:

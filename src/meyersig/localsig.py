@@ -23,7 +23,7 @@ from .errors import (
     UnknownName,
     ZeroOrManyUnknowns,
 )
-from .exactnum import parse_rational
+from .exactnum import _int_arg, parse_rational
 
 BASES = ("disk", "P1")
 
@@ -85,7 +85,7 @@ def germ_sigma(phi_value: Fraction | int | str, nbhd_sign: int) -> Fraction:
     signature of a fiber neighbourhood."""
     if isinstance(phi_value, str):
         phi_value = parse_rational(phi_value)
-    return Fraction(phi_value) + nbhd_sign
+    return Fraction(phi_value) + _int_arg(nbhd_sign, "nbhd_sign")
 
 
 def smooth_germ_check(germ: FiberGerm) -> bool:

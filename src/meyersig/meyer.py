@@ -25,14 +25,15 @@ cocycle.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, InvalidInput
 from .exactnum import (
     RatMatrix,
     SymmetricForm,
+    _int_arg,
     gram_restrict,
     kernel_basis,
     parse_rational,
@@ -253,7 +254,7 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
     Valid whenever consecutive powers pair to cocycle value -1, which is the
     case for the monodromy of a lasso (a power of a single transvection).
     """
-    if n < 1:
+    if _int_arg(n, "power") < 1:
         raise InvalidInput(f"power must be >= 1, got {n}")
     if isinstance(phi_sigma, str):
         phi_sigma = parse_rational(phi_sigma)

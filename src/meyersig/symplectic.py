@@ -13,8 +13,7 @@ Dehn twist; the twist itself is its inverse.
 from __future__ import annotations
 
 import functools
-import random
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -58,14 +57,14 @@ def apply_J(m: IntMatrix) -> IntMatrix:
     return m[g:] + tuple(tuple(-x for x in row) for row in m[:g])
 
 
-class SymplecticElement:
+class SymplecticElement(Record):
     """A 2g x 2g integer matrix A with A^t J A = J, validated on construction.
 
     ``mat`` is a tuple of int tuples. Elements derived from validated data
     skip the check (see ``_derived``).
     """
 
-    __slots__ = ("mat", "g")
+    __slots__ = ("mat",)
 
     def __init__(self, mat: RatMatrix | Iterable[Iterable]):
         rows = _int_rows(mat, NotSymplectic)
@@ -76,7 +75,6 @@ class SymplecticElement:
         if _matmul(tuple(zip(*rows)), apply_J(rows)) != apply_J(_identity(n)):
             raise NotSymplectic("matrix does not preserve the alternating form")
         object.__setattr__(self, "mat", rows)
-        object.__setattr__(self, "g", n // 2)
 
     @classmethod
     def _derived(cls, mat: IntMatrix) -> "SymplecticElement":
@@ -84,14 +82,11 @@ class SymplecticElement:
         power, transvection or direct sum of validated data. No re-check."""
         el = object.__new__(cls)
         object.__setattr__(el, "mat", mat)
-        object.__setattr__(el, "g", len(mat) // 2)
         return el
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticElement is immutable")
-
-    def __reduce__(self):
-        return SymplecticElement, (self.mat,)
+    @property
+    def g(self) -> int:
+        return len(self.mat) // 2
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
@@ -122,12 +117,6 @@ class SymplecticElement:
             if e:
                 base = base * base
         return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticElement) and self.mat == other.mat
-
-    def __hash__(self) -> int:
-        return hash(self.mat)
 
     def __repr__(self) -> str:
         return f"SymplecticElement(g={self.g}, {self.mat!r})"
@@ -315,12 +304,11 @@ def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
     return SL2Word(_sl2_reduce(a)[1])
 
 
-def random_transvection_product(
-    rng: random.Random, g: int, length: int
-) -> SymplecticElement:
+def random_transvection_product(rng, g: int, length: int) -> SymplecticElement:
     """Product of ``length`` transvections on random vectors with entries in [-3, 3].
 
-    Intended for seeded property tests; the zero vector is resampled.
+    Intended for seeded property tests with a ``random.Random`` as ``rng``; the
+    zero vector is resampled.
     """
     result = SymplecticElement.identity(g)
     produced = 0

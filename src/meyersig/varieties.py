@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import parse_integer
+from .exactnum import _int_arg, parse_integer
 
 
 class SurfaceInvariants(Record):
@@ -76,7 +76,9 @@ class CISpec(Record):
     _defaults = {"n": 2, "d": 1}
 
     def _check(self):
-        object.__setattr__(self, "degrees", tuple(int(x) for x in self.degrees))
+        for name in ("m", "n", "d"):
+            _int_arg(getattr(self, name), name)
+        object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree") for x in self.degrees))
         if self.m != len(self.degrees):
             raise InvalidInput(
                 f"m = {self.m} but {len(self.degrees)} degrees supplied"

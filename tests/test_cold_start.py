@@ -50,7 +50,7 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.decode().split())
     assert "meyersig.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "random", "meyersig.symplectic"}
+    unwanted = {"dataclasses", "inspect", "random", "typing", "meyersig.symplectic"}
     assert loaded & unwanted == set()
 
 
@@ -58,6 +58,15 @@ def test_ci_loads_only_varieties():
     loaded = loaded_by("ci", "--m", "1", "--degrees", "3")
     assert "meyersig.varieties" in loaded
     assert loaded & {"meyersig.symplectic", "meyersig.meyer", "meyersig.localsig"} == set()
+
+
+def test_tau_loads_no_typing_or_random(tmp_path):
+    # annotations need neither module: they are never evaluated
+    matrix = tmp_path / "A.txt"
+    matrix.write_text("2 2\n1 -1\n0 1\n")
+    loaded = loaded_by("tau", "--a1", str(matrix), "--a2", str(matrix))
+    assert "meyersig.meyer" in loaded
+    assert loaded & {"typing", "random"} == set()
 
 
 def test_germ_loads_only_localsig():

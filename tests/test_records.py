@@ -4,11 +4,14 @@ Every record type is pinned here: its exact ``repr``, construction from
 positional, keyword and default arguments, equality and hashing,
 immutability, the errors its validation raises, and copy and pickle round
 trips, which must rebuild each value through its validating constructor.
+The matrix types share that base and are held to the same protocol.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,12 @@ from meyersig import (
     SurfaceInvariants,
     SymmetricForm,
     SymplecticElement,
+    ci_surface_invariants,
+    germ_sigma,
+    lasso_power,
+    veronese_ci_lasso,
 )
+from meyersig._record import Record
 
 ENTRY = LedgerEntry("x", Fr(1, 2), -1, 2)
 SEGRE = SurfaceInvariants(0, 4, 18, 4)
@@ -94,7 +102,7 @@ RECORDS = [
     ),
     (
         CISpec,
-        (1, ["3"]),
+        (1, [3]),
         {"m": 1, "degrees": (3,), "n": 2, "d": 1},
         CISpec(1, (3,), 2, 2),
         "CISpec(m=1, degrees=(3,), n=2, d=1)",
@@ -222,6 +230,48 @@ def test_validation_raises_the_documented_error(build, error):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ci_surface_invariants(1, (3.9,)),
+        lambda: ci_surface_invariants(1, ("1_0",)),
+        lambda: ci_surface_invariants(1, ("3",)),
+        lambda: CISpec(True, (3,)),
+        lambda: CISpec(1.0, (3,)),
+        lambda: CISpec(1, (3,), d=True),
+        lambda: CISpec(1, (3,), n=2.0),
+        lambda: veronese_ci_lasso(CISpec(0, (), 4, 2.0)),
+        lambda: lasso_power(Fr(-9, 17), 2.5),
+        lambda: lasso_power(Fr(-9, 17), True),
+        lambda: lasso_power(Fr(-9, 17), "2"),
+        lambda: germ_sigma(Fr(1, 2), 0.5),
+        lambda: germ_sigma(Fr(1, 2), True),
+        lambda: germ_sigma(Fr(1, 2), "1"),
+    ],
+    ids=[
+        "ci-float-degree",
+        "ci-underscore-degree",
+        "ci-digit-string-degree",
+        "ci-bool-m",
+        "ci-float-m",
+        "ci-bool-d",
+        "ci-float-n",
+        "veronese-float-d",
+        "power-float",
+        "power-bool",
+        "power-string",
+        "germ-float-sign",
+        "germ-bool-sign",
+        "germ-string-sign",
+    ],
+)
+def test_integer_arguments_must_be_ints(call):
+    # an int that is not a bool, never truncated, parsed or passed on as a float
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert type(info.value) is InvalidInput
+
+
 IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [
     SymplecticElement([[1, -1], [0, 1]]),
     SymplecticElement.identity(2),
@@ -246,6 +296,40 @@ def test_copy_and_pickle_round_trip(value, trip):
     assert repr(twin) == repr(value)
     with pytest.raises(AttributeError):
         twin.extra = 0
+
+
+@pytest.mark.parametrize("value", IMMUTABLES, ids=lambda v: type(v).__name__)
+def test_values_refuse_setting_and_deleting(value):
+    assert isinstance(value, Record)
+    before, twin = repr(value), copy.copy(value)
+    for name in [*type(value).__slots__, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+    assert value == twin
+
+
+PROTOCOL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+
+
+def test_only_the_record_base_defines_the_value_protocol():
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "meyersig").glob("*.py"))
+    assert sources
+    defined = set()
+    for path in sources:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                else:
+                    targets = node.targets if isinstance(node, ast.Assign) else []
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined |= {f"{path.stem}.{cls.name}.{n}" for n in names if n in PROTOCOL}
+    assert defined == {f"_record.Record.{name}" for name in PROTOCOL}
 
 
 def test_copies_rebuild_through_the_validating_constructor():
