@@ -10,8 +10,7 @@ _EXPORTS = {
     "errors": (
         "AsymmetricGram", "ContractViolation", "ExcludedCase", "GenusMismatch", "GenusZero",
         "IncompleteLedger", "InconsistentRelations", "InvalidInput", "MatrixFormatError",
-        "MeyerSigError", "NegativeGenus", "NonIntegralGenus", "NonPositiveDegDX",
-        "NotSymplectic", "NotUnimodular", "SmoothGermNonzero", "UnknownName",
+        "MeyerSigError", "NonPositiveDegDX", "NotSymplectic", "NotUnimodular", "UnknownName",
         "ZeroOrManyUnknowns", "ZeroVector",
     ),
     "exactnum": (
@@ -23,19 +22,18 @@ _EXPORTS = {
         "random_transvection_product", "sl2_word", "transvection",
     ),
     "meyer": (
-        "PhiBase", "lasso_power", "phi1", "phi1_base", "phi1_word", "tau",
-        "tau_cocycle_defect", "tau_form",
+        "PhiBase", "phi1", "phi1_base", "phi1_word", "tau", "tau_cocycle_defect", "tau_form",
     ),
     "varieties": (
         "CISpec", "LassoReport", "PresetReport", "SurfaceInvariants", "ci_surface_invariants",
-        "generic_surface_lasso", "hyperplane_genus", "named_presets", "resolve_preset",
-        "stratum_codim", "veronese_ci_lasso",
+        "generic_surface_lasso", "lasso_power", "named_presets", "resolve_preset",
+        "veronese_ci_lasso",
     ),
     "localsig": (
         "ComplexSurfaceData", "FiberGerm", "FibrationLedger", "FibrationReport", "LedgerEntry",
-        "check_fibration", "fiber_count", "germ", "germ_sigma", "holomorphic_from_topology",
-        "ledger", "ledger_from_json", "ledger_from_obj", "ledger_to_json", "ledger_to_obj",
-        "smooth_germ_check", "solve_unknown_germ", "surface_topology",
+        "check_fibration", "fiber_count", "germ", "germ_sigma", "ledger", "ledger_from_json",
+        "ledger_from_obj", "ledger_to_json", "ledger_to_obj", "solve_unknown_germ",
+        "surface_topology",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

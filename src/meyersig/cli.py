@@ -142,8 +142,8 @@ def cmd_veronese(args) -> int:
 
 
 def cmd_lasso_power(args) -> int:
-    from . import meyer
-    _emit_value("phi", meyer.lasso_power(parse_rational(args.phi), args.n), args.json)
+    from . import varieties
+    _emit_value("phi", varieties.lasso_power(parse_rational(args.phi), args.n), args.json)
     return EXIT_OK
 
 

@@ -46,14 +46,6 @@ class UnknownName(InvalidInput):
     """No germ or preset registered under the given name."""
 
 
-class NonIntegralGenus(InvalidInput):
-    """Adjunction data with the wrong parity."""
-
-
-class NegativeGenus(InvalidInput):
-    """Adjunction data yielding genus < 0."""
-
-
 class ZeroOrManyUnknowns(ContractViolation):
     """Solving a fibration needs exactly one germ with unknown signature."""
 
@@ -79,8 +71,3 @@ class NonPositiveDegDX(ContractViolation):
 
 class GenusZero(ContractViolation):
     """The generic-section formula requires positive section genus."""
-
-
-class SmoothGermNonzero(ContractViolation):
-    """A germ flagged smooth must have zero cochain value and zero
-    neighbourhood signature."""

@@ -92,18 +92,31 @@ def _entry(x):
         raise MatrixFormatError(f"bad matrix entry {x!r}") from exc
 
 
+def _rows(data: Iterable[Iterable]) -> tuple[tuple, ...]:
+    """Outside matrix data as rows of ``_entry`` values: the one row reader of
+    ``RatMatrix`` and of the symplectic types. A ``str`` or ``bytes`` row
+    raises ``MatrixFormatError`` instead of giving one entry per character."""
+    rows = []
+    for row in data:
+        if isinstance(row, (str, bytes, bytearray)):
+            raise MatrixFormatError(f"a matrix row must hold entries, got {type(row).__name__}")
+        rows.append(tuple(map(_entry, row)))
+    return tuple(rows)
+
+
 class RatMatrix(Record):
     """Immutable dense matrix of exact rationals, row-major: the output of
     ``parse_matrix`` and the input of ``kernel_basis`` and ``SymmetricForm``.
 
     ``int`` entries are kept as they are, ``str`` entries are read by
-    ``parse_rational`` and any other entry becomes a Fraction.
+    ``parse_rational`` and any other entry becomes a Fraction; a row must not
+    be a string.
     """
 
     __slots__ = ("data", "cols")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(map(_entry, row)) for row in data)
+        rows = _rows(data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -19,26 +19,22 @@ from ._record import Record
 from .errors import (
     IncompleteLedger,
     InvalidInput,
-    SmoothGermNonzero,
     UnknownName,
     ZeroOrManyUnknowns,
 )
 from .exactnum import _int_arg, parse_rational
 
-BASES = ("disk", "P1")
-
 
 class ComplexSurfaceData(Record):
-    """Holomorphic invariants of a complex surface fibered in curves."""
+    """Holomorphic invariants of a complex surface fibered in curves over P1."""
 
-    __slots__ = ("chi_O", "K2", "fiber_genus", "base")
-    _defaults = {"base": "P1"}
+    __slots__ = ("chi_O", "K2", "fiber_genus")
 
     def _check(self):
+        for name in self.__slots__:
+            _int_arg(getattr(self, name), name)
         if self.fiber_genus < 2:
             raise InvalidInput(f"fiber genus must be >= 2, got {self.fiber_genus}")
-        if self.base not in BASES:
-            raise InvalidInput(f"base must be one of {BASES}, got {self.base!r}")
 
 
 def surface_topology(data: ComplexSurfaceData) -> tuple[int, int]:
@@ -50,30 +46,21 @@ def surface_topology(data: ComplexSurfaceData) -> tuple[int, int]:
     return 12 * data.chi_O - data.K2, data.K2 - 8 * data.chi_O
 
 
-def holomorphic_from_topology(chi_top: int, sign: int) -> tuple[int, int]:
-    """Invert surface_topology: recover (chi_O, K^2) from (chi_top, Sign)."""
-    if (chi_top + sign) % 4 != 0:
-        raise InvalidInput(f"chi_top + sign = {chi_top + sign} is not divisible by 4")
-    chi_o = (chi_top + sign) // 4
-    return chi_o, 2 * chi_top + 3 * sign
-
-
-def fiber_count(chi_top: int, g: int, base_chi: int = 2) -> int:
-    """Euler count of singular fiber germs: chi_top - base_chi * (2 - 2g).
+def fiber_count(chi_top: int, g: int) -> int:
+    """Euler count of singular fiber germs over P1: chi_top - 2 (2 - 2g).
 
     Counts germs weighted by their Euler contribution; each one-node germ
     contributes exactly 1, topologically trivial germs contribute 0.
     """
-    if g < 2:
+    if _int_arg(g, "fiber genus") < 2:
         raise InvalidInput(f"fiber genus must be >= 2, got {g}")
-    return chi_top - base_chi * (2 - 2 * g)
+    return _int_arg(chi_top, "chi_top") - 2 * (2 - 2 * g)
 
 
 class FiberGerm(Record):
     """A named fiber germ with its Meyer value and neighbourhood signature."""
 
-    __slots__ = ("name", "phi_value", "nbhd_sign", "smooth")
-    _defaults = {"smooth": False}
+    __slots__ = ("name", "phi_value", "nbhd_sign")
 
     @property
     def sigma(self) -> Fraction:
@@ -86,22 +73,6 @@ def germ_sigma(phi_value: Fraction | int | str, nbhd_sign: int) -> Fraction:
     if isinstance(phi_value, str):
         phi_value = parse_rational(phi_value)
     return Fraction(phi_value) + _int_arg(nbhd_sign, "nbhd_sign")
-
-
-def smooth_germ_check(germ: FiberGerm) -> bool:
-    """For a germ flagged smooth, assert both contributions vanish.
-
-    Returns True when the smooth contract holds, False when the germ is not
-    flagged smooth (nothing to check). A flagged germ with a nonzero entry
-    raises SmoothGermNonzero.
-    """
-    if not germ.smooth:
-        return False
-    if germ.phi_value != 0 or germ.nbhd_sign != 0:
-        raise SmoothGermNonzero(
-            f"{germ.name}: phi = {germ.phi_value}, nbhd = {germ.nbhd_sign}"
-        )
-    return True
 
 
 _GERM_TABLE: tuple[tuple[str, Fraction, int], ...] = (
@@ -139,7 +110,10 @@ class LedgerEntry(Record):
     __slots__ = ("name", "phi", "nbhd_sign", "count")
 
     def _check(self):
-        if self.count < 1:
+        if type(self.phi) not in (type(None), int, Fraction):
+            raise InvalidInput(f"phi must be None, an int or a Fraction, got {self.phi!r}")
+        _int_arg(self.nbhd_sign, "nbhd_sign")
+        if _int_arg(self.count, "count") < 1:
             raise InvalidInput(f"count must be >= 1, got {self.count}")
 
     @property
@@ -151,6 +125,9 @@ class FibrationLedger(Record):
     """A fibration as its total signature plus a multiset of germ entries."""
 
     __slots__ = ("total_sign", "germs")
+
+    def _check(self):
+        _int_arg(self.total_sign, "total_sign")
 
 
 class FibrationReport(Record):
@@ -191,18 +168,6 @@ def solve_unknown_germ(led: FibrationLedger) -> LedgerEntry:
     return LedgerEntry(unknown.name, sigma - unknown.nbhd_sign, unknown.nbhd_sign, unknown.count)
 
 
-def _parse_phi(value) -> Fraction | None:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise InvalidInput(f"bad phi value {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise InvalidInput(f"bad phi value {value!r}")
-
-
 def ledger_from_obj(obj) -> FibrationLedger:
     """Build a ledger from the JSON object layout:
 
@@ -220,26 +185,21 @@ def ledger_from_obj(obj) -> FibrationLedger:
         raw_germs = obj["germs"]
     except KeyError as exc:
         raise InvalidInput(f"ledger is missing key {exc}") from exc
-    if not isinstance(total, int) or isinstance(total, bool):
-        raise InvalidInput(f"total_sign must be an integer, got {total!r}")
     if not isinstance(raw_germs, list):
         raise InvalidInput("germs must be a list")
     entries = []
     for item in raw_germs:
         if not isinstance(item, dict) or "name" not in item:
             raise InvalidInput(f"bad germ entry {item!r}")
-        nbhd = item.get("nbhd_sign", 0)
-        count = item.get("count", 1)
-        if not isinstance(nbhd, int) or isinstance(nbhd, bool):
-            raise InvalidInput(f"bad nbhd_sign {nbhd!r}")
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise InvalidInput(f"bad count {count!r}")
         name = str(item["name"])
         try:
             name.encode("utf-8")  # a lone surrogate has no encoding to print
         except UnicodeEncodeError as exc:
             raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
-        entries.append(LedgerEntry(name, _parse_phi(item.get("phi")), nbhd, count))
+        phi = item.get("phi")
+        if isinstance(phi, str):
+            phi = parse_rational(phi)
+        entries.append(LedgerEntry(name, phi, item.get("nbhd_sign", 0), item.get("count", 1)))
     return FibrationLedger(total, tuple(entries))
 
 

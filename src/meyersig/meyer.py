@@ -33,10 +33,8 @@ from .errors import ContractViolation, GenusMismatch, InconsistentRelations, Inv
 from .exactnum import (
     RatMatrix,
     SymmetricForm,
-    _int_arg,
     gram_restrict,
     kernel_basis,
-    parse_rational,
     signature_symmetric,
 )
 from .symplectic import (
@@ -246,16 +244,3 @@ def phi1(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> Fraction:
     entries, syllables = _sl2_reduce(a)
     _closed_form_matches_base()
     return _phi1_closed_form(entries, syllables)
-
-
-def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
-    """Value on the n-th power of a lasso: n * phi(sigma) + (n - 1).
-
-    Valid whenever consecutive powers pair to cocycle value -1, which is the
-    case for the monodromy of a lasso (a power of a single transvection).
-    """
-    if _int_arg(n, "power") < 1:
-        raise InvalidInput(f"power must be >= 1, got {n}")
-    if isinstance(phi_sigma, str):
-        phi_sigma = parse_rational(phi_sigma)
-    return Fraction(phi_sigma) * n + (n - 1)

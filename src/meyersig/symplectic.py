@@ -23,7 +23,7 @@ from .errors import (
     NotUnimodular,
     ZeroVector,
 )
-from .exactnum import RatMatrix, _entry
+from .exactnum import RatMatrix, _rows
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -33,9 +33,7 @@ def _int_rows(data: RatMatrix | Iterable[Iterable], error: type[Exception]) -> I
     ints; raises ``error`` unless every entry is an integer. Entries are read
     as ``RatMatrix`` reads them, so an ``int`` builds no Fraction and a string
     must be a ``parse_rational`` numeral."""
-    if isinstance(data, RatMatrix):
-        data = data.data
-    rows = tuple(tuple(map(_entry, row)) for row in data)
+    rows = data.data if isinstance(data, RatMatrix) else _rows(data)
     if any(x.denominator != 1 for row in rows for x in row):
         raise error("entries must be integers")
     return tuple(tuple(x.numerator for x in row) for row in rows)
@@ -217,24 +215,6 @@ class SL2Word(Record):
 
     def __str__(self) -> str:
         return "".join(self.letters())
-
-    @classmethod
-    def from_letters(cls, text: str) -> "SL2Word":
-        syllables: list[tuple[str, int]] = []
-        for ch in text:
-            if ch not in "SsTt":
-                raise MatrixFormatError(f"unknown letter {ch!r}")
-            gen = ch.upper()
-            e = 1 if ch.isupper() else -1
-            if syllables and syllables[-1][0] == gen:
-                merged = syllables[-1][1] + e
-                if merged == 0:
-                    syllables.pop()
-                else:
-                    syllables[-1] = (gen, merged)
-            else:
-                syllables.append((gen, e))
-        return cls(tuple(syllables))
 
 
 def _normalize_syllables(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

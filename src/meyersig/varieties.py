@@ -1,6 +1,6 @@
 """Closed-form lasso values for families of embedded projective varieties.
 
-Three entry points, all exact:
+Four entry points, all exact:
 
 * ``generic_surface_lasso`` takes the four classical invariants of an
   embedded surface (signature, Euler characteristic, degree, section genus)
@@ -12,9 +12,12 @@ Three entry points, all exact:
 * ``veronese_ci_lasso`` handles the degree-d Veronese image of a complete
   intersection of dimension n, reporting the lasso value as a ratio
   alpha/beta of the two displayed closed forms.
+* ``lasso_power`` turns the value on a lasso into the value on its n-th
+  power.
 
-The two routes agree on their common domain (d = 1, n = 2), which the test
-suite checks exhaustively for small multidegrees.
+``ci_surface_invariants`` and ``veronese_ci_lasso`` agree on their common
+domain (d = 1, n = 2), which the test suite checks exhaustively for small
+multidegrees.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from .errors import (
     ExcludedCase,
     GenusZero,
     InvalidInput,
-    NegativeGenus,
-    NonIntegralGenus,
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import _int_arg, parse_integer
+from .exactnum import _int_arg, parse_integer, parse_rational
 
 
 class SurfaceInvariants(Record):
@@ -42,6 +43,8 @@ class SurfaceInvariants(Record):
     __slots__ = ("sign", "chi", "deg", "genus")
 
     def _check(self):
+        for name in self.__slots__:
+            _int_arg(getattr(self, name), name)
         if self.deg < 1:
             raise InvalidInput(f"degree must be >= 1, got {self.deg}")
         if self.genus < 0:
@@ -177,28 +180,17 @@ def veronese_ci_lasso(spec: CISpec) -> LassoReport:
     return LassoReport(deg_dx, alpha / beta, alpha, beta)
 
 
-def hyperplane_genus(c1_dot_h: int, deg: int) -> int:
-    """Genus of a generic hyperplane section from adjunction data.
+def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
+    """Value on the n-th power of a lasso: n * phi(sigma) + (n - 1).
 
-    2 - 2g = <c_1 h, [X]> - deg X, so g = (2 - c1_dot_h + deg) / 2.
+    Valid whenever consecutive powers pair to cocycle value -1, which is the
+    case for the monodromy of a lasso (a power of a single transvection).
     """
-    if deg < 1:
-        raise InvalidInput(f"degree must be >= 1, got {deg}")
-    chi_section = c1_dot_h - deg
-    if chi_section % 2 != 0:
-        raise NonIntegralGenus(f"c1.h - deg = {chi_section} is odd")
-    g = (2 - chi_section) // 2
-    if g < 0:
-        raise NegativeGenus(f"genus {g} < 0")
-    return g
-
-
-def stratum_codim(i: int) -> tuple[int, int]:
-    """Codimension i^2 - i of the i-th degeneracy stratum, and the dimension
-    correction term i - i^2 for the fibers over the Grassmannian."""
-    if i < 1:
-        raise InvalidInput(f"stratum index must be >= 1, got {i}")
-    return i * i - i, i - i * i
+    if _int_arg(n, "power") < 1:
+        raise InvalidInput(f"power must be >= 1, got {n}")
+    if isinstance(phi_sigma, str):
+        phi_sigma = parse_rational(phi_sigma)
+    return Fraction(phi_sigma) * n + (n - 1)
 
 
 SEGRE33 = SurfaceInvariants(sign=0, chi=4, deg=18, genus=4)
@@ -219,33 +211,11 @@ def named_presets() -> tuple[str, ...]:
 
 
 def resolve_preset(name: str) -> PresetReport:
-    """Look up a named preset or parse a "ci:..." / "veronese-ci:..." key.
-
-    Keys: "ci:<m>:<n1,...>" and "veronese-ci:<m>:<degrees>:<n>:<d>".
-    """
+    """Look up a named preset."""
     if name == "segre33":
         return PresetReport(name, SEGRE33, generic_surface_lasso(SEGRE33))
     if name == "veronese-p4-d2":
         return PresetReport(name, None, veronese_ci_lasso(VERONESE_P4_D2))
-    if name.startswith("ci:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise InvalidInput(f"expected ci:<m>:<n1,...>, got {name!r}")
-        m = _parse_int(parts[1])
-        degrees = parse_degrees(parts[2])
-        inv, report = ci_surface_invariants(m, degrees)
-        return PresetReport(name, inv, report)
-    if name.startswith("veronese-ci:"):
-        parts = name.split(":")
-        if len(parts) != 5:
-            raise InvalidInput(
-                f"expected veronese-ci:<m>:<degrees>:<n>:<d>, got {name!r}"
-            )
-        m = _parse_int(parts[1])
-        degrees = parse_degrees(parts[2])
-        n = _parse_int(parts[3])
-        d = _parse_int(parts[4])
-        return PresetReport(name, None, veronese_ci_lasso(CISpec(m, degrees, n, d)))
     raise UnknownName(f"unknown preset {name!r}")
 
 

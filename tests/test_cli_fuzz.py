@@ -1,15 +1,20 @@
 """Random argv and random file contents: every run of ``cli.main`` ends in
-exit 0, 2 or 3 and never in a traceback."""
+exit 0, 2 or 3 and never in a traceback. Most examples are well-formed, so
+that each subcommand's output path is fuzzed as well as its error paths."""
 
 import io
+import itertools
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meyersig import ledger as germ_table, random_transvection_product
 from meyersig.cli import main
 
 # an OS argv never holds NUL
@@ -105,18 +110,104 @@ def run(args: list, files: list[bytes]) -> tuple[int, str]:
             paths.append(os.path.join(tmp, f"input{i}"))
             with open(paths[-1], "wb") as fh:
                 fh.write(data)
-        resolved = [paths[i % len(paths)] if t is FILE else t for i, t in enumerate(args)]
+        # the k-th FILE token names the k-th file, cycling
+        k = itertools.count()
+        resolved = [paths[next(k) % len(paths)] if t is FILE else t for t in args]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(resolved)
             out.flush()
     return code, err.getvalue()
 
 
+# --- well-formed inputs: each one, run, prints a result and exits 0
+
+GERM_NAMES = [g.name for g in germ_table()]
+rational = st.fractions(-20, 20, max_denominator=30)
+
+
+def matrix_file(rows) -> bytes:
+    n = len(rows)
+    return f"{n} {n}\n".encode() + "\n".join(" ".join(map(str, row)) for row in rows).encode()
+
+
+def symplectic_file(g: int):
+    """A matrix file holding a product of up to six transvections at genus g."""
+    return st.builds(
+        lambda seed, length: matrix_file(
+            random_transvection_product(random.Random(seed), g, length).mat
+        ),
+        st.integers(0, 2**32),
+        st.integers(0, 6),
+    )
+
+
+@st.composite
+def ledger_file(draw) -> tuple[bytes, bool]:
+    """A ledger whose last germ is unknown (and --solve is asked for) or carries
+    the value that balances it; returns the file and whether to --solve."""
+    entry = st.tuples(
+        st.sampled_from(GERM_NAMES) | text, rational, st.integers(-2, 2), st.integers(1, 5)
+    )
+    known = draw(st.lists(entry, max_size=3))
+    name, _, nbhd, count = draw(entry)
+    total = draw(st.integers(-50, 50))
+    solve = draw(st.booleans())
+    germ_sum = sum((c * (phi + s) for _, phi, s, c in known), Fraction(0))
+    last = None if solve else str((total - germ_sum) / count - nbhd)
+    germs = [
+        {"name": n, "phi": str(phi), "nbhd_sign": s, "count": c} for n, phi, s, c in known
+    ] + [{"name": name, "phi": last, "nbhd_sign": nbhd, "count": count}]
+    return json.dumps({"total_sign": total, "germs": germs}).encode(), solve
+
+
+@st.composite
+def well_formed(draw, command) -> tuple[list, list[bytes]]:
+    """Arguments, and the contents of the files they name, for a run that
+    ends in exit 0."""
+    files = []
+    if command == "tau":
+        g = draw(st.integers(1, 3))
+        files = [draw(symplectic_file(g)), draw(symplectic_file(g))]
+        args = ["--a1", FILE, "--a2", FILE]
+    elif command == "phi1":
+        files = [draw(symplectic_file(1))]
+        args = ["--matrix", FILE]
+    elif command == "ci":
+        # a single quadric is the excluded case
+        degrees = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3).filter([2].__ne__))
+        args = ["--m", str(len(degrees)), "--degrees", ",".join(map(str, degrees))]
+    elif command == "veronese":
+        degrees = draw(st.lists(st.integers(2, 5), max_size=2))
+        n = draw(st.integers(2, 5))
+        # the smallest Veronese degree outside the excluded cases
+        low = 1 if degrees not in ([], [2]) else 3 if not degrees and n == 2 else 2
+        d = draw(st.integers(low, 3))
+        args = ["--m", str(len(degrees)), "--degrees", ",".join(map(str, degrees))]
+        args += ["--n", str(n), "--d", str(d)]
+    elif command == "lasso-power":
+        args = ["--phi", str(draw(rational)), "--n", str(draw(st.integers(1, 10**6)))]
+    elif command == "germ":
+        args = ["--name", draw(st.sampled_from(GERM_NAMES))]
+    elif command == "fibration":
+        ledger_bytes, solve = draw(ledger_file())
+        files = [ledger_bytes]
+        args = ["--ledger", FILE] + ["--solve"] * solve
+    else:
+        args = []
+    return [command, *args] + ["--json"] * draw(st.booleans()), files
+
+
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 @settings(max_examples=40)
-@given(data=st.data(), files=st.lists(file_bytes, min_size=1, max_size=2))
-def test_cli_ends_in_a_known_exit_code(command, data, files):
-    code, err = run(data.draw(argv(command)), files)
+@given(data=st.data())
+def test_cli_ends_in_a_known_exit_code(command, data):
+    # most examples are well-formed, for every command but the unknown one
+    if command != "frobnicate" and data.draw(st.integers(0, 9), label="well-formed"):
+        args, files = data.draw(well_formed(command))
+    else:
+        args = data.draw(argv(command))
+        files = data.draw(st.lists(file_bytes, min_size=1, max_size=2))
+    code, err = run(args, files)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
 

@@ -60,6 +60,12 @@ def test_ci_loads_only_varieties():
     assert loaded & {"meyersig.symplectic", "meyersig.meyer", "meyersig.localsig"} == set()
 
 
+def test_lasso_power_loads_no_group_code():
+    loaded = loaded_by("lasso-power", "--phi", "-9/17", "--n", "2")
+    assert "meyersig.varieties" in loaded
+    assert loaded & {"meyersig.symplectic", "meyersig.meyer", "meyersig.localsig"} == set()
+
+
 def test_tau_loads_no_typing_or_random(tmp_path):
     # annotations need neither module: they are never evaluated
     matrix = tmp_path / "A.txt"
@@ -136,7 +142,7 @@ def test_subcommand_golden_in_a_fresh_process(tmp_path, argv, stdout):
 
 
 def test_every_public_name_resolves_to_its_defining_object():
-    assert len(meyersig.__all__) == len(set(meyersig.__all__)) == 70
+    assert len(meyersig.__all__) == len(set(meyersig.__all__)) == 63
     listed = dir(meyersig)
     for name in meyersig.__all__:
         value = getattr(meyersig, name)

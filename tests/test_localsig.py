@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from typing import Callable
@@ -6,25 +7,22 @@ import pytest
 
 from meyersig import (
     ComplexSurfaceData,
-    FiberGerm,
     FibrationLedger,
     IncompleteLedger,
     InvalidInput,
     LedgerEntry,
-    SmoothGermNonzero,
     UnknownName,
     ZeroOrManyUnknowns,
     check_fibration,
+    ci_surface_invariants,
     fiber_count,
     germ,
     germ_sigma,
-    holomorphic_from_topology,
     lasso_power,
     ledger,
     ledger_from_json,
     ledger_to_json,
     resolve_preset,
-    smooth_germ_check,
     solve_unknown_germ,
     surface_topology,
     tau,
@@ -109,13 +107,6 @@ def test_surface_topology_examples():
     assert surface_topology(ComplexSurfaceData(0, 0, 2)) == (0, 0)
 
 
-def test_surface_topology_round_trip():
-    for chi_o in range(-5, 12):
-        for k2 in range(-30, 31, 7):
-            chi_top, sign = surface_topology(ComplexSurfaceData(chi_o, k2, 3))
-            assert holomorphic_from_topology(chi_top, sign) == (chi_o, k2)
-
-
 def test_alpha_linear_forms_certified_on_a_range():
     for family in FAMILIES:
         for a in range(3, 13):
@@ -140,8 +131,6 @@ def test_fiber_count_rejects_low_genus():
 def test_data_validation():
     with pytest.raises(InvalidInput):
         ComplexSurfaceData(1, 1, 1)
-    with pytest.raises(InvalidInput):
-        ComplexSurfaceData(1, 1, 4, base="torus")
 
 
 # --- germ table --------------------------------------------------------------
@@ -162,7 +151,6 @@ def test_ledger_contents():
 def test_every_ledger_germ_has_consistent_sigma():
     for entry in ledger():
         assert entry.sigma == entry.phi_value + entry.nbhd_sign
-        assert not entry.smooth
 
 
 def test_rank3_doubling_relation():
@@ -192,13 +180,6 @@ def test_germ_sigma_reads_strings_through_the_numeral_grammar(text):
     with pytest.raises(InvalidInput):
         germ_sigma(text, 0)
     assert germ_sigma("28/17", -1) == Fr(11, 17)
-
-
-def test_smooth_germ_check():
-    assert smooth_germ_check(FiberGerm("ok", Fr(0), 0, smooth=True)) is True
-    assert smooth_germ_check(germ("R4/F_I")) is False  # not flagged, skipped
-    with pytest.raises(SmoothGermNonzero):
-        smooth_germ_check(FiberGerm("bad", Fr(-9, 17), 0, smooth=True))
 
 
 # --- solving and checking fibrations ----------------------------------------
@@ -282,6 +263,42 @@ def test_lasso_power_matches_cocycle_accumulation():
     for n in range(2, 10):
         acc = sigma + acc - tau(twist, twist ** (n - 1))
         assert lasso_power(sigma, n) == acc
+
+
+# --- Lefschetz pencils --------------------------------------------------------
+# A pencil of hyperplane sections on a surface X has X blown up at its deg(X)
+# base points as total space and deg D_X one-node fibers, each carrying the
+# lasso value phi of the variety: Euler count, lasso value and ledger agree.
+
+
+def pencil_ledger(sign: int, deg: int, phi: Fr, nodes: int) -> FibrationLedger:
+    return FibrationLedger(sign - deg, (LedgerEntry("node", phi, 0, nodes),))
+
+
+def test_complete_intersection_pencils_balance():
+    families = [
+        (inv, rep)
+        for m in (1, 2, 3)
+        for degrees in itertools.combinations_with_replacement(range(2, 7), m)
+        if degrees != (2,)  # the excluded quadric
+        for inv, rep in [ci_surface_invariants(m, degrees)]
+        if inv.genus >= 2
+    ]
+    assert len(families) == 52
+    for inv, rep in families:
+        assert fiber_count(inv.chi + inv.deg, inv.genus) == rep.deg_DX
+        assert rep.deg_DX * rep.phi == inv.sign - inv.deg
+        assert check_fibration(pencil_ledger(inv.sign, inv.deg, rep.phi, rep.deg_DX)).ok
+
+
+def test_genus_five_pencil_on_the_quartic_del_pezzo_balances():
+    # quadric sections of the degree-4 del Pezzo surface: sign -4, chi 8,
+    # 16 base points, genus 5
+    rep = resolve_preset("veronese-p4-d2").report
+    assert fiber_count(8 + 16, 5) == rep.deg_DX == 40
+    assert rep.phi == germ("NT5/F_I").phi_value == Fr(-1, 2)
+    assert rep.deg_DX * rep.phi == -4 - 16
+    assert check_fibration(pencil_ledger(-4, 16, rep.phi, rep.deg_DX)).ok
 
 
 # --- JSON ledger format ------------------------------------------------------

