@@ -59,6 +59,13 @@ def _int_arg(x, name: str) -> int:
     return x
 
 
+def _rational_arg(x, name: str) -> int | Fraction:
+    """Like ``_int_arg``, for an ``int`` or a ``Fraction`` (not a ``bool`` or float)."""
+    if type(x) not in (int, Fraction):
+        raise InvalidInput(f"{name} must be an int or a Fraction, got {x!r}")
+    return x
+
+
 def parse_rational(token: str) -> Fraction:
     """Parse an optional sign, ASCII digits and an optional "/q" denominator.
 
@@ -95,12 +102,17 @@ def _entry(x):
 def _rows(data: Iterable[Iterable]) -> tuple[tuple, ...]:
     """Outside matrix data as rows of ``_entry`` values: the one row reader of
     ``RatMatrix`` and of the symplectic types. A ``str`` or ``bytes`` row
-    raises ``MatrixFormatError`` instead of giving one entry per character."""
+    raises ``MatrixFormatError`` instead of giving one entry per character,
+    and so does a matrix or a row that is not iterable."""
     rows = []
-    for row in data:
-        if isinstance(row, (str, bytes, bytearray)):
-            raise MatrixFormatError(f"a matrix row must hold entries, got {type(row).__name__}")
-        rows.append(tuple(map(_entry, row)))
+    try:  # _entry raises no TypeError, so only iterating data or a row does
+        for row in data:
+            if isinstance(row, (str, bytes, bytearray)):
+                kind = type(row).__name__
+                raise MatrixFormatError(f"a matrix row must hold entries, got {kind}")
+            rows.append(tuple(map(_entry, row)))
+    except TypeError as exc:
+        raise MatrixFormatError(f"a matrix and its rows must be iterable: {exc}") from exc
     return tuple(rows)
 
 

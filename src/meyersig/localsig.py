@@ -22,7 +22,7 @@ from .errors import (
     UnknownName,
     ZeroOrManyUnknowns,
 )
-from .exactnum import _int_arg, parse_rational
+from .exactnum import _int_arg, _rational_arg, parse_rational
 
 
 class ComplexSurfaceData(Record):
@@ -62,6 +62,10 @@ class FiberGerm(Record):
 
     __slots__ = ("name", "phi_value", "nbhd_sign")
 
+    def _check(self):
+        _rational_arg(self.phi_value, "phi_value")
+        _int_arg(self.nbhd_sign, "nbhd_sign")
+
     @property
     def sigma(self) -> Fraction:
         return self.phi_value + self.nbhd_sign
@@ -72,7 +76,7 @@ def germ_sigma(phi_value: Fraction | int | str, nbhd_sign: int) -> Fraction:
     signature of a fiber neighbourhood."""
     if isinstance(phi_value, str):
         phi_value = parse_rational(phi_value)
-    return Fraction(phi_value) + _int_arg(nbhd_sign, "nbhd_sign")
+    return Fraction(_rational_arg(phi_value, "phi_value")) + _int_arg(nbhd_sign, "nbhd_sign")
 
 
 _GERM_TABLE: tuple[tuple[str, Fraction, int], ...] = (
@@ -110,8 +114,8 @@ class LedgerEntry(Record):
     __slots__ = ("name", "phi", "nbhd_sign", "count")
 
     def _check(self):
-        if type(self.phi) not in (type(None), int, Fraction):
-            raise InvalidInput(f"phi must be None, an int or a Fraction, got {self.phi!r}")
+        if self.phi is not None:
+            _rational_arg(self.phi, "phi")
         _int_arg(self.nbhd_sign, "nbhd_sign")
         if _int_arg(self.count, "count") < 1:
             raise InvalidInput(f"count must be >= 1, got {self.count}")
@@ -128,6 +132,9 @@ class FibrationLedger(Record):
 
     def _check(self):
         _int_arg(self.total_sign, "total_sign")
+        germs = self.germs
+        if not (isinstance(germs, tuple) and all(isinstance(e, LedgerEntry) for e in germs)):
+            raise InvalidInput("germs must be a tuple of LedgerEntry")
 
 
 class FibrationReport(Record):

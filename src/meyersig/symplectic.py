@@ -220,31 +220,33 @@ class SL2Word(Record):
 def _normalize_syllables(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     out: list[tuple[str, int]] = []
     for gen, e in raw:
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
         if gen == "S":
             e %= 4  # S^4 = I
-        if e == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + e
-            if gen == "S":
-                merged %= 4
-            if merged == 0:
-                out.pop()
-                continue
-            out[-1] = (gen, merged)
-        else:
+        if e != 0:
             out.append((gen, e))
     return tuple(out)
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _sl2_reduce(
     a: SymplecticElement | RatMatrix | Iterable[Iterable],
-) -> tuple[tuple[int, int, int, int], tuple[tuple[str, int], ...]]:
-    """Read a 2x2 integer matrix of determinant 1, or raise ``NotUnimodular``;
-    return its entries (a, b, c, d) and the syllables of ``sl2_word``.
+) -> tuple[tuple[int, int, int, int], list[tuple[str, int]], int]:
+    """Read a 2x2 integer matrix A of determinant 1, or raise ``NotUnimodular``;
+    return its entries (a, b, c, d), raw syllables of a word for A (which
+    ``sl2_word`` normalizes) and Rademacher's integer function Phi(A) (which
+    ``meyer.phi1`` reads), all from one Euclidean reduction.
 
-    ``sl2_word`` and ``meyer.phi1`` share it, so each reads and checks its
-    input once.
+    Phi is folded from Phi(T^n) = n, Phi(S^k) = 0 and Phi(XY) = Phi(X) +
+    Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry, which holds for any
+    factorization. Only the bottom row (c, d) of the running product X is
+    kept, and only up to sign, as Phi(-X) = Phi(X): T^n and S^2 = -I have
+    c = 0 and add no correction; Y = S has c_Y = 1 and c_XY = d, so it adds
+    -3 sign(c d).
     """
     mat = a.mat if isinstance(a, SymplecticElement) else _int_rows(a, NotUnimodular)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
@@ -255,23 +257,27 @@ def _sl2_reduce(
     entries = (aa, bb, cc, dd)
 
     raw: list[tuple[str, int]] = []
-    # invariant: input = (product of raw) * [[aa, bb], [cc, dd]]
+    phi, c, d = 0, 0, 1
+    # invariant: input = (product of raw) * [[aa, bb], [cc, dd]], and the
+    # product of raw has Phi = phi and bottom row +-(c, d)
     while cc != 0:
         q = aa // cc
         if q != 0:
             raw.append(("T", q))
+            phi += q
+            d += c * q
             aa, bb = aa - q * cc, bb - q * dd
         raw.append(("S", 1))
+        phi -= 3 * _sign(c * d)
+        c, d = d, -c
         # strip S^{-1} from the remainder: S^{-1} [[a,b],[c,d]] = [[c,d],[-a,-b]]
         aa, bb, cc, dd = cc, dd, -aa, -bb
-    if aa == 1:
-        if bb != 0:
-            raw.append(("T", bb))
-    else:  # aa == dd == -1, remainder is -T^{-bb} = S^2 T^{-bb}
+    if aa != 1:  # aa == dd == -1, remainder is -T^{-bb} = S^2 T^{-bb}
         raw.append(("S", 2))
-        if bb != 0:
-            raw.append(("T", -bb))
-    return entries, _normalize_syllables(raw)
+        bb = -bb
+    if bb != 0:
+        raw.append(("T", bb))
+    return entries, raw, phi + bb
 
 
 def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
@@ -281,7 +287,7 @@ def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
     the bit lengths of the entries, -I is normalized to S^2 and S-exponents
     are reduced mod 4.
     """
-    return SL2Word(_sl2_reduce(a)[1])
+    return SL2Word(_normalize_syllables(_sl2_reduce(a)[1]))
 
 
 def random_transvection_product(rng, g: int, length: int) -> SymplecticElement:

@@ -384,6 +384,35 @@ def test_phi1_on_long_words_parabolics_and_negative_c(matrix):
     assert phi1(matrix) == expected
 
 
+SMALL = range(-8, 9)
+SMALL_SL2 = [
+    [[a, b], [c, d]] for a in SMALL for b in SMALL for c in SMALL for d in SMALL if a * d - b * c == 1
+]
+ONE_PASS_INPUTS = SMALL_SL2 + [fibonacci_matrix(n) for n in range(2, 321, 2)]
+
+
+def test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci():
+    # every matrix with entries in [-8, 8], so +-I, +-T^n, S and S^3 included
+    for special in ([[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]],
+                    [[1, 8], [0, 1]], [[-1, 8], [0, -1]]):
+        assert special in ONE_PASS_INPUTS
+    for matrix in ONE_PASS_INPUTS:
+        (a, b), (c, d) = matrix
+        assert phi1(matrix) == phi1_closed_form(a, b, c, d), matrix
+
+
+def test_sl2_word_is_in_normal_form_and_evaluates_back():
+    for matrix in SMALL_SL2:
+        assert sl2_word(matrix).evaluate() == SymplecticElement(matrix), matrix
+    for matrix in ONE_PASS_INPUTS:
+        syllables = sl2_word(matrix).syllables
+        # the int product of the test, as evaluate() on a Fibonacci word takes seconds
+        assert _word_product(syllables) == (*matrix[0], *matrix[1]), matrix
+        assert all(e != 0 for _, e in syllables), syllables
+        assert all(g != h for (g, _), (h, _) in zip(syllables, syllables[1:])), syllables
+        assert all(1 <= e <= 3 for g, e in syllables if g == "S"), syllables
+
+
 def test_phi1_evaluates_no_tau(monkeypatch):
     phi1(TWIST)  # solves phi1_base and checks the closed form against it
 

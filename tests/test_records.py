@@ -246,6 +246,11 @@ def test_validation_raises_the_documented_error(build, error):
         lambda: germ_sigma(Fr(1, 2), 0.5),
         lambda: germ_sigma(Fr(1, 2), True),
         lambda: germ_sigma(Fr(1, 2), "1"),
+        lambda: germ_sigma(0.1, 0),
+        lambda: germ_sigma(True, 0),
+        lambda: FiberGerm("x", 0.5, 0),
+        lambda: FiberGerm("x", True, 0),
+        lambda: FiberGerm("x", Fr(1, 2), 0.5),
         lambda: LedgerEntry("x", Fr(1), 0, 2.5),
         lambda: LedgerEntry("x", Fr(1), 0, True),
         lambda: LedgerEntry("x", Fr(1), 0.5, 1),
@@ -254,6 +259,8 @@ def test_validation_raises_the_documented_error(build, error):
         lambda: LedgerEntry("x", "1/2", 0, 1),
         lambda: FibrationLedger(0.5, (ENTRY,)),
         lambda: FibrationLedger(False, ()),
+        lambda: FibrationLedger(0, []),
+        lambda: FibrationLedger(0, ("x",)),
         lambda: ComplexSurfaceData(1.5, 2, 4),
         lambda: ComplexSurfaceData(1, "2", 4),
         lambda: ComplexSurfaceData(1, 2, 4.0),
@@ -279,6 +286,11 @@ def test_validation_raises_the_documented_error(build, error):
         "germ-float-sign",
         "germ-bool-sign",
         "germ-string-sign",
+        "germ-float-phi",
+        "germ-bool-phi",
+        "fiber-germ-float-phi",
+        "fiber-germ-bool-phi",
+        "fiber-germ-float-sign",
         "entry-float-count",
         "entry-bool-count",
         "entry-float-sign",
@@ -287,6 +299,8 @@ def test_validation_raises_the_documented_error(build, error):
         "entry-string-phi",
         "ledger-float-total",
         "ledger-bool-total",
+        "ledger-list-germs",
+        "ledger-string-germ",
         "surface-float-chi",
         "surface-string-k2",
         "surface-float-genus",

@@ -238,6 +238,10 @@ def test_word_round_trip_on_random_products(seeded):
         (sl2_word, ["11", "01"]),
         (transvection, "10"),
         (transvection, b"\x01\x00"),
+        (RatMatrix, [1, 2]),
+        (phi1, [1, 2]),
+        (SymplecticElement, 5),
+        (transvection, 5),
     ],
     ids=[
         "element",
@@ -248,10 +252,15 @@ def test_word_round_trip_on_random_products(seeded):
         "sl2_word",
         "transvection",
         "transvection-bytes",
+        "ratmatrix-int-rows",
+        "phi1-int-rows",
+        "element-int",
+        "transvection-int",
     ],
 )
 def test_string_rows_are_refused(read, data):
-    # read one character at a time, ["11", "01"] would be [[1, 1], [0, 1]]
+    # read one character at a time, ["11", "01"] would be [[1, 1], [0, 1]];
+    # a matrix or row that is not iterable would end in a bare TypeError
     with pytest.raises(MatrixFormatError):
         read(data)
 
