@@ -14,8 +14,7 @@ _EXPORTS = {
         "ZeroOrManyUnknowns", "ZeroVector",
     ),
     "exactnum": (
-        "RatMatrix", "SymmetricForm", "gram_restrict", "kernel_basis", "parse_matrix",
-        "signature_symmetric",
+        "RatMatrix", "gram_restrict", "kernel_basis", "parse_matrix", "signature_symmetric",
     ),
     "symplectic": (
         "SL2Word", "SymplecticElement", "direct_sum", "gen_S", "gen_T",
@@ -32,8 +31,7 @@ _EXPORTS = {
     "localsig": (
         "ComplexSurfaceData", "FiberGerm", "FibrationLedger", "FibrationReport", "LedgerEntry",
         "check_fibration", "fiber_count", "germ", "germ_sigma", "ledger", "ledger_from_json",
-        "ledger_from_obj", "ledger_to_json", "ledger_to_obj", "solve_unknown_germ",
-        "surface_topology",
+        "ledger_from_obj", "solve_unknown_germ", "surface_topology",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,24 +5,24 @@ The module holds:
 * numeral parsing: one grammar for integers (``parse_integer``) and one for
   rationals (``parse_rational``), and the matrix text format
   (``parse_matrix``),
-* ``RatMatrix``, an immutable container of exact entries that is parsed,
-  compared and handed to the helpers below, with no arithmetic of its own,
-* right kernel bases of exact matrices, as primitive integer vectors
+* ``RatMatrix``, an immutable container of exact entries that is parsed and
+  compared, with no arithmetic of its own,
+* right kernel bases of integer matrices, as primitive integer vectors
   (``kernel_basis``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
-* signatures of symmetric forms by congruence diagonalization
+* signatures of symmetric integer forms by congruence diagonalization
   (``signature_symmetric``).
 
-Every elimination is integer-preserving: rows are cleared of denominators by
-positive multiples, a pivot step cross-multiplies instead of dividing, and
-each new row or block is divided by its content. Integer input therefore
-never meets ``fractions.Fraction``; only rational ``RatMatrix`` input does,
-and only while its denominators are cleared. No floating point enters any
-computation path. Rescaling basis vectors by positive constants is a
-congruence, so none of these scalings moves a signature (Sylvester's law of
-inertia); signatures are integers decided by signs of exact pivots, and
-every downstream value is reproducible bit for bit.
+The three linear-algebra helpers take and return rows of ``int``s, and refuse
+any other entry with ``MatrixFormatError``. Every elimination is
+integer-preserving: a pivot step cross-multiplies instead of dividing, and
+each new row or block is divided by its content, so neither rational nor
+floating-point arithmetic enters any computation path. Rescaling basis
+vectors by positive constants is a congruence, so none of these scalings
+moves a signature (Sylvester's law of inertia); signatures are integers
+decided by signs of exact pivots, and every downstream value is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -99,18 +99,28 @@ def _entry(x):
         raise MatrixFormatError(f"bad matrix entry {x!r}") from exc
 
 
-def _rows(data: Iterable[Iterable]) -> tuple[tuple, ...]:
-    """Outside matrix data as rows of ``_entry`` values: the one row reader of
-    ``RatMatrix`` and of the symplectic types. A ``str`` or ``bytes`` row
-    raises ``MatrixFormatError`` instead of giving one entry per character,
-    and so does a matrix or a row that is not iterable."""
+def _int_entry(x) -> int:
+    """One entry for the linear-algebra helpers: an ``int`` as it is; anything
+    else, a ``bool``, a rational, a float or a string included, raises
+    ``MatrixFormatError``."""
+    if type(x) is not int:
+        raise MatrixFormatError(f"entries must be ints, got {type(x).__name__}")
+    return x
+
+
+def _rows(data: Iterable[Iterable], entry=_entry) -> tuple[tuple, ...]:
+    """Outside matrix data as rows of ``entry`` values: the one row reader of
+    ``RatMatrix``, of the symplectic types and (with ``_int_entry``) of the
+    linear-algebra helpers. A ``str`` or ``bytes`` row raises
+    ``MatrixFormatError`` instead of giving one entry per character, and so
+    does a matrix or a row that is not iterable."""
     rows = []
-    try:  # _entry raises no TypeError, so only iterating data or a row does
+    try:  # neither entry reader raises TypeError, so only iterating data or a row does
         for row in data:
             if isinstance(row, (str, bytes, bytearray)):
                 kind = type(row).__name__
                 raise MatrixFormatError(f"a matrix row must hold entries, got {kind}")
-            rows.append(tuple(map(_entry, row)))
+            rows.append(tuple(map(entry, row)))
     except TypeError as exc:
         raise MatrixFormatError(f"a matrix and its rows must be iterable: {exc}") from exc
     return tuple(rows)
@@ -118,7 +128,7 @@ def _rows(data: Iterable[Iterable]) -> tuple[tuple, ...]:
 
 class RatMatrix(Record):
     """Immutable dense matrix of exact rationals, row-major: the output of
-    ``parse_matrix`` and the input of ``kernel_basis`` and ``SymmetricForm``.
+    ``parse_matrix`` and an input of ``SymplecticElement``.
 
     ``int`` entries are kept as they are, ``str`` entries are read by
     ``parse_rational`` and any other entry becomes a Fraction; a row must not
@@ -159,20 +169,27 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // d for x in row] if d > 1 else row
 
 
-def _cleared(row: Iterable, lcm: int) -> list[int]:
-    """Integer row: the exact rationals of ``row`` times ``lcm``, which every
-    denominator divides. Fraction-free for int entries."""
-    return [x.numerator * (lcm // x.denominator) for x in row]
+def _int_matrix(data: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of an integer matrix, read at the linear-algebra helpers'
+    boundary: an entry that is not an ``int`` and a row of another length
+    than the first raise ``MatrixFormatError``. No rows means no columns."""
+    rows = _rows(data, _int_entry)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise MatrixFormatError("ragged rows")
+    return rows
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Rows of M scaled to primitive integer rows (same row space)."""
-    return [
-        _primitive(_cleared(row, math.lcm(*(x.denominator for x in row)))) for row in m.data
-    ]
+def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``gram`` itself, or ``AsymmetricGram`` if it is not square and symmetric."""
+    n = len(gram)
+    if gram and len(gram[0]) != n:
+        raise AsymmetricGram(f"Gram matrix must be square, got {n}x{len(gram[0])}")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise AsymmetricGram("Gram matrix is not symmetric")
+    return gram
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+def _eliminate(rows: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Each pivot step replaces every other row r by p*r - r[c]*(pivot row) and
@@ -199,16 +216,17 @@ def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[
     return rows[: len(pivots)], pivots
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[int, ...]]:
-    """Basis of {v : Mv = 0} as primitive integer vectors.
+def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Basis of {v : Mv = 0} as primitive integer vectors, for M given by int rows.
 
     There is one basis vector per free column f: the positive multiple, with coprime
     integer entries, of the reduced-echelon vector that carries 1 at position
     f and the negated reduced-echelon entries at the pivot positions. The
     output depends only on M, not on elimination order.
     """
-    cols = m.cols
-    rows, pivots = _eliminate(_integer_rows(m), cols)
+    rows = _int_matrix(m)
+    cols = len(rows[0]) if rows else 0
+    rows, pivots = _eliminate(list(rows), cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -222,44 +240,28 @@ def kernel_basis(m: RatMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-class SymmetricForm(Record):
-    """A symmetric bilinear form carried by its Gram matrix."""
+def gram_restrict(
+    s: Iterable[Iterable[int]], basis: Iterable[Iterable[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix G[i][j] = (x_i + y_i)^t S y_j of basis vectors b = (x | y),
+    as int rows.
 
-    __slots__ = ("gram",)
-
-    def __init__(self, gram: RatMatrix):
-        d = gram.data
-        if len(d) != gram.cols:
-            raise AsymmetricGram(f"Gram matrix must be square, got {gram.shape}")
-        if any(d[i][j] != d[j][i] for i in range(len(d)) for j in range(i)):
-            raise AsymmetricGram("Gram matrix is not symmetric")
-        object.__setattr__(self, "gram", gram)
-
-    @property
-    def dim(self) -> int:
-        return self.gram.cols
-
-
-def gram_restrict(s: Sequence[Sequence], basis: Sequence[Sequence]) -> SymmetricForm:
-    """Gram matrix G[i][j] = (x_i + y_i)^t S y_j of basis vectors b = (x | y).
-
-    S is an n x n matrix and each basis vector has length 2n. S itself need
+    S is an n x n int matrix and each basis vector has 2n ints. S itself need
     not be symmetric; the restriction to the supplied vectors must be, and an
     asymmetric result raises AsymmetricGram (a non-kernel basis, or a bug).
     """
+    s, basis = _int_matrix(s), _int_matrix(basis)
     n = len(s)
-    if any(len(row) != n for row in s):
+    if s and len(s[0]) != n:
         raise MatrixFormatError("pairing matrix must be square")
-    for v in basis:
-        if len(v) != 2 * n:
-            raise MatrixFormatError(
-                f"basis vector of length {len(v)} against pairing of size {n}"
-            )
+    if basis and len(basis[0]) != 2 * n:
+        raise MatrixFormatError(
+            f"basis vector of length {len(basis[0])} against pairing of size {n}"
+        )
     ys = [v[n:] for v in basis]
     sums = [[a + b for a, b in zip(v, y)] for v, y in zip(basis, ys)]
     images = [[dot(row, y) for row in s] for y in ys]
-    g = [[dot(u, img) for img in images] for u in sums]
-    return SymmetricForm(RatMatrix(g, cols=len(basis)))
+    return _symmetric(tuple(tuple(dot(u, img) for img in images) for u in sums))
 
 
 def _swap_symmetric(g: list[list[int]], i: int, j: int) -> None:
@@ -280,24 +282,21 @@ def _split_hyperbolic(g: list[list[int]], i: int, j: int) -> None:
         g[r][i], g[r][j] = a + b, a - b
 
 
-def signature_symmetric(form: SymmetricForm | RatMatrix) -> int:
-    """Signature (#positive - #negative diagonal pivots) of a symmetric form.
+def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
+    """Signature (#positive - #negative diagonal pivots) of the symmetric form
+    with Gram matrix ``gram``, given by int rows; a Gram that is not square
+    and symmetric raises AsymmetricGram.
 
-    Integer-preserving congruence diagonalization. A rational Gram is first
-    multiplied by the positive lcm of its denominators. Symmetric pivoting
-    takes the first nonzero diagonal entry p and replaces the active block by
+    Integer-preserving congruence diagonalization. Symmetric pivoting takes
+    the first nonzero diagonal entry p and replaces the active block by
     |p| times its Schur complement, divided by the block's content: both are
     positive scalings, so no signature moves. When the active diagonal is
     entirely zero but some off-diagonal entry remains, a hyperbolic basis
     change exposes a pair of opposite pivots. Zero eigenvalues contribute
     nothing.
     """
-    if isinstance(form, RatMatrix):
-        form = SymmetricForm(form)
-    data = form.gram.data
-    lcm = math.lcm(*(x.denominator for row in data for x in row))
-    g = [_cleared(row, lcm) for row in data]
-    n = form.dim
+    g = [list(row) for row in _symmetric(_int_matrix(gram))]
+    n = len(g)
     pos = neg = 0
     k = 0
     while k < n:

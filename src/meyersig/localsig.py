@@ -218,22 +218,3 @@ def ledger_from_json(text: str) -> FibrationLedger:
     except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"bad ledger JSON: {exc}") from exc
     return ledger_from_obj(obj)
-
-
-def ledger_to_obj(led: FibrationLedger) -> dict:
-    return {
-        "total_sign": led.total_sign,
-        "germs": [
-            {
-                "name": e.name,
-                "phi": None if e.phi is None else str(e.phi),
-                "nbhd_sign": e.nbhd_sign,
-                "count": e.count,
-            }
-            for e in led.germs
-        ],
-    }
-
-
-def ledger_to_json(led: FibrationLedger) -> str:
-    return json.dumps(ledger_to_obj(led), indent=2) + "\n"

@@ -30,13 +30,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, InvalidInput
-from .exactnum import (
-    RatMatrix,
-    SymmetricForm,
-    gram_restrict,
-    kernel_basis,
-    signature_symmetric,
-)
+from .exactnum import RatMatrix, gram_restrict, kernel_basis, signature_symmetric
 from .symplectic import (
     IntMatrix,
     SL2Word,
@@ -53,8 +47,9 @@ def _minus_identity(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
 
 
-def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
-    """The symmetric form whose signature is tau(a1, a2).
+def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
+    """The Gram matrix, as int rows, of the symmetric form whose signature is
+    tau(a1, a2).
 
     Exposed separately so callers can inspect the restricted Gram matrix;
     its congruence class (hence signature) is basis-independent.
@@ -63,7 +58,7 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> SymmetricForm:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
     left = _minus_identity(a1.inverse().mat)
     right = _minus_identity(a2.mat)
-    basis = kernel_basis(RatMatrix([a + b for a, b in zip(left, right)], cols=4 * a1.g))
+    basis = kernel_basis([a + b for a, b in zip(left, right)])
     # S = J (I - A2), the 2g x 2g block of the pairing
     s = apply_J(tuple(tuple(-x for x in row) for row in right))
     return gram_restrict(s, basis)

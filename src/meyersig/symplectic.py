@@ -166,6 +166,7 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
 
 _S = ((0, -1), (1, 0))
 _T = ((1, 1), (0, 1))
+_S_POWERS = (_identity(2), _S, ((-1, 0), (0, -1)), ((0, 1), (-1, 0)))  # S^0 .. S^3
 
 
 @functools.cache
@@ -194,15 +195,16 @@ class SL2Word(Record):
         for gen, e in self.syllables:
             if gen not in ("S", "T"):
                 raise MatrixFormatError(f"unknown generator {gen!r}")
-            if e == 0:
-                raise MatrixFormatError("zero exponent syllable")
+            if type(e) is not int or e == 0:
+                raise MatrixFormatError(f"exponent must be a nonzero int, got {e!r}")
 
     def evaluate(self) -> SymplecticElement:
-        result = SymplecticElement.identity(1)
+        """The product of the syllables: S^e as S^(e mod 4) and T^e as
+        [[1, e], [0, 1]], folded in 2x2 ints and wrapped once."""
+        mat = _S_POWERS[0]
         for gen, e in self.syllables:
-            base = gen_S() if gen == "S" else gen_T()
-            result = result * base**e
-        return result
+            mat = _matmul(mat, _S_POWERS[e % 4] if gen == "S" else ((1, e), (0, 1)))
+        return SymplecticElement._derived(mat)
 
     def letters(self):
         for gen, e in self.syllables:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from meyersig import ledger_to_json, ledger_from_json, meyer, solve_unknown_germ, varieties
+from meyersig import ledger_from_json, meyer, solve_unknown_germ, varieties
 from meyersig.cli import main
 
 

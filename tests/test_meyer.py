@@ -14,7 +14,6 @@ from meyersig import (
     InvalidInput,
     NotUnimodular,
     PhiBase,
-    RatMatrix,
     SymplecticElement,
     direct_sum,
     gen_S,
@@ -52,11 +51,7 @@ def test_tau_on_twist_powers(n):
 
 def test_tau_form_on_twist_powers_is_the_expected_diagonal():
     for n in range(1, 6):
-        form = tau_form(TWIST, TWIST**n)
-        expected = RatMatrix(
-            [[0, 0, 0], [0, 0, 0], [0, 0, -n * (n + 1)]]
-        )
-        assert form.gram == expected
+        assert tau_form(TWIST, TWIST**n) == ((0, 0, 0), (0, 0, 0), (0, 0, -n * (n + 1)))
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -159,7 +154,7 @@ def test_tau_bound(seeded):
             a2 = random_transvection_product(seeded, g, 6)
             value = tau(a1, a2)
             assert abs(value) <= 4 * g
-            assert abs(value) <= tau_form(a1, a2).dim
+            assert abs(value) <= len(tau_form(a1, a2))
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -402,12 +397,10 @@ def test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci():
 
 
 def test_sl2_word_is_in_normal_form_and_evaluates_back():
-    for matrix in SMALL_SL2:
-        assert sl2_word(matrix).evaluate() == SymplecticElement(matrix), matrix
     for matrix in ONE_PASS_INPUTS:
-        syllables = sl2_word(matrix).syllables
-        # the int product of the test, as evaluate() on a Fibonacci word takes seconds
-        assert _word_product(syllables) == (*matrix[0], *matrix[1]), matrix
+        word = sl2_word(matrix)
+        assert word.evaluate() == SymplecticElement(matrix), matrix
+        syllables = word.syllables
         assert all(e != 0 for _, e in syllables), syllables
         assert all(g != h for (g, _), (h, _) in zip(syllables, syllables[1:])), syllables
         assert all(1 <= e <= 3 for g, e in syllables if g == "S"), syllables

@@ -34,7 +34,6 @@ from meyersig import (
     RatMatrix,
     SL2Word,
     SurfaceInvariants,
-    SymmetricForm,
     SymplecticElement,
     ci_surface_invariants,
     fiber_count,
@@ -204,6 +203,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: CISpec(0, (), 2, 2), ExcludedCase),
         (lambda: SL2Word((("U", 1),)), MatrixFormatError),
         (lambda: SL2Word((("S", 0),)), MatrixFormatError),
+        (lambda: SL2Word((("T", 1.5),)), MatrixFormatError),
     ],
     ids=[
         "surface-genus",
@@ -221,6 +221,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "ci-n2-d2-m0",
         "word-generator",
         "word-exponent",
+        "word-float-exponent",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):
@@ -324,7 +325,6 @@ IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [
     SymplecticElement.identity(2),
     RatMatrix([[1, Fr(1, 2)], [3, 4]]),
     RatMatrix([], cols=3),
-    SymmetricForm(RatMatrix([[1, 2], [2, 4]])),
 ]
 ROUND_TRIPS = {
     "copy": copy.copy,

@@ -12,6 +12,7 @@ from meyersig import (
     SurfaceInvariants,
     UnknownName,
     ci_surface_invariants,
+    fiber_count,
     generic_surface_lasso,
     named_presets,
     phi1,
@@ -122,6 +123,14 @@ def test_veronese_plane_cubics():
     assert report.beta == 12
     assert report.phi == Fr(-2, 3)
     assert report.deg_DX == 12
+    # Kuno's lasso value for plane curves of degree d; the pencil of genus
+    # (d-1)(d-2)/2 on P2 blown up at its d^2 base points balances
+    for d in range(4, 14):
+        report = veronese_ci_lasso(CISpec(0, (), 2, d))
+        assert report.phi == Fr(-(d + 1), 3 * (d - 1)), d
+        assert report.deg_DX == 3 * (d - 1) ** 2, d
+        assert fiber_count(3 + d * d, (d - 1) * (d - 2) // 2) == report.deg_DX, d
+        assert report.deg_DX * report.phi == 1 - d * d, d
 
 
 @pytest.mark.parametrize(
