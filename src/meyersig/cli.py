@@ -12,6 +12,7 @@ Each handler imports only the layer it runs, so a call loads no other.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -210,7 +211,9 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description=(

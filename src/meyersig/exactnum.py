@@ -16,13 +16,14 @@ The module holds:
 
 The three linear-algebra helpers take and return rows of ``int``s, and refuse
 any other entry with ``MatrixFormatError``. Every elimination is
-integer-preserving: a pivot step cross-multiplies instead of dividing, and
-each new row or block is divided by its content, so neither rational nor
-floating-point arithmetic enters any computation path. Rescaling basis
-vectors by positive constants is a congruence, so none of these scalings
-moves a signature (Sylvester's law of inertia); signatures are integers
-decided by signs of exact pivots, and every downstream value is
-reproducible bit for bit.
+integer-preserving: the kernel's Gauss-Jordan elimination is Bareiss's
+fraction-free one, whose pivot step cross-multiplies and then divides
+exactly by the previous pivot, and the signature's Schur complements are
+divided by their content, so neither rational nor floating-point arithmetic
+enters any computation path. Rescaling basis vectors by positive constants
+is a congruence, so none of these scalings moves a signature (Sylvester's
+law of inertia); signatures are integers decided by signs of exact pivots,
+and every downstream value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -87,40 +88,45 @@ def dot(u: Sequence, v: Sequence):
 
 
 def _entry(x):
-    """One matrix entry from outside: an ``int`` as it is, a ``str`` by
-    ``parse_rational``, anything else by ``Fraction`` (or ``MatrixFormatError``)."""
-    if type(x) is int:
+    """One matrix entry from outside: an ``int`` or a ``Fraction`` as it is, a
+    ``str`` by ``parse_rational``; anything else, a ``bool``, a float or a
+    ``Decimal`` included, raises ``MatrixFormatError``."""
+    if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, str):
         return parse_rational(x)
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MatrixFormatError(f"bad matrix entry {x!r}") from exc
+    kind = type(x).__name__
+    raise MatrixFormatError(f"matrix entries must be ints, Fractions or numerals, got {kind}")
 
 
-def _int_entry(x) -> int:
-    """One entry for the linear-algebra helpers: an ``int`` as it is; anything
-    else, a ``bool``, a rational, a float or a string included, raises
-    ``MatrixFormatError``."""
-    if type(x) is not int:
-        raise MatrixFormatError(f"entries must be ints, got {type(x).__name__}")
-    return x
+def _entries(row: Iterable) -> tuple:
+    return tuple(map(_entry, row))
 
 
-def _rows(data: Iterable[Iterable], entry=_entry) -> tuple[tuple, ...]:
-    """Outside matrix data as rows of ``entry`` values: the one row reader of
-    ``RatMatrix``, of the symplectic types and (with ``_int_entry``) of the
-    linear-algebra helpers. A ``str`` or ``bytes`` row raises
+def _int_entries(row: Iterable) -> tuple[int, ...]:
+    """One row for the linear-algebra helpers: its entries must all be ``int``s
+    (not ``bool``s, rationals, floats or strings), or ``MatrixFormatError``
+    names the first other type."""
+    row = tuple(row)
+    if not set(map(type, row)) <= {int}:
+        bad = next(type(x).__name__ for x in row if type(x) is not int)
+        raise MatrixFormatError(f"entries must be ints, got {bad}")
+    return row
+
+
+def _rows(data: Iterable[Iterable], read=_entries) -> tuple[tuple, ...]:
+    """Outside matrix data as rows, each read by ``read``: the one row reader
+    of ``RatMatrix``, of the symplectic types and (with ``_int_entries``) of
+    the linear-algebra helpers. A ``str`` or ``bytes`` row raises
     ``MatrixFormatError`` instead of giving one entry per character, and so
     does a matrix or a row that is not iterable."""
     rows = []
-    try:  # neither entry reader raises TypeError, so only iterating data or a row does
+    try:  # neither row reader raises TypeError, so only iterating data or a row does
         for row in data:
             if isinstance(row, (str, bytes, bytearray)):
                 kind = type(row).__name__
                 raise MatrixFormatError(f"a matrix row must hold entries, got {kind}")
-            rows.append(tuple(map(entry, row)))
+            rows.append(read(row))
     except TypeError as exc:
         raise MatrixFormatError(f"a matrix and its rows must be iterable: {exc}") from exc
     return tuple(rows)
@@ -130,9 +136,9 @@ class RatMatrix(Record):
     """Immutable dense matrix of exact rationals, row-major: the output of
     ``parse_matrix`` and an input of ``SymplecticElement``.
 
-    ``int`` entries are kept as they are, ``str`` entries are read by
-    ``parse_rational`` and any other entry becomes a Fraction; a row must not
-    be a string.
+    ``int`` and ``Fraction`` entries are kept as they are and ``str`` entries
+    are read by ``parse_rational``; any other entry, and a row that is a
+    string, raises ``MatrixFormatError``.
     """
 
     __slots__ = ("data", "cols")
@@ -173,7 +179,7 @@ def _int_matrix(data: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows of an integer matrix, read at the linear-algebra helpers'
     boundary: an entry that is not an ``int`` and a row of another length
     than the first raise ``MatrixFormatError``. No rows means no columns."""
-    rows = _rows(data, _int_entry)
+    rows = _rows(data, _int_entries)
     if any(len(row) != len(rows[0]) for row in rows):
         raise MatrixFormatError("ragged rows")
     return rows
@@ -190,14 +196,18 @@ def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]
 
 
 def _eliminate(rows: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
 
-    Each pivot step replaces every other row r by p*r - r[c]*(pivot row) and
-    divides it by its content. Returns the nonzero rows and their pivot
-    columns: row i is a nonzero multiple of row i of the reduced row echelon
-    form, so it is zero in every other pivot column.
+    With p the new pivot and ``prev`` the one before it (1 at first), each
+    pivot step replaces every other row r, rows that are zero in the pivot
+    column included, by (p*r - r[c]*(pivot row)) / prev; by Sylvester's
+    identity the division is exact, and entries stay minors of the input.
+    Returns the nonzero rows and their pivot columns: row i is zero in every
+    other pivot column, and every pivot entry equals the last pivot, so each
+    row is that pivot times row i of the reduced row echelon form.
     """
     pivots: list[int] = []
+    prev = 1
     for c in range(cols):
         r = len(pivots)
         if r == len(rows):
@@ -209,10 +219,11 @@ def _eliminate(rows: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]
         top = rows[r]
         p = top[c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = _primitive([p * x - f * y for x, y in zip(row, top)])
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
+        prev = p
     return rows[: len(pivots)], pivots
 
 
@@ -221,21 +232,23 @@ def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
 
     There is one basis vector per free column f: the positive multiple, with coprime
     integer entries, of the reduced-echelon vector that carries 1 at position
-    f and the negated reduced-echelon entries at the pivot positions. The
-    output depends only on M, not on elimination order.
+    f and the negated reduced-echelon entries at the pivot positions. After
+    the Bareiss elimination every pivot entry is the last pivot d, so |d|
+    times that vector is integral: |d| at f and -sign(d) * row[f] at each
+    pivot. The output depends only on M, not on elimination order.
     """
     rows = _int_matrix(m)
     cols = len(rows[0]) if rows else 0
     rows, pivots = _eliminate(list(rows), cols)
+    d = rows[0][pivots[0]] if pivots else 1
+    sign = 1 if d > 0 else -1
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        # reduced-echelon entry of row i at column f is row[f] / row[pivot]
-        scale = math.lcm(*(abs(row[p]) for row, p in zip(rows, pivots) if row[f]))
         v = [0] * cols
-        v[f] = scale
+        v[f] = abs(d)
         for row, p in zip(rows, pivots):
-            v[p] = -row[f] * (scale // row[p])
+            v[p] = -sign * row[f]
         basis.append(tuple(_primitive(v)))
     return basis
 

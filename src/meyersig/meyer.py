@@ -48,17 +48,21 @@ def _minus_identity(m: IntMatrix) -> IntMatrix:
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
-    """The Gram matrix, as int rows, of the symmetric form whose signature is
+    """The Gram matrix, as int rows, of a symmetric form whose signature is
     tau(a1, a2).
 
-    Exposed separately so callers can inspect the restricted Gram matrix;
-    its congruence class (hence signature) is basis-independent.
+    The form is Meyer's pairing on the kernel V, less its radical vectors
+    (x | 0): there A1 x = x, so they pair to zero with all of V, and the Gram
+    keeps one row per kernel basis vector whose y-half is nonzero, dim Fix(A1)
+    fewer than dim V. Dropping a radical moves no signature; the congruence
+    class of the Gram (hence its signature) is basis-independent.
     """
     if a1.g != a2.g:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
     left = _minus_identity(a1.inverse().mat)
     right = _minus_identity(a2.mat)
-    basis = kernel_basis([a + b for a, b in zip(left, right)])
+    n = len(right)
+    basis = [v for v in kernel_basis([a + b for a, b in zip(left, right)]) if any(v[n:])]
     # S = J (I - A2), the 2g x 2g block of the pairing
     s = apply_J(tuple(tuple(-x for x in row) for row in right))
     return gram_restrict(s, basis)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from ._record import Record
 from .errors import (
@@ -45,7 +46,7 @@ def _identity(n: int) -> IntMatrix:
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def apply_J(m: IntMatrix) -> IntMatrix:

@@ -30,6 +30,27 @@ def sample_symplectic(r: random.Random, g: int, length: int = 8) -> SymplecticEl
     return random_transvection_product(r, g, length)
 
 
+def tau_pairs(r: random.Random, per_genus: int = 20, genera=range(1, 7)):
+    """Seeded pairs (A1, A2) at each genus, cycling through plain pairs of
+    transvection products and pairs built with products, powers and inverses."""
+    pairs = []
+    for g in genera:
+        for k in range(per_genus):
+            a = random_transvection_product(r, g, r.randint(1, 5))
+            b = random_transvection_product(r, g, r.randint(1, 5))
+            e = r.choice((-2, -1, 2, 3))
+            pairs.append([(a, b), (a, a * b), (a, b**e), (a.inverse(), b * a), (a, a**e)][k % 5])
+    return pairs
+
+
+def tau_matrix(a1: SymplecticElement, a2: SymplecticElement) -> list[list[int]]:
+    """[(A1^-1 - I) | (A2 - I)], the matrix whose kernel tau's form lives on."""
+    return [
+        [x - (i == j) for j, x in enumerate(row)] + [y - (i == j) for j, y in enumerate(row2)]
+        for i, (row, row2) in enumerate(zip(a1.inverse().mat, a2.mat))
+    ]
+
+
 # Tier-1 runs the property tests on a fixed example sequence and keeps no
 # example database, so a run is repeatable and leaves no .hypothesis/ behind.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)

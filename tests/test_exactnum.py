@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 import linalg_oracle as oracle
+from conftest import tau_matrix, tau_pairs
 from meyersig import (
     AsymmetricGram,
     MatrixFormatError,
@@ -127,37 +128,53 @@ def test_rank_plus_nullity():
         assert oracle.rank(oracle.transpose(m)) + len(kernel_basis(m)) == cols
 
 
-rational = st.just(Fr(0)) | st.sampled_from(
-    sorted({Fr(n, d) for n in range(-5, 6) for d in range(1, 7)}, key=abs)
-)
-rational_matrix = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
-    lambda shape: st.lists(
-        st.lists(rational, min_size=shape[1], max_size=shape[1]),
-        min_size=shape[0],
-        max_size=shape[0],
-    )
-)
-
-
-@given(m=rational_matrix)
-def test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors(m):
+def rref_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
+    """The oracle's kernel basis: for each free column f of rref(m), the
+    reduced-echelon vector with 1 at f, cleared of denominators and divided
+    by the gcd of its entries (so positive at f)."""
     cols = len(m[0])
     reduced, pivots = oracle.rref(m, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    # each row times the lcm of its denominators: the same kernel, in ints
-    cleared = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in m]
-    basis = kernel_basis(cleared)
-    assert len(basis) == cols - len(pivots) == len(free)
-    for v, f in zip(basis, free):
-        assert all(type(x) is int for x in v)
-        assert math.gcd(*v) == 1
-        expected = [Fr(0)] * cols
-        expected[f] = Fr(1)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fr(0)] * cols
+        v[f] = Fr(1)
         for row, p in zip(reduced, pivots):
-            expected[p] = -row[f]
-        # v[f] is the positive multiplier, since the reduced-echelon vector has 1 there
-        assert v[f] > 0
-        assert list(v) == [v[f] * x for x in expected]
+            v[p] = -row[f]
+        scaled = [int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+        basis.append(tuple(x // math.gcd(*scaled) for x in scaled))
+    return basis
+
+
+def test_kernel_of_tau_matrices_is_the_rref_kernel():
+    # the matrices tau eliminates, at every genus the benchmarks reach: wide,
+    # rank-deficient, with row swaps and long runs of pivots
+    for a1, a2 in tau_pairs(random.Random(1968)):
+        m = tau_matrix(a1, a2)
+        assert kernel_basis(m) == rref_kernel(m)
+
+
+@st.composite
+def int_matrix(draw):
+    """Int matrices up to 8 x 12, some of whose columns are zero or repeat
+    another column, so that row swaps and rank deficiency are common."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    entry = st.just(0) | st.integers(-6, 6)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    column = st.integers(0, cols - 1)
+    for src, dst in draw(st.lists(st.tuples(column, column), max_size=3)):
+        for row in m:
+            row[dst] = row[src]
+    for c in draw(st.lists(column, max_size=2)):
+        for row in m:
+            row[c] = 0
+    return m
+
+
+@given(m=int_matrix())
+def test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors(m):
+    basis = kernel_basis(m)
+    assert all(type(x) is int for v in basis for x in v)
+    assert basis == rref_kernel(m)
 
 
 # --- signature --------------------------------------------------------------

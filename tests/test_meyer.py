@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 import random
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import linalg_oracle as oracle
 from meyersig import (
     ContractViolation,
     GenusMismatch,
@@ -18,18 +20,21 @@ from meyersig import (
     direct_sum,
     gen_S,
     gen_T,
+    gram_restrict,
+    kernel_basis,
     lasso_power,
     phi1,
     phi1_base,
     phi1_word,
     random_transvection_product,
+    signature_symmetric,
     sl2_word,
     tau,
     tau_cocycle_defect,
     tau_form,
 )
 from meyersig import meyer
-from conftest import random_sl2
+from conftest import random_sl2, tau_matrix, tau_pairs
 
 TWIST = SymplecticElement([[1, -1], [0, 1]])
 
@@ -50,8 +55,36 @@ def test_tau_on_twist_powers(n):
 
 
 def test_tau_form_on_twist_powers_is_the_expected_diagonal():
+    # the kernel is spanned by (1,0|0,0), (0,0|1,0) and (0,n|0,1); the first is
+    # the radical vector (x | 0) with x fixed by TWIST, which tau_form drops
     for n in range(1, 6):
-        assert tau_form(TWIST, TWIST**n) == ((0, 0, 0), (0, 0, 0), (0, 0, -n * (n + 1)))
+        assert tau_form(TWIST, TWIST**n) == ((0, 0), (0, -n * (n + 1)))
+
+
+def _minus_identity(m) -> list[list[int]]:
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def test_tau_form_drops_exactly_the_radical_vectors():
+    for a1, a2 in tau_pairs(random.Random(1973)):
+        n = len(a1.mat)
+        full = kernel_basis(tau_matrix(a1, a2))
+        dropped = [i for i, v in enumerate(full) if not any(v[n:])]
+        # the dropped vectors are (x | 0) with A1 x = x, and span all of them
+        for i in dropped:
+            x = full[i][:n]
+            assert [sum(map(operator.mul, row, x)) for row in a1.mat] == list(x)
+        assert len(dropped) == n - oracle.rank(_minus_identity(a1.mat))
+        # they pair to zero with the whole kernel, and tau_form is the rest;
+        # the pairing is J (I - A2), J = [[0, I], [-I, 0]]
+        m = _minus_identity(a2.mat)
+        pairing = [[-x for x in row] for row in m[n // 2 :]] + m[: n // 2]
+        gram = gram_restrict(pairing, full)
+        assert all(gram[i][j] == gram[j][i] == 0 for i in dropped for j in range(len(full)))
+        kept = [i for i in range(len(full)) if i not in dropped]
+        form = tau_form(a1, a2)
+        assert form == tuple(tuple(gram[i][j] for j in kept) for i in kept)
+        assert signature_symmetric(form) == signature_symmetric(gram)
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import pytest
@@ -182,9 +183,22 @@ def test_string_entries_outside_the_numeral_grammar_are_invalid(read, token):
     "read", [SymplecticElement, RatMatrix, phi1, sl2_word], ids=lambda f: f.__name__
 )
 def test_entries_fraction_cannot_read_are_invalid(read, entry):
-    # Fraction() raises TypeError, ValueError or OverflowError on these
     with pytest.raises(InvalidInput):
         read([[entry, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "entry", [1.0, True, 0.5, Decimal("1")], ids=["float-1.0", "True", "float-0.5", "Decimal"]
+)
+@pytest.mark.parametrize(
+    "read",
+    [RatMatrix, SymplecticElement, phi1, sl2_word, lambda rows: transvection(rows[0])],
+    ids=["RatMatrix", "SymplecticElement", "phi1", "sl2_word", "transvection"],
+)
+def test_entries_are_ints_fractions_or_numerals(read, entry):
+    # Fraction() reads all of these, and [[1, 1.0], [0, True]] would be T
+    with pytest.raises(MatrixFormatError, match=type(entry).__name__):
+        read([[1, entry], [0, 1]])
 
 
 def test_fast_inverse_formula():
