@@ -14,7 +14,7 @@ _EXPORTS = {
         "ZeroOrManyUnknowns", "ZeroVector",
     ),
     "exactnum": (
-        "RatMatrix", "gram_restrict", "kernel_basis", "parse_matrix", "signature_symmetric",
+        "gram_restrict", "kernel_basis", "parse_matrix", "signature_symmetric",
     ),
     "symplectic": (
         "SL2Word", "SymplecticElement", "direct_sum", "gen_S", "gen_T",

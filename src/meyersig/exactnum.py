@@ -4,9 +4,9 @@ The module holds:
 
 * numeral parsing: one grammar for integers (``parse_integer``) and one for
   rationals (``parse_rational``), and the matrix text format
-  (``parse_matrix``),
-* ``RatMatrix``, an immutable container of exact entries that is parsed and
-  compared, with no arithmetic of its own,
+  (``parse_matrix``), which gives int rows,
+* the one reader of matrix arguments (``_int_matrix``): a matrix is a tuple
+  of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
   (``kernel_basis``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
@@ -14,8 +14,9 @@ The module holds:
 * signatures of symmetric integer forms by congruence diagonalization
   (``signature_symmetric``).
 
-The three linear-algebra helpers take and return rows of ``int``s, and refuse
-any other entry with ``MatrixFormatError``. Every elimination is
+The three linear-algebra helpers, like every matrix argument of the
+library, take rows of ``int``s and refuse any other entry with
+``MatrixFormatError``; they return int rows. Every elimination is
 integer-preserving: the kernel's Gauss-Jordan elimination is Bareiss's
 fraction-free one, whose pivot step cross-multiplies and then divides
 exactly by the previous pivot, and the signature's Schur complements are
@@ -34,7 +35,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._record import Record
 from .errors import AsymmetricGram, InvalidInput, MatrixFormatError
 
 _INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
@@ -87,88 +87,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def _entry(x):
-    """One matrix entry from outside: an ``int`` or a ``Fraction`` as it is, a
-    ``str`` by ``parse_rational``; anything else, a ``bool``, a float or a
-    ``Decimal`` included, raises ``MatrixFormatError``."""
-    if type(x) is int or type(x) is Fraction:
-        return x
-    if isinstance(x, str):
-        return parse_rational(x)
-    kind = type(x).__name__
-    raise MatrixFormatError(f"matrix entries must be ints, Fractions or numerals, got {kind}")
-
-
-def _entries(row: Iterable) -> tuple:
-    return tuple(map(_entry, row))
-
-
-def _int_entries(row: Iterable) -> tuple[int, ...]:
-    """One row for the linear-algebra helpers: its entries must all be ``int``s
-    (not ``bool``s, rationals, floats or strings), or ``MatrixFormatError``
-    names the first other type."""
-    row = tuple(row)
-    if not set(map(type, row)) <= {int}:
-        bad = next(type(x).__name__ for x in row if type(x) is not int)
-        raise MatrixFormatError(f"entries must be ints, got {bad}")
-    return row
-
-
-def _rows(data: Iterable[Iterable], read=_entries) -> tuple[tuple, ...]:
-    """Outside matrix data as rows, each read by ``read``: the one row reader
-    of ``RatMatrix``, of the symplectic types and (with ``_int_entries``) of
-    the linear-algebra helpers. A ``str`` or ``bytes`` row raises
-    ``MatrixFormatError`` instead of giving one entry per character, and so
-    does a matrix or a row that is not iterable."""
-    rows = []
-    try:  # neither row reader raises TypeError, so only iterating data or a row does
-        for row in data:
-            if isinstance(row, (str, bytes, bytearray)):
-                kind = type(row).__name__
-                raise MatrixFormatError(f"a matrix row must hold entries, got {kind}")
-            rows.append(read(row))
-    except TypeError as exc:
-        raise MatrixFormatError(f"a matrix and its rows must be iterable: {exc}") from exc
-    return tuple(rows)
-
-
-class RatMatrix(Record):
-    """Immutable dense matrix of exact rationals, row-major: the output of
-    ``parse_matrix`` and an input of ``SymplecticElement``.
-
-    ``int`` and ``Fraction`` entries are kept as they are and ``str`` entries
-    are read by ``parse_rational``; any other entry, and a row that is a
-    string, raises ``MatrixFormatError``.
-    """
-
-    __slots__ = ("data", "cols")
-
-    def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = _rows(data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise MatrixFormatError("ragged rows")
-            if cols is not None and cols != width:
-                raise MatrixFormatError(f"declared {cols} columns, rows have {width}")
-        else:
-            width = 0 if cols is None else cols
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "cols", width)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.data), self.cols)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(a) for a in row) for row in self.data)
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-
 def _primitive(row: list[int]) -> list[int]:
     """Row divided by the gcd of its entries (a zero row stays zero)."""
     d = math.gcd(*row)
@@ -176,13 +94,28 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _int_matrix(data: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows of an integer matrix, read at the linear-algebra helpers'
-    boundary: an entry that is not an ``int`` and a row of another length
-    than the first raise ``MatrixFormatError``. No rows means no columns."""
-    rows = _rows(data, _int_entries)
+    """The one reader of a matrix argument: its rows as tuples of ``int``s.
+
+    An entry that is not an ``int`` (a ``bool``, ``Fraction``, float or
+    string included) raises ``MatrixFormatError`` naming its type; so do a
+    ``str`` or ``bytes`` row (not read one character at a time), a matrix or
+    row that is not iterable, and ragged rows. No rows means no columns.
+    """
+    rows = []
+    try:  # only iterating data or a row raises TypeError here
+        for row in data:
+            if isinstance(row, (str, bytes, bytearray)):
+                raise MatrixFormatError(f"a matrix row must hold entries, got {type(row).__name__}")
+            row = tuple(row)
+            if not set(map(type, row)) <= {int}:
+                bad = next(type(x).__name__ for x in row if type(x) is not int)
+                raise MatrixFormatError(f"entries must be ints, got {bad}")
+            rows.append(row)
+    except TypeError as exc:
+        raise MatrixFormatError(f"a matrix and its rows must be iterable: {exc}") from exc
     if any(len(row) != len(rows[0]) for row in rows):
         raise MatrixFormatError("ragged rows")
-    return rows
+    return tuple(rows)
 
 
 def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -344,10 +277,13 @@ def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
     return pos - neg
 
 
-def parse_matrix(text: str) -> RatMatrix:
-    """Parse the matrix text format: "rows cols" then row-major entries.
+def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse the matrix text format, "rows cols" then row-major entries, into
+    int rows (a matrix without rows is ``()``).
 
-    Entries are ``parse_rational`` tokens separated by arbitrary whitespace.
+    Entries are ``parse_rational`` tokens separated by arbitrary whitespace,
+    so an integral "p/q" such as "4/2" reads as its integer; once every token
+    has parsed, a non-integral one raises ``MatrixFormatError``.
     """
     tokens = text.split()
     if len(tokens) < 2:
@@ -364,7 +300,7 @@ def parse_matrix(text: str) -> RatMatrix:
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(body)}"
         )
     entries = [parse_rational(tok) for tok in body]
-    return RatMatrix(
-        [entries[r * cols : (r + 1) * cols] for r in range(rows)], cols=cols
-    )
-
+    if any(x.denominator != 1 for x in entries):
+        raise MatrixFormatError("entries must be integers")
+    ints = [x.numerator for x in entries]
+    return tuple(tuple(ints[r * cols : (r + 1) * cols]) for r in range(rows))

@@ -29,14 +29,15 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ContractViolation, GenusMismatch, InconsistentRelations, InvalidInput
-from .exactnum import RatMatrix, gram_restrict, kernel_basis, signature_symmetric
+from .errors import ContractViolation, GenusMismatch, InconsistentRelations
+from .exactnum import _rational_arg, gram_restrict, kernel_basis, signature_symmetric
 from .symplectic import (
     IntMatrix,
     SL2Word,
     SymplecticElement,
     _sign,
     _sl2_reduce,
+    _syllable,
     apply_J,
     gen_S,
     gen_T,
@@ -91,6 +92,10 @@ class PhiBase(Record):
     """Values of the genus-1 cobounding function on the generators S and T."""
 
     __slots__ = ("phi_S", "phi_T")
+
+    def _check(self):
+        for name in self.__slots__:
+            _rational_arg(getattr(self, name), name)
 
 
 def _relator_tau_sum(letters: list[str]) -> int:
@@ -165,23 +170,23 @@ def phi1_word(
 
     The result depends only on the product of the word, not the word itself;
     that independence is what the coboundary identity guarantees and what the
-    tests exercise.
+    tests exercise. A syllable that is not a tuple (generator, exponent), with
+    the generator "S" or "T" and an ``int`` exponent, raises
+    ``MatrixFormatError``; a zero exponent is the identity.
     """
     if base is None:
         base = phi1_base()
-    syllables = word.syllables if isinstance(word, SL2Word) else tuple(word)
+    syllables = word.syllables if isinstance(word, SL2Word) else tuple(map(_syllable, word))
     generators = {"S": (gen_S(), base.phi_S), "T": (gen_T(), base.phi_T)}
     acc: tuple[SymplecticElement, Fraction] | None = None
     for gen, e in syllables:
-        if gen not in generators:
-            raise InvalidInput(f"unknown generator {gen!r}")
         el, phi_el = generators[gen]
         part = _power_phi(el, phi_el, e)
         acc = part if acc is None else _fold(acc[0], acc[1], part[0], part[1])
     return Fraction(0) if acc is None else acc[1]
 
 
-def _phi1_closed_form(m: SymplecticElement | RatMatrix | Iterable[Iterable]) -> Fraction:
+def _phi1_closed_form(m: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
     """-Phi(A)/3 + eps(A) for A = [[a, b], [c, d]] read by ``_sl2_reduce``;
     eps = sign(c(a + d - 2)) for c != 0 and sign(b(d + 1)) for c = 0."""
     (a, b, c, d), _, rademacher = _sl2_reduce(m)
@@ -202,8 +207,12 @@ def _closed_form_matches_base() -> None:
             )
 
 
-def phi1(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> Fraction:
+def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
     """The cobounding function on SL(2,Z), in closed form.
+
+    A is a ``SymplecticElement`` of genus 1 or int rows; any other entry, a
+    ``Fraction`` included, raises ``MatrixFormatError``, and a matrix that is
+    not 2x2 of determinant 1 raises ``NotUnimodular``.
 
     phi1(A) = -Phi(A)/3 + eps(A), with Rademacher's integer function Phi
     folded in ints inside the Euclidean reduction of A (``_sl2_reduce``); no

@@ -17,27 +17,10 @@ from collections.abc import Iterable, Sequence
 from operator import mul
 
 from ._record import Record
-from .errors import (
-    GenusMismatch,
-    MatrixFormatError,
-    NotSymplectic,
-    NotUnimodular,
-    ZeroVector,
-)
-from .exactnum import RatMatrix, _rows
+from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
+from .exactnum import _int_matrix
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _int_rows(data: RatMatrix | Iterable[Iterable], error: type[Exception]) -> IntMatrix:
-    """Outside matrix data (a RatMatrix, nested lists, numerals) as rows of
-    ints; raises ``error`` unless every entry is an integer. Entries are read
-    as ``RatMatrix`` reads them, so an ``int`` builds no Fraction and a string
-    must be a ``parse_rational`` numeral."""
-    rows = data.data if isinstance(data, RatMatrix) else _rows(data)
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise error("entries must be integers")
-    return tuple(tuple(x.numerator for x in row) for row in rows)
 
 
 def _identity(n: int) -> IntMatrix:
@@ -59,14 +42,16 @@ def apply_J(m: IntMatrix) -> IntMatrix:
 class SymplecticElement(Record):
     """A 2g x 2g integer matrix A with A^t J A = J, validated on construction.
 
-    ``mat`` is a tuple of int tuples. Elements derived from validated data
-    skip the check (see ``_derived``).
+    The argument is int rows, read by ``exactnum._int_matrix``: any other
+    entry, a ``Fraction`` or a numeral string included, and ragged rows raise
+    ``MatrixFormatError``. ``mat`` is a tuple of int tuples. Elements derived
+    from validated data skip the check (see ``_derived``).
     """
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat: RatMatrix | Iterable[Iterable]):
-        rows = _int_rows(mat, NotSymplectic)
+    def __init__(self, mat: Iterable[Iterable[int]]):
+        rows = _int_matrix(mat)
         n = len(rows)
         if n < 2 or n % 2 != 0 or any(len(row) != n for row in rows):
             raise NotSymplectic(f"need an even square matrix of size >= 2, got {n} rows")
@@ -126,7 +111,7 @@ def transvection(v: Sequence[int]) -> SymplecticElement:
 
     For nonzero v of length 2g this is I + v (Jv)^t, always symplectic.
     """
-    (vv,) = _int_rows((v,), MatrixFormatError)
+    (vv,) = _int_matrix((v,))
     if len(vv) % 2 != 0 or not vv:
         raise MatrixFormatError(f"vector length must be even and positive, got {len(vv)}")
     if not any(vv):
@@ -182,6 +167,16 @@ def gen_T() -> SymplecticElement:
     return SymplecticElement(_T)
 
 
+def _syllable(syllable) -> tuple[str, int]:
+    """``syllable`` itself if it is a tuple (generator, exponent) with the
+    generator "S" or "T" and an ``int`` exponent (not a ``bool``), or
+    ``MatrixFormatError``."""
+    pair = isinstance(syllable, tuple) and len(syllable) == 2 and syllable[0] in ("S", "T")
+    if not (pair and type(syllable[1]) is int):
+        raise MatrixFormatError("a syllable must be a tuple ('S' or 'T', int exponent)")
+    return syllable
+
+
 class SL2Word(Record):
     """A word in the generators S, T as (generator, exponent) syllables.
 
@@ -193,11 +188,11 @@ class SL2Word(Record):
     __slots__ = ("syllables",)
 
     def _check(self):
-        for gen, e in self.syllables:
-            if gen not in ("S", "T"):
-                raise MatrixFormatError(f"unknown generator {gen!r}")
-            if type(e) is not int or e == 0:
-                raise MatrixFormatError(f"exponent must be a nonzero int, got {e!r}")
+        if not isinstance(self.syllables, tuple):
+            raise MatrixFormatError("syllables must be a tuple of (generator, exponent) pairs")
+        for _, e in map(_syllable, self.syllables):
+            if e == 0:
+                raise MatrixFormatError("exponent must be nonzero")
 
     def evaluate(self) -> SymplecticElement:
         """The product of the syllables: S^e as S^(e mod 4) and T^e as
@@ -237,12 +232,13 @@ def _sign(x: int) -> int:
 
 
 def _sl2_reduce(
-    a: SymplecticElement | RatMatrix | Iterable[Iterable],
+    a: SymplecticElement | Iterable[Iterable[int]],
 ) -> tuple[tuple[int, int, int, int], list[tuple[str, int]], int]:
-    """Read a 2x2 integer matrix A of determinant 1, or raise ``NotUnimodular``;
-    return its entries (a, b, c, d), raw syllables of a word for A (which
-    ``sl2_word`` normalizes) and Rademacher's integer function Phi(A) (which
-    ``meyer.phi1`` reads), all from one Euclidean reduction.
+    """Read a 2x2 matrix A of determinant 1 from int rows (``_int_matrix``), or
+    raise ``NotUnimodular``; return its entries (a, b, c, d), raw syllables
+    of a word for A (which ``sl2_word`` normalizes) and Rademacher's integer
+    function Phi(A) (which ``meyer.phi1`` reads), all from one Euclidean
+    reduction.
 
     Phi is folded from Phi(T^n) = n, Phi(S^k) = 0 and Phi(XY) = Phi(X) +
     Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry, which holds for any
@@ -251,7 +247,7 @@ def _sl2_reduce(
     c = 0 and add no correction; Y = S has c_Y = 1 and c_XY = d, so it adds
     -3 sign(c d).
     """
-    mat = a.mat if isinstance(a, SymplecticElement) else _int_rows(a, NotUnimodular)
+    mat = a.mat if isinstance(a, SymplecticElement) else _int_matrix(a)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
         raise NotUnimodular("need a 2x2 matrix")
     (aa, bb), (cc, dd) = mat
@@ -283,7 +279,7 @@ def _sl2_reduce(
     return entries, raw, phi + bb
 
 
-def sl2_word(a: SymplecticElement | RatMatrix | Iterable[Iterable]) -> SL2Word:
+def sl2_word(a: SymplecticElement | Iterable[Iterable[int]]) -> SL2Word:
     """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
 
     Euclidean reduction of the first column: the word length is bounded by

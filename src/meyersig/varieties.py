@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import _int_arg, parse_integer, parse_rational
+from .exactnum import _int_arg, _rational_arg, parse_integer, parse_rational
 
 
 class SurfaceInvariants(Record):
@@ -81,7 +81,12 @@ class CISpec(Record):
     def _check(self):
         for name in ("m", "n", "d"):
             _int_arg(getattr(self, name), name)
-        object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree") for x in self.degrees))
+        try:
+            degrees = tuple(self.degrees)
+        except TypeError as exc:
+            kind = type(self.degrees).__name__
+            raise InvalidInput(f"degrees must be iterable, got {kind}") from exc
+        object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree") for x in degrees))
         if self.m != len(self.degrees):
             raise InvalidInput(
                 f"m = {self.m} but {len(self.degrees)} degrees supplied"
@@ -133,7 +138,7 @@ def ci_surface_invariants(
     characteristic, signature, section genus, and the discriminant degree
     prod(n_i) * ((m^2+m)/2 + sum n_i^2 - (m+1) sum n_i + sum_{i<j} n_i n_j).
     """
-    spec = CISpec(m, tuple(degrees), n=2, d=1)  # validates, m >= 1 here
+    spec = CISpec(m, degrees, n=2, d=1)  # validates, m >= 1 here
     s1, s2, e2 = _sym_sums(spec.degrees)
     deg = prod(spec.degrees)
     chi = deg * (comb(m + 3, 2) + s2 - (m + 3) * s1 + e2)
@@ -190,7 +195,7 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
         raise InvalidInput(f"power must be >= 1, got {n}")
     if isinstance(phi_sigma, str):
         phi_sigma = parse_rational(phi_sigma)
-    return Fraction(phi_sigma) * n + (n - 1)
+    return Fraction(_rational_arg(phi_sigma, "phi")) * n + (n - 1)
 
 
 SEGRE33 = SurfaceInvariants(sign=0, chi=4, deg=18, genus=4)

@@ -64,6 +64,21 @@ def test_phi1_rejects_bad_matrix(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["phi1", "tau"])
+def test_matrix_files_hold_integers(capsys, twist_file, tmp_path, command):
+    def run(path):
+        args = ["--matrix", path] if command == "phi1" else ["--a1", path, "--a2", twist_file]
+        return run_cli(capsys, command, *args)
+
+    half = tmp_path / "half.txt"
+    half.write_text("2 2\n1 1/2\n0 1\n")
+    assert run(str(half)) == (2, "", "error: entries must be integers\n")
+    # tokens keep the p/q grammar, so an integral p/q reads as its integer
+    integral = tmp_path / "integral.txt"
+    integral.write_text("2 2\n2/2 -3/3\n0/7 +4/4\n")
+    assert run(str(integral)) == run(twist_file)
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "tau", "--a1", "/no/such/file", "--a2", "/no/such/file")
     assert code == 2

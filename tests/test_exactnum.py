@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -13,11 +14,14 @@ from conftest import tau_matrix, tau_pairs
 from meyersig import (
     AsymmetricGram,
     MatrixFormatError,
-    RatMatrix,
+    SymplecticElement,
     gram_restrict,
     kernel_basis,
     parse_matrix,
+    phi1,
     signature_symmetric,
+    sl2_word,
+    transvection,
 )
 from meyersig.exactnum import parse_rational
 
@@ -59,32 +63,56 @@ def random_invertible(r: random.Random, n: int) -> list[list[int]]:
 # --- the int-row boundary ---------------------------------------------------
 
 
-HELPERS = {
+# Every matrix argument of the library is read by one reader, exactnum._int_matrix.
+READERS = {
+    "SymplecticElement": SymplecticElement,
+    "phi1": phi1,
+    "sl2_word": sl2_word,
+    # transvection's vector is the second row, where every defect below sits
+    "transvection": lambda rows: transvection(rows[1] if isinstance(rows, list) else rows),
     "kernel_basis": kernel_basis,
     "signature_symmetric": signature_symmetric,
     "gram_restrict-pairing": lambda rows: gram_restrict(rows, []),
     "gram_restrict-basis": lambda rows: gram_restrict([[0]], rows),  # basis vectors of length 2
 }
+# entries that are not ints, integral values and numeral strings included
+NOT_INTS = {
+    "Fraction": Fr(0),
+    "Fraction-1/2": Fr(1, 2),
+    "float": 0.0,
+    "float-1.0": 1.0,
+    "float-0.5": 0.5,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "bool": False,
+    "True": True,
+    "Decimal": Decimal("1"),
+    "None": None,
+    "list": [1],
+    "object": object(),
+    "str": "0",
+    **{token: token for token in ("1e0", "1.5", "1_0", "x")},
+}
+NOT_INT_ROWS = {
+    **{name: [[1, 0], [x, 1]] for name, x in NOT_INTS.items()},
+    # read one character at a time, "01" would be the row [0, 1]
+    "str-row": ["10", "01"],
+    "bytes-row": [b"\x01\x00", b"\x00\x01"],
+    "ragged": [[1, 0], [0]],
+    "int-row": [[1, 0], 5],
+    "int": 7,
+}
 
 
-@pytest.mark.parametrize("helper", HELPERS.values(), ids=list(HELPERS))
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[1, Fr(0)], [0, 1]],
-        [[1, 0.0], [0, 1]],
-        [[1, False], [False, 1]],
-        [[1, "0"], ["0", 1]],
-        ["10", "01"],
-        [[1, 0], [0]],
-        [[1, 0], 5],
-        7,
-    ],
-    ids=["Fraction", "float", "bool", "str", "str-row", "ragged", "int-row", "int"],
-)
-def test_linear_algebra_refuses_what_is_not_int_rows(helper, rows):
-    with pytest.raises(MatrixFormatError):
-        helper(rows)
+@pytest.mark.parametrize("read", READERS.values(), ids=list(READERS))
+@pytest.mark.parametrize("case", list(NOT_INT_ROWS))
+def test_linear_algebra_refuses_what_is_not_int_rows(read, case):
+    # a matrix or row that is not iterable would end in a bare TypeError, and
+    # [[1, 1.0], [0, True]] or [["1", "1"], ["0", "1"]] would be T
+    with pytest.raises(MatrixFormatError) as info:
+        read(NOT_INT_ROWS[case])
+    if case in NOT_INTS:
+        assert type(NOT_INTS[case]).__name__ in str(info.value)
 
 
 # --- kernel_basis -----------------------------------------------------------
@@ -295,18 +323,19 @@ def test_gram_vanishes_on_identity_kernel():
 # --- matrix plumbing --------------------------------------------------------
 
 
-def _format_matrix(m: RatMatrix) -> str:
+def _format_matrix(m: tuple[tuple[int, ...], ...], cols: int) -> str:
     """The matrix text format, written out: "rows cols" then one line per row."""
-    lines = [f"{m.rows} {m.cols}"] + [" ".join(map(str, row)) for row in m.data]
+    lines = [f"{len(m)} {cols}"] + [" ".join(map(str, row)) for row in m]
     return "\n".join(lines) + "\n"
 
 
 def test_parse_and_format_round_trip():
-    text = "2 3\n1 -2 1/3\n0 5/7 9\n"
+    text = "2 3\n1 -2 3\n0 5 9\n"
     m = parse_matrix(text)
-    assert m.shape == (2, 3)
-    assert m.data[0] == (Fr(1), Fr(-2), Fr(1, 3))
-    assert parse_matrix(_format_matrix(m)) == m
+    assert m == ((1, -2, 3), (0, 5, 9))
+    assert all(type(x) is int for row in m for x in row)
+    assert parse_matrix(_format_matrix(m, 3)) == m
+    assert parse_matrix("0 3") == parse_matrix(_format_matrix((), 3)) == ()
 
 
 @pytest.mark.parametrize(
@@ -331,6 +360,9 @@ def test_parse_and_format_round_trip():
         "\uff11 1 5",
         "\u0661 1 5",
         "1 +1_0 5",
+        # the grammar reads p/q, and a matrix holds integers
+        "1 1 1/2",
+        "1 2 -3/4 +2",
     ],
 )
 def test_parse_matrix_rejects_garbage(text):
@@ -342,7 +374,8 @@ def test_parse_rational_accepts_signs_and_fractions():
     assert parse_rational("-3/4") == Fr(-3, 4)
     assert parse_rational("+2") == 2
     assert parse_rational("0/5") == 0
-    assert parse_matrix("1 2 -3/4 +2").data == ((Fr(-3, 4), Fr(2)),)
+    # matrix tokens keep the grammar: an integral p/q reads as its integer
+    assert parse_matrix("1 3 -6/3 +2 2/2") == ((-2, 2, 1),)
 
 
 def test_linalg_oracle_imports_nothing_from_meyersig():

@@ -14,6 +14,7 @@ from meyersig import (
     GenusMismatch,
     InconsistentRelations,
     InvalidInput,
+    MatrixFormatError,
     NotUnimodular,
     PhiBase,
     SymplecticElement,
@@ -231,6 +232,33 @@ def test_phi_base_relations_hold():
 def test_phi_of_identity_and_empty_word():
     assert phi1(SymplecticElement.identity(1)) == 0
     assert phi1_word([]) == 0
+    assert phi1_word([("T", 0), ("S", 0)]) == 0  # a zero exponent is the identity
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        [("T", 1.5)],
+        [("T", Fr(3, 2))],
+        [("T", Fr(1))],
+        [("T", "2")],
+        [("T", True)],
+        [("T", None)],
+        "ST",
+        [("S",)],
+        [("S", 1, 1)],
+        [["T", 1]],
+        [("U", 1)],
+    ],
+    ids=[
+        "float", "fraction", "integral-fraction", "string", "bool", "none", "string-word",
+        "short", "long", "list-syllable", "generator",
+    ],
+)
+def test_phi1_word_refuses_what_is_not_generator_int_pairs(word):
+    # unchecked, 1.5 and 3/2 fold as T^1, and "2" and "ST" end in a bare error
+    with pytest.raises(MatrixFormatError):
+        phi1_word(word)
 
 
 def test_phi_decomposition_independence(seeded):
@@ -472,15 +500,17 @@ def test_phi1_refuses_a_closed_form_the_relations_contradict(monkeypatch, cold_p
 
 
 @pytest.mark.parametrize(
-    "matrix",
+    "matrix, error",
     [
-        SymplecticElement.identity(2),
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1], [1, 0]],
-        [[1, Fr(1, 2)], [0, 1]],
+        (SymplecticElement.identity(2), NotUnimodular),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], NotUnimodular),
+        ([[0, 1], [1, 0]], NotUnimodular),
+        # entries are read as ints, so a Fraction is refused before any determinant
+        ([[1, Fr(1, 2)], [0, 1]], MatrixFormatError),
     ],
     ids=["genus2", "3x3", "det-1", "non-integral"],
 )
-def test_phi1_rejects_what_is_not_in_sl2z(matrix):
-    with pytest.raises(NotUnimodular):
+def test_phi1_rejects_what_is_not_in_sl2z(matrix, error):
+    with pytest.raises(error) as info:
         phi1(matrix)
+    assert type(info.value) is error

@@ -4,7 +4,7 @@ Every record type is pinned here: its exact ``repr``, construction from
 positional, keyword and default arguments, equality and hashing,
 immutability, the errors its validation raises, and copy and pickle round
 trips, which must rebuild each value through its validating constructor.
-The matrix types share that base and are held to the same protocol.
+``SymplecticElement`` shares that base and is held to the same protocol.
 """
 
 import ast
@@ -31,7 +31,6 @@ from meyersig import (
     NotSymplectic,
     PhiBase,
     PresetReport,
-    RatMatrix,
     SL2Word,
     SurfaceInvariants,
     SymplecticElement,
@@ -204,6 +203,14 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: SL2Word((("U", 1),)), MatrixFormatError),
         (lambda: SL2Word((("S", 0),)), MatrixFormatError),
         (lambda: SL2Word((("T", 1.5),)), MatrixFormatError),
+        (lambda: SL2Word([("S", 1)]), MatrixFormatError),
+        (lambda: SL2Word((["S", 1],)), MatrixFormatError),
+        (lambda: SL2Word("ST"), MatrixFormatError),
+        (lambda: SL2Word((("T", True),)), MatrixFormatError),
+        (lambda: PhiBase(0.5, 1), InvalidInput),
+        (lambda: PhiBase(Fr(-1), "2/3"), InvalidInput),
+        (lambda: CISpec(1, 3), InvalidInput),
+        (lambda: ci_surface_invariants(1, 3), InvalidInput),
     ],
     ids=[
         "surface-genus",
@@ -222,6 +229,14 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "word-generator",
         "word-exponent",
         "word-float-exponent",
+        "word-list-syllables",
+        "word-list-syllable",
+        "word-string",
+        "word-bool-exponent",
+        "phi-base-float",
+        "phi-base-string",
+        "ci-int-degrees",
+        "ci-surface-int-degrees",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):
@@ -244,6 +259,9 @@ def test_validation_raises_the_documented_error(build, error):
         lambda: lasso_power(Fr(-9, 17), 2.5),
         lambda: lasso_power(Fr(-9, 17), True),
         lambda: lasso_power(Fr(-9, 17), "2"),
+        lambda: lasso_power(0.5, 2),
+        lambda: lasso_power(True, 2),
+        lambda: lasso_power(None, 2),
         lambda: germ_sigma(Fr(1, 2), 0.5),
         lambda: germ_sigma(Fr(1, 2), True),
         lambda: germ_sigma(Fr(1, 2), "1"),
@@ -284,6 +302,9 @@ def test_validation_raises_the_documented_error(build, error):
         "power-float",
         "power-bool",
         "power-string",
+        "power-float-phi",
+        "power-bool-phi",
+        "power-none-phi",
         "germ-float-sign",
         "germ-bool-sign",
         "germ-string-sign",
@@ -323,8 +344,6 @@ def test_integer_arguments_must_be_ints(call):
 IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [
     SymplecticElement([[1, -1], [0, 1]]),
     SymplecticElement.identity(2),
-    RatMatrix([[1, Fr(1, 2)], [3, 4]]),
-    RatMatrix([], cols=3),
 ]
 ROUND_TRIPS = {
     "copy": copy.copy,
