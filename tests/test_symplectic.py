@@ -1,10 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import pytest
 
 import linalg_oracle as oracle
 from meyersig import (
+    InvalidInput,
     MatrixFormatError,
     NotSymplectic,
     NotUnimodular,
@@ -14,6 +16,7 @@ from meyersig import (
     direct_sum,
     gen_S,
     gen_T,
+    phi1,
     random_transvection_product,
     sl2_word,
     transvection,
@@ -154,6 +157,48 @@ def test_mat_holds_only_ints():
         assert all(type(entry) is int for row in x.mat for entry in row)
 
 
+# The symplectic readers below go through exactnum._int_matrix, whose whole
+# contract test_exactnum.test_linear_algebra_refuses_what_is_not_int_rows states.
+SYMPLECTIC_READERS = {
+    "SymplecticElement": SymplecticElement,
+    "phi1": phi1,
+    "sl2_word": sl2_word,
+    "transvection": lambda rows: transvection(rows[0]),
+}
+
+
+@pytest.mark.parametrize("token", ["1e0", "1.5", "1_0", "x"])
+@pytest.mark.parametrize("read", SYMPLECTIC_READERS.values(), ids=list(SYMPLECTIC_READERS))
+def test_string_entries_outside_the_numeral_grammar_are_invalid(read, token):
+    # Fraction() reads "1e0", "1.5" and "1_0"; a str entry is refused whatever it spells
+    with pytest.raises(InvalidInput):
+        read([[token, "-1"], ["0", "1"]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [None, float("nan"), float("inf"), [1], object()],
+    ids=["None", "nan", "inf", "list", "object"],
+)
+@pytest.mark.parametrize(
+    "read", [SymplecticElement, phi1, sl2_word], ids=lambda f: f.__name__
+)
+def test_entries_fraction_cannot_read_are_invalid(read, entry):
+    with pytest.raises(InvalidInput):
+        read([[entry, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "entry", [1.0, True, 0.5, Decimal("1")], ids=["float-1.0", "True", "float-0.5", "Decimal"]
+)
+@pytest.mark.parametrize("read", SYMPLECTIC_READERS.values(), ids=list(SYMPLECTIC_READERS))
+def test_entries_are_ints_fractions_or_numerals(read, entry):
+    # entries are ints only now; Fraction() reads all of these, and
+    # [[1, 1.0], [0, True]] would be T
+    with pytest.raises(MatrixFormatError, match=type(entry).__name__):
+        read([[1, entry], [0, 1]])
+
+
 def test_fast_inverse_formula():
     r = random.Random(15)
     for g in (1, 2, 3):
@@ -192,6 +237,38 @@ def test_word_round_trip_on_random_products(seeded):
         m = random_sl2(seeded, letters=20)
         w = sl2_word(m)
         assert w.evaluate() == m
+
+
+@pytest.mark.parametrize(
+    "read, data",
+    [
+        (SymplecticElement, ["10", "01"]),
+        (SymplecticElement, [b"\x01\x00", b"\x00\x01"]),
+        (phi1, ["11", "01"]),
+        (sl2_word, ["11", "01"]),
+        (transvection, "10"),
+        (transvection, b"\x01\x00"),
+        (phi1, [1, 2]),
+        (SymplecticElement, 5),
+        (transvection, 5),
+    ],
+    ids=[
+        "element",
+        "element-bytes",
+        "phi1",
+        "sl2_word",
+        "transvection",
+        "transvection-bytes",
+        "phi1-int-rows",
+        "element-int",
+        "transvection-int",
+    ],
+)
+def test_string_rows_are_refused(read, data):
+    # read one character at a time, ["11", "01"] would be [[1, 1], [0, 1]];
+    # a matrix or row that is not iterable would end in a bare TypeError
+    with pytest.raises(MatrixFormatError):
+        read(data)
 
 
 def test_word_rejects_non_unimodular():
