@@ -11,20 +11,20 @@ The module holds:
   (``kernel_basis``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
-* signatures of symmetric integer forms by congruence diagonalization
+* signatures of symmetric integer forms by symmetric Bareiss elimination
   (``signature_symmetric``).
 
 The three linear-algebra helpers, like every matrix argument of the
 library, take rows of ``int``s and refuse any other entry with
-``MatrixFormatError``; they return int rows. Every elimination is
-integer-preserving: the kernel's Gauss-Jordan elimination is Bareiss's
-fraction-free one, whose pivot step cross-multiplies and then divides
-exactly by the previous pivot, and the signature's Schur complements are
-divided by their content, so neither rational nor floating-point arithmetic
-enters any computation path. Rescaling basis vectors by positive constants
-is a congruence, so none of these scalings moves a signature (Sylvester's
-law of inertia); signatures are integers decided by signs of exact pivots,
-and every downstream value is reproducible bit for bit.
+``MatrixFormatError``; they return int rows. Both eliminations are
+Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
+then divide exactly by the previous one. The kernel's Gauss-Jordan
+elimination swaps rows; the signature's symmetric elimination pivots on the
+diagonal and, where the live diagonal is zero, adds one basis vector to
+another, a unimodular congruence that moves no signature (Sylvester's law
+of inertia). Neither rational nor floating-point arithmetic enters any
+computation path, signatures are integers decided by the signs of exact
+pivots, and every downstream value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +63,17 @@ def _int_arg(x, name: str) -> int:
 def _rational_arg(x, name: str) -> int | Fraction:
     """Like ``_int_arg``, for an ``int`` or a ``Fraction`` (not a ``bool`` or float)."""
     if type(x) not in (int, Fraction):
-        raise InvalidInput(f"{name} must be an int or a Fraction, got {x!r}")
+        raise InvalidInput(f"{name} must be an int or a Fraction, got {_shown(x)}")
     return x
+
+
+def _shown(x) -> str:
+    """``repr(x)`` for an error message, or the name of its type when ``x`` holds
+    an int past the interpreter's digit limit, which has no decimal form."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
 
 def parse_rational(token: str) -> Fraction:
@@ -210,71 +219,45 @@ def gram_restrict(
     return _symmetric(tuple(tuple(dot(u, img) for img in images) for u in sums))
 
 
-def _swap_symmetric(g: list[list[int]], i: int, j: int) -> None:
-    g[i], g[j] = g[j], g[i]
-    for row in g:
-        row[i], row[j] = row[j], row[i]
-
-
-def _split_hyperbolic(g: list[list[int]], i: int, j: int) -> None:
-    # basis change b_i <- b_i + b_j, b_j <- b_i - b_j; with zero diagonal this
-    # exposes the pivots +-2*g[i][j]
-    n = len(g)
-    for c in range(n):
-        a, b = g[i][c], g[j][c]
-        g[i][c], g[j][c] = a + b, a - b
-    for r in range(n):
-        a, b = g[r][i], g[r][j]
-        g[r][i], g[r][j] = a + b, a - b
-
-
 def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
-    """Signature (#positive - #negative diagonal pivots) of the symmetric form
+    """Signature (#positive - #negative eigenvalues) of the symmetric form
     with Gram matrix ``gram``, given by int rows; a Gram that is not square
     and symmetric raises AsymmetricGram.
 
-    Integer-preserving congruence diagonalization. Symmetric pivoting takes
-    the first nonzero diagonal entry p and replaces the active block by
-    |p| times its Schur complement, divided by the block's content: both are
-    positive scalings, so no signature moves. When the active diagonal is
-    entirely zero but some off-diagonal entry remains, a hyperbolic basis
-    change exposes a pair of opposite pivots. Zero eigenvalues contribute
-    nothing.
+    Symmetric Bareiss elimination with the step of ``_eliminate``. An index
+    is live until it is pivoted on; the pivot is the first live nonzero
+    diagonal entry p = g[k][k], and each other live row r becomes
+    (p*r - r[k]*(pivot row)) / prev, prev being the pivot before (1 at first).
+    Invariant: each live g[i][j] is the minor of the pivots so far bordered
+    by row i and column j, so the division is exact and p / prev, the pivot of
+    the Schur complement, has the sign of p*prev. If the live diagonal is zero
+    but some live g[i][j] is not, the unimodular congruence b_i <- b_i + b_j
+    (row j added to row i, column j to column i) makes g[i][i] = 2 g[i][j] and
+    keeps the invariant; a zero live block is the radical and counts nothing.
     """
     g = [list(row) for row in _symmetric(_int_matrix(gram))]
-    n = len(g)
-    pos = neg = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if g[i][i] != 0), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if g[i][j] != 0),
-                None,
-            )
-            if off is None:
+    live = list(range(len(g)))
+    sig, prev = 0, 1
+    while live:
+        k = next((i for i in live if g[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if g[i][j]), None)
+            if pair is None:
                 break
-            _split_hyperbolic(g, *off)
+            i, j = pair
+            g[i] = [x + y for x, y in zip(g[i], g[j])]
+            for row in g:
+                row[i] += row[j]
             continue
-        if piv != k:
-            _swap_symmetric(g, k, piv)
-        top = g[k]
-        p = top[k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        # p * (block) - (pivot column)(pivot row) is sign(p) |p| (Schur complement
-        # of p); divided by sign(p) times its content it stays a positive multiple
-        rest = range(k + 1, n)
-        block = [[p * x - g[r][k] * y for x, y in zip(g[r][k + 1 :], top[k + 1 :])] for r in rest]
-        d = math.gcd(*(x for row in block for x in row)) or 1
-        if p < 0:
-            d = -d
-        for r, row in zip(rest, block):
-            g[r][k + 1 :] = [x // d for x in row] if d != 1 else row
-        k += 1
-    return pos - neg
+        live.remove(k)
+        top, p = g[k], g[k][k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        for i in live:
+            row, f = g[i], g[i][k]
+            for j in live:
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sig
 
 
 def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownName,
     ZeroOrManyUnknowns,
 )
-from .exactnum import _int_arg, _rational_arg, parse_rational
+from .exactnum import _int_arg, _rational_arg, _shown, parse_rational
 
 
 class ComplexSurfaceData(Record):
@@ -34,7 +34,7 @@ class ComplexSurfaceData(Record):
         for name in self.__slots__:
             _int_arg(getattr(self, name), name)
         if self.fiber_genus < 2:
-            raise InvalidInput(f"fiber genus must be >= 2, got {self.fiber_genus}")
+            raise InvalidInput(f"fiber genus must be >= 2, got {_shown(self.fiber_genus)}")
 
 
 def surface_topology(data: ComplexSurfaceData) -> tuple[int, int]:
@@ -53,7 +53,7 @@ def fiber_count(chi_top: int, g: int) -> int:
     contributes exactly 1, topologically trivial germs contribute 0.
     """
     if _int_arg(g, "fiber genus") < 2:
-        raise InvalidInput(f"fiber genus must be >= 2, got {g}")
+        raise InvalidInput(f"fiber genus must be >= 2, got {_shown(g)}")
     return _int_arg(chi_top, "chi_top") - 2 * (2 - 2 * g)
 
 
@@ -118,7 +118,7 @@ class LedgerEntry(Record):
             _rational_arg(self.phi, "phi")
         _int_arg(self.nbhd_sign, "nbhd_sign")
         if _int_arg(self.count, "count") < 1:
-            raise InvalidInput(f"count must be >= 1, got {self.count}")
+            raise InvalidInput(f"count must be >= 1, got {_shown(self.count)}")
 
     @property
     def sigma(self) -> Fraction | None:
@@ -197,7 +197,7 @@ def ledger_from_obj(obj) -> FibrationLedger:
     entries = []
     for item in raw_germs:
         if not isinstance(item, dict) or "name" not in item:
-            raise InvalidInput(f"bad germ entry {item!r}")
+            raise InvalidInput(f"bad germ entry {_shown(item)}")
         name = str(item["name"])
         try:
             name.encode("utf-8")  # a lone surrogate has no encoding to print

@@ -29,7 +29,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ContractViolation, GenusMismatch, InconsistentRelations
+from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
 from .exactnum import _rational_arg, gram_restrict, kernel_basis, signature_symmetric
 from .symplectic import (
     IntMatrix,
@@ -170,13 +170,16 @@ def phi1_word(
 
     The result depends only on the product of the word, not the word itself;
     that independence is what the coboundary identity guarantees and what the
-    tests exercise. A syllable that is not a tuple (generator, exponent), with
-    the generator "S" or "T" and an ``int`` exponent, raises
-    ``MatrixFormatError``; a zero exponent is the identity.
+    tests exercise. A word that is not iterable, or a syllable that is not a
+    tuple (generator, exponent), with the generator "S" or "T" and an ``int``
+    exponent, raises ``MatrixFormatError``; a zero exponent is the identity.
     """
     if base is None:
         base = phi1_base()
-    syllables = word.syllables if isinstance(word, SL2Word) else tuple(map(_syllable, word))
+    try:  # only iterating a word that is not iterable raises TypeError here
+        syllables = word.syllables if isinstance(word, SL2Word) else tuple(map(_syllable, word))
+    except TypeError as exc:
+        raise MatrixFormatError(f"a word must be iterable, got {type(word).__name__}") from exc
     generators = {"S": (gen_S(), base.phi_S), "T": (gen_T(), base.phi_T)}
     acc: tuple[SymplecticElement, Fraction] | None = None
     for gen, e in syllables:

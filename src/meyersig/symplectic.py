@@ -18,7 +18,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
-from .exactnum import _int_matrix
+from .exactnum import _int_matrix, _shown
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -75,7 +75,7 @@ class SymplecticElement(Record):
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
         if g < 1:
-            raise NotSymplectic(f"genus must be >= 1, got {g}")
+            raise NotSymplectic(f"genus must be >= 1, got {_shown(g)}")
         return cls._derived(_identity(2 * g))
 
     def __mul__(self, other: "SymplecticElement") -> "SymplecticElement":

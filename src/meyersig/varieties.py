@@ -7,17 +7,17 @@ Four entry points, all exact:
   and returns the discriminant degree together with the value of the Meyer
   function on a lasso around the discriminant.
 * ``ci_surface_invariants`` computes those invariants for a smooth complete
-  intersection surface of multidegree (n_1, ..., n_m) and feeds the same
-  formula.
+  intersection surface of multidegree (n_1, ..., n_m), with the lasso value
+  of ``veronese_ci_lasso`` at n = 2, d = 1.
 * ``veronese_ci_lasso`` handles the degree-d Veronese image of a complete
   intersection of dimension n, reporting the lasso value as a ratio
   alpha/beta of the two displayed closed forms.
 * ``lasso_power`` turns the value on a lasso into the value on its n-th
   power.
 
-``ci_surface_invariants`` and ``veronese_ci_lasso`` agree on their common
-domain (d = 1, n = 2), which the test suite checks exhaustively for small
-multidegrees.
+For small multidegrees the test suite checks exhaustively that the lasso
+value of ``ci_surface_invariants`` is what ``generic_surface_lasso`` gives on
+its invariants.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import _int_arg, _rational_arg, parse_integer, parse_rational
+from .exactnum import _int_arg, _rational_arg, _shown, parse_integer, parse_rational
 
 
 class SurfaceInvariants(Record):
@@ -46,9 +46,9 @@ class SurfaceInvariants(Record):
         for name in self.__slots__:
             _int_arg(getattr(self, name), name)
         if self.deg < 1:
-            raise InvalidInput(f"degree must be >= 1, got {self.deg}")
+            raise InvalidInput(f"degree must be >= 1, got {_shown(self.deg)}")
         if self.genus < 0:
-            raise InvalidInput(f"genus must be >= 0, got {self.genus}")
+            raise InvalidInput(f"genus must be >= 0, got {_shown(self.genus)}")
 
 
 class LassoReport(Record):
@@ -60,7 +60,7 @@ class LassoReport(Record):
 
     def _check(self):
         if self.deg_DX < 1:
-            raise NonPositiveDegDX(f"deg D_X = {self.deg_DX} is not positive")
+            raise NonPositiveDegDX(f"deg D_X = {_shown(self.deg_DX)} is not positive")
         if self.alpha is not None and self.beta is not None:
             if Fraction(self.alpha, self.beta) != self.phi:
                 raise ContractViolation("alpha/beta does not reduce to phi")
@@ -89,16 +89,16 @@ class CISpec(Record):
         object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree") for x in degrees))
         if self.m != len(self.degrees):
             raise InvalidInput(
-                f"m = {self.m} but {len(self.degrees)} degrees supplied"
+                f"m = {_shown(self.m)} but {len(self.degrees)} degrees supplied"
             )
         if self.m < 0:
             raise InvalidInput("m must be >= 0")
         if any(x < 2 for x in self.degrees):
-            raise InvalidInput(f"defining degrees must be >= 2, got {self.degrees}")
+            raise InvalidInput(f"defining degrees must be >= 2, got {_shown(self.degrees)}")
         if self.n < 2:
-            raise InvalidInput(f"dimension must be >= 2, got {self.n}")
+            raise InvalidInput(f"dimension must be >= 2, got {_shown(self.n)}")
         if self.d < 1:
-            raise InvalidInput(f"Veronese degree must be >= 1, got {self.d}")
+            raise InvalidInput(f"Veronese degree must be >= 1, got {_shown(self.d)}")
         if self.m == 0 and self.d < 2:
             raise ExcludedCase("m = 0 requires Veronese degree d >= 2")
         if self.d == 1 and self.m == 1 and self.degrees == (2,):
@@ -124,7 +124,7 @@ def generic_surface_lasso(inv: SurfaceInvariants) -> LassoReport:
     deg_dx = inv.chi + inv.deg - 2 * (2 - 2 * inv.genus)
     if deg_dx <= 0:
         raise NonPositiveDegDX(
-            f"chi + deg - 2(2-2g) = {deg_dx}; the discriminant is not a hypersurface"
+            f"chi + deg - 2(2-2g) = {_shown(deg_dx)}; the discriminant is not a hypersurface"
         )
     return LassoReport(deg_dx, Fraction(inv.sign - inv.deg, deg_dx))
 
@@ -134,9 +134,9 @@ def ci_surface_invariants(
 ) -> tuple[SurfaceInvariants, LassoReport]:
     """Invariants and lasso value of a complete intersection surface.
 
-    All five closed forms are evaluated exactly: degree, Euler
-    characteristic, signature, section genus, and the discriminant degree
-    prod(n_i) * ((m^2+m)/2 + sum n_i^2 - (m+1) sum n_i + sum_{i<j} n_i n_j).
+    The four invariants are evaluated exactly from their closed forms:
+    degree, Euler characteristic, signature and section genus. The lasso
+    value is ``veronese_ci_lasso`` at n = 2, d = 1.
     """
     spec = CISpec(m, degrees, n=2, d=1)  # validates, m >= 1 here
     s1, s2, e2 = _sym_sums(spec.degrees)
@@ -152,13 +152,7 @@ def ci_surface_invariants(
     genus = (2 - chi_section) // 2
     if genus < 1:
         raise GenusZero(f"section genus {genus} for degrees {spec.degrees}")
-    beta = (m * m + m) // 2 + s2 - (m + 1) * s1 + e2
-    deg_dx = deg * beta
-    if deg_dx <= 0:
-        raise NonPositiveDegDX(f"deg D_X = {deg_dx} is not positive")
-    alpha = Fraction(m - s2, 3)
-    report = LassoReport(deg_dx, Fraction(m - s2, 3 * beta), alpha, beta)
-    return SurfaceInvariants(sign, chi, deg, genus), report
+    return SurfaceInvariants(sign, chi, deg, genus), veronese_ci_lasso(spec)
 
 
 def veronese_ci_lasso(spec: CISpec) -> LassoReport:
@@ -192,7 +186,7 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
     case for the monodromy of a lasso (a power of a single transvection).
     """
     if _int_arg(n, "power") < 1:
-        raise InvalidInput(f"power must be >= 1, got {n}")
+        raise InvalidInput(f"power must be >= 1, got {_shown(n)}")
     if isinstance(phi_sigma, str):
         phi_sigma = parse_rational(phi_sigma)
     return Fraction(_rational_arg(phi_sigma, "phi")) * n + (n - 1)

@@ -2,11 +2,14 @@
 
 Matrices are sequences of rows; every result is a list of lists (or a list)
 of ``Fraction``s, which compare equal to the ``int``s the library returns.
-The module imports nothing from ``meyersig``, so a test that checks the
-library against it does not check the library against itself.
+Signatures are read off sympy's characteristic polynomial by Descartes' rule
+of signs. The module imports nothing from ``meyersig``, so a test that
+checks the library against it does not check the library against itself.
 """
 
 from fractions import Fraction
+
+import sympy
 
 
 def _rows(m) -> list[list[Fraction]]:
@@ -80,3 +83,24 @@ def inverse(m) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced]
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def descartes_signature(gram) -> int:
+    """Signature of a symmetric matrix (rows or a ``sympy.Matrix``).
+
+    Descartes' rule of signs counts the positive roots of the characteristic
+    polynomial p, with multiplicity, and applied to p(-x) the negative ones.
+    It is exact here because a real symmetric matrix has only real
+    eigenvalues; the zero eigenvalues are divided out first.
+    """
+    coeffs = sympy.Matrix(gram).charpoly().all_coeffs()  # leading coefficient first
+    while len(coeffs) > 1 and coeffs[-1] == 0:  # the zero eigenvalues
+        coeffs.pop()
+    degree = len(coeffs) - 1
+    mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]  # p(-x)
+    return _sign_changes(coeffs) - _sign_changes(mirrored)

@@ -6,7 +6,6 @@ from fractions import Fraction as Fr
 from pathlib import Path
 
 import pytest
-import sympy
 from hypothesis import given, strategies as st
 
 import linalg_oracle as oracle
@@ -250,22 +249,23 @@ def test_signature_negation_and_block_sum():
         assert signature_symmetric(block) == signature_symmetric(g1) + signature_symmetric(g2)
 
 
-def _signature_by_root_counting(g: list[list[int]]) -> int:
-    """Independent oracle: count signs of the real eigenvalues exactly."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.Matrix(g).charpoly(x), x)
-    coeffs = poly.all_coeffs()
-    while coeffs and coeffs[-1] == 0:  # strip zero eigenvalues
-        coeffs.pop()
-    reduced = sympy.Poly(coeffs, x)
-    return reduced.count_roots(0, None) - reduced.count_roots(None, 0)
+def random_zero_diagonal(r: random.Random, n: int) -> list[list[int]]:
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = r.choice((0, 1, -1, 2, -3, 5))
+    return a
 
 
 def test_signature_against_root_counting_oracle():
+    # the Descartes-rule oracle counts eigenvalues with multiplicity; forms with
+    # a zero diagonal reach the elimination's unimodular add b_i <- b_i + b_j
     r = random.Random(515)
-    for _ in range(15):
-        g = random_symmetric(r, r.randint(1, 5))
-        assert signature_symmetric(g) == _signature_by_root_counting(g)
+    forms = [random_symmetric(r, r.randint(1, 5)) for _ in range(15)]
+    forms += [random_zero_diagonal(r, r.randint(2, 8)) for _ in range(40)]
+    forms += [[[0, 1, 1], [1, 0, 1], [1, 1, 0]], eye(3), diag(2, 2, -1, -1, 0)]
+    for g in forms:
+        assert signature_symmetric(g) == oracle.descartes_signature(g)
 
 
 # --- gram_restrict ----------------------------------------------------------

@@ -249,14 +249,15 @@ def test_phi_of_identity_and_empty_word():
         [("S", 1, 1)],
         [["T", 1]],
         [("U", 1)],
+        5,
     ],
     ids=[
         "float", "fraction", "integral-fraction", "string", "bool", "none", "string-word",
-        "short", "long", "list-syllable", "generator",
+        "short", "long", "list-syllable", "generator", "not-iterable",
     ],
 )
 def test_phi1_word_refuses_what_is_not_generator_int_pairs(word):
-    # unchecked, 1.5 and 3/2 fold as T^1, and "2" and "ST" end in a bare error
+    # unchecked, 1.5 and 3/2 fold as T^1, and "2", "ST" and 5 end in a bare error
     with pytest.raises(MatrixFormatError):
         phi1_word(word)
 

@@ -36,8 +36,10 @@ from meyersig import (
     SymplecticElement,
     ci_surface_invariants,
     fiber_count,
+    generic_surface_lasso,
     germ_sigma,
     lasso_power,
+    ledger_from_obj,
     veronese_ci_lasso,
 )
 from meyersig._record import Record
@@ -45,6 +47,7 @@ from meyersig._record import Record
 ENTRY = LedgerEntry("x", Fr(1, 2), -1, 2)
 SEGRE = SurfaceInvariants(0, 4, 18, 4)
 SEGRE_REPORT = LassoReport(34, Fr(-9, 17))
+BIG = 10**5000  # more digits than the interpreter converts to a string by default
 
 # (class, positional arguments, the same arguments by keyword, a value that
 # differs in one field, repr). Positional arguments leave defaulted fields out.
@@ -211,6 +214,23 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: PhiBase(Fr(-1), "2/3"), InvalidInput),
         (lambda: CISpec(1, 3), InvalidInput),
         (lambda: ci_surface_invariants(1, 3), InvalidInput),
+        # a message that printed these ints would raise ValueError instead
+        (lambda: germ_sigma([BIG], 0), InvalidInput),
+        (lambda: lasso_power([BIG], 2), InvalidInput),
+        (lambda: lasso_power(1, -BIG), InvalidInput),
+        (lambda: CISpec(2, (1, BIG)), InvalidInput),
+        (lambda: CISpec(BIG, ()), InvalidInput),
+        (lambda: CISpec(1, (3,), n=-BIG), InvalidInput),
+        (lambda: CISpec(1, (3,), d=-BIG), InvalidInput),
+        (lambda: SurfaceInvariants(0, 0, -BIG, 1), InvalidInput),
+        (lambda: SurfaceInvariants(0, 0, 1, -BIG), InvalidInput),
+        (lambda: LedgerEntry("a", 0, 0, -BIG), InvalidInput),
+        (lambda: fiber_count(0, -BIG), InvalidInput),
+        (lambda: ComplexSurfaceData(0, 0, -BIG), InvalidInput),
+        (lambda: ledger_from_obj({"total_sign": 0, "germs": [BIG]}), InvalidInput),
+        (lambda: SymplecticElement.identity(-BIG), NotSymplectic),
+        (lambda: generic_surface_lasso(SurfaceInvariants(0, -BIG, 1, 1)), NonPositiveDegDX),
+        (lambda: LassoReport(-BIG, Fr(1)), NonPositiveDegDX),
     ],
     ids=[
         "surface-genus",
@@ -237,6 +257,22 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "phi-base-string",
         "ci-int-degrees",
         "ci-surface-int-degrees",
+        "huge-germ-phi",
+        "huge-power-phi",
+        "huge-power",
+        "huge-ci-degree",
+        "huge-ci-m",
+        "huge-ci-n",
+        "huge-ci-d",
+        "huge-invariants-degree",
+        "huge-invariants-genus",
+        "huge-entry-count",
+        "huge-fiber-count-genus",
+        "huge-surface-genus",
+        "huge-ledger-germ",
+        "huge-identity-genus",
+        "huge-generic-discriminant",
+        "huge-lasso-degree",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):

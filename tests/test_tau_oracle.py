@@ -19,21 +19,8 @@ import random
 import pytest
 import sympy
 
+from linalg_oracle import descartes_signature
 from meyersig import SymplecticElement, random_transvection_product, tau, transvection
-
-
-def _sign_changes(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def descartes_signature(gram: sympy.Matrix) -> int:
-    coeffs = gram.charpoly().all_coeffs()  # leading coefficient first
-    while len(coeffs) > 1 and coeffs[-1] == 0:  # the zero eigenvalues
-        coeffs.pop()
-    degree = len(coeffs) - 1
-    mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]  # p(-x)
-    return _sign_changes(coeffs) - _sign_changes(mirrored)
 
 
 def sympy_tau(a1, a2) -> int:
@@ -56,6 +43,7 @@ def test_descartes_signature_on_known_forms():
     assert descartes_signature(sympy.diag(3, -1, 0, 2)) == 1
     assert descartes_signature(sympy.Matrix([[0, 1], [1, 0]])) == 0
     assert descartes_signature(sympy.zeros(2)) == 0
+    assert descartes_signature(sympy.eye(2)) == 2  # a repeated eigenvalue counts twice
 
 
 def _pairs(g: int, count: int):
