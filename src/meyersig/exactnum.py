@@ -8,7 +8,8 @@ The module holds:
 * the one reader of matrix arguments (``_int_matrix``): a matrix is a tuple
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
-  (``kernel_basis``),
+  (``kernel_basis``, or ``_kernel`` for the vectors of the free columns
+  from a given one on),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric integer forms by symmetric Bareiss elimination
@@ -19,7 +20,10 @@ library, take rows of ``int``s and refuse any other entry with
 ``MatrixFormatError``; they return int rows. Both eliminations are
 Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
 then divide exactly by the previous one. The kernel's Gauss-Jordan
-elimination swaps rows; the signature's symmetric elimination pivots on the
+elimination (``_kernel``) swaps rows and keeps only the live columns: a
+pivot column leaves the rows when it is chosen, and a free column whose
+vector is not wanted (``tau``'s radical vectors (x | 0)) as soon as no pivot
+is found in it. The signature's symmetric elimination pivots on the
 diagonal and, where the live diagonal is zero, adds one basis vector to
 another, a unimodular congruence that moves no signature (Sylvester's law
 of inertia). Neither rational nor floating-point arithmetic enters any
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
 
@@ -92,10 +96,6 @@ def parse_rational(token: str) -> Fraction:
         raise MatrixFormatError("bad rational: too many digits") from exc
 
 
-def dot(u: Sequence, v: Sequence):
-    return sum(map(mul, u, v))
-
-
 def _primitive(row: list[int]) -> list[int]:
     """Row divided by the gcd of its entries (a zero row stays zero)."""
     d = math.gcd(*row)
@@ -137,62 +137,71 @@ def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]
     return gram
 
 
-def _eliminate(rows: list[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
+def _kernel(rows: list[list[int]], cols: int, start: int) -> list[tuple[int, ...]]:
+    """The kernel vectors of the int rows ``rows`` (``cols`` wide, consumed)
+    whose free column is ``start`` or later, as primitive integer vectors.
 
-    With p the new pivot and ``prev`` the one before it (1 at first), each
-    pivot step replaces every other row r, rows that are zero in the pivot
-    column included, by (p*r - r[c]*(pivot row)) / prev; by Sylvester's
-    identity the division is exact, and entries stay minors of the input.
-    Returns the nonzero rows and their pivot columns: row i is zero in every
-    other pivot column, and every pivot entry equals the last pivot, so each
-    row is that pivot times row i of the reduced row echelon form.
+    Fraction-free (Bareiss) Gauss-Jordan elimination. With p the new pivot and
+    ``prev`` the one before it (1 at first), each pivot step replaces every
+    other row r by (p*r - r[c]*(pivot row)) / prev; by Sylvester's identity
+    the division is exact, and entries stay minors of the input. Rows hold
+    only the live columns: a pivot column leaves every row when it is chosen,
+    since from then on each pivot row holds the current pivot in its own
+    pivot column and 0 in the others; a free column below ``start`` leaves as
+    soon as no pivot is found in it, since no vector is built from it. A step
+    updates each column on its own, so neither removal changes the pivots or
+    the last pivot d.
+
+    The vector of a free column f is the positive multiple, with coprime
+    integer entries, of the reduced-echelon vector that carries 1 at f and
+    the negated reduced-echelon entries at the pivots: |d| at f and
+    -sign(d) * row[f] at each pivot, divided by its content. It depends only
+    on the input, not on the elimination order.
     """
     pivots: list[int] = []
+    free: list[int] = []  # the kept free columns, in the order rows hold them
     prev = 1
     for c in range(cols):
         r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        k = len(free)  # where the rows hold column c
+        piv = next((i for i in range(r, len(rows)) if rows[i][k]), None)
         if piv is None:
+            if c < start:
+                for row in rows:
+                    del row[k]
+            else:
+                free.append(c)
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         top = rows[r]
-        p = top[c]
+        p = top.pop(k)
         for i, row in enumerate(rows):
             if i != r:
-                f = row[c]
+                f = row.pop(k)
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
         prev = p
-    return rows[: len(pivots)], pivots
+    sign = 1 if prev > 0 else -1
+    basis = []
+    for j, f in enumerate(free):
+        v = [0] * cols
+        v[f] = abs(prev)
+        for row, c in zip(rows, pivots):
+            v[c] = -sign * row[j]
+        basis.append(tuple(_primitive(v)))
+    return basis
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     """Basis of {v : Mv = 0} as primitive integer vectors, for M given by int rows.
 
-    There is one basis vector per free column f: the positive multiple, with coprime
-    integer entries, of the reduced-echelon vector that carries 1 at position
-    f and the negated reduced-echelon entries at the pivot positions. After
-    the Bareiss elimination every pivot entry is the last pivot d, so |d|
-    times that vector is integral: |d| at f and -sign(d) * row[f] at each
-    pivot. The output depends only on M, not on elimination order.
+    There is one basis vector per free column f of the reduced row echelon
+    form: the positive multiple, with coprime integer entries, of the vector
+    that carries 1 at f and the negated reduced-echelon entries at the pivot
+    positions (see ``_kernel``). The output depends only on M.
     """
     rows = _int_matrix(m)
-    cols = len(rows[0]) if rows else 0
-    rows, pivots = _eliminate(list(rows), cols)
-    d = rows[0][pivots[0]] if pivots else 1
-    sign = 1 if d > 0 else -1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = abs(d)
-        for row, p in zip(rows, pivots):
-            v[p] = -sign * row[f]
-        basis.append(tuple(_primitive(v)))
-    return basis
+    return _kernel([list(row) for row in rows], len(rows[0]) if rows else 0, 0)
 
 
 def gram_restrict(
@@ -215,8 +224,8 @@ def gram_restrict(
         )
     ys = [v[n:] for v in basis]
     sums = [[a + b for a, b in zip(v, y)] for v, y in zip(basis, ys)]
-    images = [[dot(row, y) for row in s] for y in ys]
-    return _symmetric(tuple(tuple(dot(u, img) for img in images) for u in sums))
+    images = [[sum(map(mul, row, y)) for row in s] for y in ys]
+    return _symmetric(tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums))
 
 
 def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
@@ -224,7 +233,7 @@ def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
     with Gram matrix ``gram``, given by int rows; a Gram that is not square
     and symmetric raises AsymmetricGram.
 
-    Symmetric Bareiss elimination with the step of ``_eliminate``. An index
+    Symmetric Bareiss elimination with the step of ``_kernel``. An index
     is live until it is pivoted on; the pivot is the first live nonzero
     diagonal entry p = g[k][k], and each other live row r becomes
     (p*r - r[k]*(pivot row)) / prev, prev being the pivot before (1 at first).

@@ -29,8 +29,14 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record
-from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
-from .exactnum import _rational_arg, gram_restrict, kernel_basis, signature_symmetric
+from .errors import (
+    ContractViolation,
+    GenusMismatch,
+    InconsistentRelations,
+    InvalidInput,
+    MatrixFormatError,
+)
+from .exactnum import _kernel, _rational_arg, gram_restrict, signature_symmetric
 from .symplectic import (
     IntMatrix,
     SL2Word,
@@ -45,7 +51,14 @@ from .symplectic import (
 
 
 def _minus_identity(m: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(m))
+
+
+def _elements(*els: SymplecticElement) -> None:
+    """Refuse an argument of tau that is not a SymplecticElement, naming its type."""
+    for el in els:
+        if not isinstance(el, SymplecticElement):
+            raise InvalidInput(f"tau takes SymplecticElements, got {type(el).__name__}")
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
@@ -55,15 +68,19 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     The form is Meyer's pairing on the kernel V, less its radical vectors
     (x | 0): there A1 x = x, so they pair to zero with all of V, and the Gram
     keeps one row per kernel basis vector whose y-half is nonzero, dim Fix(A1)
-    fewer than dim V. Dropping a radical moves no signature; the congruence
-    class of the Gram (hence its signature) is basis-independent.
+    fewer than dim V. Those are the vectors of the free columns in the A2 - I
+    half, so the elimination never builds the others. Dropping a radical
+    moves no signature; the congruence class of the Gram (hence its
+    signature) is basis-independent.
     """
+    _elements(a1, a2)
     if a1.g != a2.g:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
     left = _minus_identity(a1.inverse().mat)
     right = _minus_identity(a2.mat)
     n = len(right)
-    basis = [v for v in kernel_basis([a + b for a, b in zip(left, right)]) if any(v[n:])]
+    # the rows of [(A1^-1 - I) | (A2 - I)], built from validated elements
+    basis = _kernel([list(a + b) for a, b in zip(left, right)], 2 * n, n)
     # S = J (I - A2), the 2g x 2g block of the pairing
     s = apply_J(tuple(tuple(-x for x in row) for row in right))
     return gram_restrict(s, basis)
@@ -81,6 +98,7 @@ def tau_cocycle_defect(
     a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement
 ) -> int:
     """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0."""
+    _elements(a1, a2, a3)
     if not (a1.g == a2.g == a3.g):
         raise GenusMismatch(f"genera {a1.g}, {a2.g}, {a3.g}")
     return (

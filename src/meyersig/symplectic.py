@@ -18,7 +18,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
-from .exactnum import _int_matrix, _shown
+from .exactnum import _int_arg, _int_matrix, _shown
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -53,8 +53,9 @@ class SymplecticElement(Record):
     def __init__(self, mat: Iterable[Iterable[int]]):
         rows = _int_matrix(mat)
         n = len(rows)
-        if n < 2 or n % 2 != 0 or any(len(row) != n for row in rows):
-            raise NotSymplectic(f"need an even square matrix of size >= 2, got {n} rows")
+        cols = len(rows[0]) if rows else 0
+        if n < 2 or n % 2 != 0 or cols != n:
+            raise NotSymplectic(f"need an even square matrix of size >= 2, got {n}x{cols}")
         # for a 2x2 matrix A^t J A = det(A) J, so this also rejects det != 1
         if _matmul(tuple(zip(*rows)), apply_J(rows)) != apply_J(_identity(n)):
             raise NotSymplectic("matrix does not preserve the alternating form")
@@ -90,6 +91,7 @@ class SymplecticElement(Record):
         return SymplecticElement._derived(apply_J(tuple(zip(*apply_J(self.mat)))))
 
     def __pow__(self, e: int) -> "SymplecticElement":
+        e = _int_arg(e, "exponent")
         if e < 0:
             return self.inverse() ** (-e)
         result = SymplecticElement.identity(self.g)

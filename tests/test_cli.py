@@ -62,6 +62,11 @@ def test_phi1_rejects_bad_matrix(capsys, tmp_path):
     code, _, err = run_cli(capsys, "phi1", "--matrix", str(bad))
     assert code == 2
     assert "error" in err
+    wide = tmp_path / "wide.txt"
+    wide.write_text("2 4\n1 0 0 0\n0 1 0 0\n")
+    assert run_cli(capsys, "phi1", "--matrix", str(wide)) == (
+        2, "", "error: need an even square matrix of size >= 2, got 2x4\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["phi1", "tau"])

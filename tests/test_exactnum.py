@@ -22,7 +22,7 @@ from meyersig import (
     sl2_word,
     transvection,
 )
-from meyersig.exactnum import parse_rational
+from meyersig.exactnum import _kernel, parse_rational
 
 
 def diag(*entries) -> tuple[tuple[int, ...], ...]:
@@ -202,6 +202,30 @@ def test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors(m):
     basis = kernel_basis(m)
     assert all(type(x) is int for v in basis for x in v)
     assert basis == rref_kernel(m)
+
+
+@st.composite
+def int_matrix_with_row_defects(draw):
+    """``int_matrix`` with some rows copied onto others or zeroed, so that
+    rows run out before columns and zero rows are never pivoted on."""
+    m = draw(int_matrix())
+    row = st.integers(0, len(m) - 1)
+    for src, dst in draw(st.lists(st.tuples(row, row), max_size=2)):
+        m[dst] = list(m[src])
+    for r in draw(st.lists(row, max_size=2)):
+        m[r] = [0] * len(m[r])
+    return m
+
+
+@given(m=int_matrix_with_row_defects())
+def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
+    # the core drops the free columns below start and keeps the rest: the
+    # vectors of kernel_basis that are nonzero at or after start
+    full = kernel_basis(m)
+    for start in range(len(m[0]) + 1):
+        assert _kernel([list(row) for row in m], len(m[0]), start) == [
+            v for v in full if any(v[start:])
+        ], start
 
 
 # --- signature --------------------------------------------------------------

@@ -138,6 +138,18 @@ def test_int_rows_are_read_without_fractions(monkeypatch):
     assert element.mat == ((2, 1), (-5, -2)) and value == expected
 
 
+@pytest.mark.parametrize("bad", [[[1, 0], [0, 1]], None, 5], ids=["list", "None", "int"])
+@pytest.mark.parametrize("fn", [tau, tau_form, tau_cocycle_defect], ids=lambda fn: fn.__name__)
+def test_tau_refuses_what_is_not_a_symplectic_element(fn, bad):
+    # each would end in a bare AttributeError on reading the genus
+    arity = 3 if fn is tau_cocycle_defect else 2
+    for i in range(arity):
+        args = [SymplecticElement.identity(1)] * arity
+        args[i] = bad
+        with pytest.raises(InvalidInput, match=type(bad).__name__):
+            fn(*args)
+
+
 def test_tau_genus_mismatch():
     with pytest.raises(GenusMismatch):
         tau(SymplecticElement.identity(1), SymplecticElement.identity(2))
@@ -475,7 +487,7 @@ def test_phi1_evaluates_no_tau(monkeypatch):
         pytest.fail("phi1 evaluated the cocycle")
 
     monkeypatch.setattr(meyer, "tau", refuse)
-    monkeypatch.setattr(meyer, "kernel_basis", refuse)
+    monkeypatch.setattr(meyer, "_kernel", refuse)
     matrix = fibonacci_matrix(160)
     (a, b), (c, d) = matrix
     assert phi1(matrix) == phi1_closed_form(a, b, c, d)

@@ -57,6 +57,19 @@ def test_constructor_rejects_non_symplectic():
         SymplecticElement([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (2, 4), (3, 3), (4, 2)])
+def test_constructor_names_the_shape_it_refuses(rows, cols):
+    with pytest.raises(NotSymplectic, match=f"got {rows}x{cols}$"):
+        SymplecticElement([[int(i == j) for j in range(cols)] for i in range(rows)])
+
+
+@pytest.mark.parametrize("e", [True, False, 2.0, 1.5, "2", None])
+def test_power_refuses_an_exponent_that_is_not_an_int(e):
+    # True would read as 1 and 2.0 would end in a bare TypeError
+    with pytest.raises(InvalidInput, match=type(e).__name__):
+        SymplecticElement.identity(1) ** e
+
+
 def test_transvection_basis_vectors():
     assert transvection((1, 0)).mat == ((1, -1), (0, 1))
     assert transvection((0, 1)).mat == ((1, 0), (1, 1))
