@@ -17,18 +17,18 @@ The module holds:
 
 The three linear-algebra helpers, like every matrix argument of the
 library, take rows of ``int``s and refuse any other entry with
-``MatrixFormatError``; they return int rows. Both eliminations are
-Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
-then divide exactly by the previous one. The kernel's Gauss-Jordan
-elimination (``_kernel``) swaps rows and keeps only the live columns: a
-pivot column leaves the rows when it is chosen, and a free column whose
-vector is not wanted (``tau``'s radical vectors (x | 0)) as soon as no pivot
-is found in it. The signature's symmetric elimination pivots on the
-diagonal and, where the live diagonal is zero, adds one basis vector to
-another, a unimodular congruence that moves no signature (Sylvester's law
-of inertia). Neither rational nor floating-point arithmetic enters any
-computation path, signatures are integers decided by the signs of exact
-pivots, and every downstream value is reproducible bit for bit.
+``MatrixFormatError``; they return int rows. ``tau`` calls their cores
+(``_kernel``, ``_gram``, ``_signature``) on rows built from validated
+elements, so nothing is read twice. Both eliminations are Bareiss's
+fraction-free one, with one step: cross-multiply by the new pivot, then
+divide exactly by the previous one. The kernel's Gauss-Jordan elimination
+keeps only the live columns (see ``_kernel``); the signature's symmetric
+elimination pivots on the diagonal and, where the live diagonal is zero,
+adds one basis vector to another, a unimodular congruence that moves no
+signature (Sylvester's law of inertia). Neither rational nor floating-point
+arithmetic enters any computation path, signatures are integers decided by
+the signs of exact pivots, and every downstream value is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -210,9 +210,9 @@ def gram_restrict(
     """Gram matrix G[i][j] = (x_i + y_i)^t S y_j of basis vectors b = (x | y),
     as int rows.
 
-    S is an n x n int matrix and each basis vector has 2n ints. S itself need
-    not be symmetric; the restriction to the supplied vectors must be, and an
-    asymmetric result raises AsymmetricGram (a non-kernel basis, or a bug).
+    S is n x n and each basis vector has 2n ints. S need not be symmetric;
+    the restriction must be, else AsymmetricGram (a non-kernel basis, or a
+    bug). ``tau_form`` calls the core, ``_gram``, on its own vectors.
     """
     s, basis = _int_matrix(s), _int_matrix(basis)
     n = len(s)
@@ -224,14 +224,23 @@ def gram_restrict(
         )
     ys = [v[n:] for v in basis]
     sums = [[a + b for a, b in zip(v, y)] for v, y in zip(basis, ys)]
-    images = [[sum(map(mul, row, y)) for row in s] for y in ys]
+    return _gram(sums, [[sum(map(mul, row, y)) for row in s] for y in ys])
+
+
+def _gram(sums: list[list[int]], images: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """G[i][j] = sums[i] . images[j] (x_i + y_i and S y_j), checked symmetric."""
     return _symmetric(tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums))
 
 
 def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
     """Signature (#positive - #negative eigenvalues) of the symmetric form
     with Gram matrix ``gram``, given by int rows; a Gram that is not square
-    and symmetric raises AsymmetricGram.
+    and symmetric raises AsymmetricGram. The elimination is ``_signature``."""
+    return _signature(_symmetric(_int_matrix(gram)))
+
+
+def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
+    """The signature of int rows checked symmetric; ``tau`` passes ``tau_form``'s.
 
     Symmetric Bareiss elimination with the step of ``_kernel``. An index
     is live until it is pivoted on; the pivot is the first live nonzero
@@ -244,7 +253,7 @@ def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
     (row j added to row i, column j to column i) makes g[i][i] = 2 g[i][j] and
     keeps the invariant; a zero live block is the radical and counts nothing.
     """
-    g = [list(row) for row in _symmetric(_int_matrix(gram))]
+    g = [list(row) for row in gram]
     live = list(range(len(g)))
     sig, prev = 0, 1
     while live:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import mul
 
 from ._record import Record
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     InvalidInput,
     MatrixFormatError,
 )
-from .exactnum import _kernel, _rational_arg, gram_restrict, signature_symmetric
+from .exactnum import _gram, _kernel, _rational_arg, _signature
 from .symplectic import (
     IntMatrix,
     SL2Word,
@@ -44,7 +45,6 @@ from .symplectic import (
     _sign,
     _sl2_reduce,
     _syllable,
-    apply_J,
     gen_S,
     gen_T,
 )
@@ -65,30 +65,31 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     """The Gram matrix, as int rows, of a symmetric form whose signature is
     tau(a1, a2).
 
-    The form is Meyer's pairing on the kernel V, less its radical vectors
-    (x | 0): there A1 x = x, so they pair to zero with all of V, and the Gram
-    keeps one row per kernel basis vector whose y-half is nonzero, dim Fix(A1)
-    fewer than dim V. Those are the vectors of the free columns in the A2 - I
-    half, so the elimination never builds the others. Dropping a radical
-    moves no signature; the congruence class of the Gram (hence its
-    signature) is basis-independent.
+    The form is Meyer's pairing on the kernel V less its radical vectors of
+    two kinds, (x | 0) with A1 x = x and (0 | y) with A2 y = y: the Gram has
+    one row per kernel basis vector with both halves nonzero. The (x | 0)
+    vectors, of the free columns in the A1^-1 - I half, are never built;
+    every other x lies on that half's pivot columns, so x = 0 exactly when
+    u = (A2 - I) y = 0, and the pairing's J (I - A2) y is (-u[g:], u[:g]).
+    A radical moves no signature, nor does the choice of basis.
     """
     _elements(a1, a2)
     if a1.g != a2.g:
         raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
     left = _minus_identity(a1.inverse().mat)
     right = _minus_identity(a2.mat)
-    n = len(right)
+    n, g = len(right), a1.g
     # the rows of [(A1^-1 - I) | (A2 - I)], built from validated elements
-    basis = _kernel([list(a + b) for a, b in zip(left, right)], 2 * n, n)
-    # S = J (I - A2), the 2g x 2g block of the pairing
-    s = apply_J(tuple(tuple(-x for x in row) for row in right))
-    return gram_restrict(s, basis)
+    kernel = _kernel([list(a + b) for a, b in zip(left, right)], 2 * n, n)
+    basis = [v for v in kernel if any(v[:n])]  # less the vectors (0 | y)
+    us = [[sum(map(mul, row, v[n:])) for row in right] for v in basis]
+    sums = [[a + b for a, b in zip(v, v[n:])] for v in basis]
+    return _gram(sums, [[-x for x in u[g:]] + u[:g] for u in us])
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
     """Value of the signature cocycle on a pair of same-genus elements."""
-    value = signature_symmetric(tau_form(a1, a2))
+    value = _signature(tau_form(a1, a2))
     if abs(value) > 4 * a1.g:
         raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {4 * a1.g}")
     return value

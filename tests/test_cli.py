@@ -35,7 +35,7 @@ def test_tau_json(capsys, twist_file):
 
 
 def test_tau_bound_violation_is_contract_violation(capsys, twist_file, monkeypatch):
-    monkeypatch.setattr(meyer, "signature_symmetric", lambda form: 5)
+    monkeypatch.setattr(meyer, "_signature", lambda form: 5)
     code, out, err = run_cli(capsys, "tau", "--a1", twist_file, "--a2", twist_file)
     assert code == 3
     assert out == ""

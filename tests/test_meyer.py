@@ -34,7 +34,7 @@ from meyersig import (
     tau_cocycle_defect,
     tau_form,
 )
-from meyersig import meyer
+from meyersig import exactnum, meyer
 from conftest import random_sl2, tau_matrix, tau_pairs
 
 TWIST = SymplecticElement([[1, -1], [0, 1]])
@@ -57,35 +57,46 @@ def test_tau_on_twist_powers(n):
 
 def test_tau_form_on_twist_powers_is_the_expected_diagonal():
     # the kernel is spanned by (1,0|0,0), (0,0|1,0) and (0,n|0,1); the first is
-    # the radical vector (x | 0) with x fixed by TWIST, which tau_form drops
+    # the radical vector (x | 0) with x fixed by TWIST, the second the radical
+    # vector (0 | y) with y fixed by TWIST**n, and tau_form drops both
     for n in range(1, 6):
-        assert tau_form(TWIST, TWIST**n) == ((0, 0), (0, -n * (n + 1)))
+        assert tau_form(TWIST, TWIST**n) == ((-n * (n + 1),),)
 
 
 def _minus_identity(m) -> list[list[int]]:
     return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
+def _fixes(a, v) -> bool:
+    return [sum(map(operator.mul, row, v)) for row in a.mat] == list(v)
+
+
 def test_tau_form_drops_exactly_the_radical_vectors():
+    reached = 0
     for a1, a2 in tau_pairs(random.Random(1973)):
         n = len(a1.mat)
         full = kernel_basis(tau_matrix(a1, a2))
-        dropped = [i for i, v in enumerate(full) if not any(v[n:])]
-        # the dropped vectors are (x | 0) with A1 x = x, and span all of them
-        for i in dropped:
-            x = full[i][:n]
-            assert [sum(map(operator.mul, row, x)) for row in a1.mat] == list(x)
-        assert len(dropped) == n - oracle.rank(_minus_identity(a1.mat))
-        # they pair to zero with the whole kernel, and tau_form is the rest;
+        x_only = [i for i, v in enumerate(full) if not any(v[n:])]
+        y_only = [i for i, v in enumerate(full) if not any(v[:n])]
+        # the vectors (x | 0) have A1 x = x, and span all of them
+        assert all(_fixes(a1, full[i][:n]) for i in x_only)
+        assert len(x_only) == n - oracle.rank(_minus_identity(a1.mat))
+        # the vectors (0 | y) have A2 y = y, and there are at most dim Fix(A2)
+        assert all(_fixes(a2, full[i][n:]) for i in y_only)
+        assert len(y_only) <= n - oracle.rank(_minus_identity(a2.mat))
+        reached += bool(y_only)
+        # both kinds pair to zero with the whole kernel, and tau_form is the rest;
         # the pairing is J (I - A2), J = [[0, I], [-I, 0]]
         m = _minus_identity(a2.mat)
         pairing = [[-x for x in row] for row in m[n // 2 :]] + m[: n // 2]
         gram = gram_restrict(pairing, full)
+        dropped = x_only + y_only
         assert all(gram[i][j] == gram[j][i] == 0 for i in dropped for j in range(len(full)))
         kept = [i for i in range(len(full)) if i not in dropped]
         form = tau_form(a1, a2)
         assert form == tuple(tuple(gram[i][j] for j in kept) for i in kept)
         assert signature_symmetric(form) == signature_symmetric(gram)
+    assert reached == 31
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -110,6 +121,22 @@ def test_tau_path_constructs_no_fractions(monkeypatch):
     values = [tau(a1, a2) for a1, a2 in pairs]
     monkeypatch.undo()
     assert -1 in values and len(set(values)) > 1
+
+
+def test_tau_reads_its_rows_once(monkeypatch):
+    # tau_form builds its rows from validated elements: no reader sees them,
+    # and its Gram is checked symmetric once, before the signature
+    pairs = tau_pairs(random.Random(5), per_genus=3)
+    expected = [tau(a1, a2) for a1, a2 in pairs]
+    symmetric, checked = exactnum._symmetric, []
+
+    def refuse(*args, **kwargs):
+        pytest.fail("tau's rows read again")
+
+    monkeypatch.setattr(exactnum, "_int_matrix", refuse)
+    monkeypatch.setattr(exactnum, "_symmetric", lambda g: checked.append(g) or symmetric(g))
+    assert [tau(a1, a2) for a1, a2 in pairs] == expected
+    assert len(checked) == len(pairs)
 
 
 def test_int_rows_are_read_without_fractions(monkeypatch):
@@ -205,7 +232,7 @@ def test_tau_bound(seeded):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_tau_bound_violation_raises(monkeypatch, g):
-    monkeypatch.setattr(meyer, "signature_symmetric", lambda form: 4 * g + 1)
+    monkeypatch.setattr(meyer, "_signature", lambda form: 4 * g + 1)
     eye = SymplecticElement.identity(g)
     with pytest.raises(ContractViolation):
         tau(eye, eye)
