@@ -42,7 +42,6 @@ from .symplectic import (
     IntMatrix,
     SL2Word,
     SymplecticElement,
-    _sign,
     _sl2_reduce,
     _syllable,
     gen_S,
@@ -208,10 +207,14 @@ def phi1_word(
     return Fraction(0) if acc is None else acc[1]
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _phi1_closed_form(m: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
     """-Phi(A)/3 + eps(A) for A = [[a, b], [c, d]] read by ``_sl2_reduce``;
     eps = sign(c(a + d - 2)) for c != 0 and sign(b(d + 1)) for c = 0."""
-    (a, b, c, d), _, rademacher = _sl2_reduce(m)
+    (a, b, c, d), _, _, rademacher = _sl2_reduce(m)
     eps = _sign(c * (a + d - 2)) if c else _sign(b * (d + 1))
     return Fraction(3 * eps - rademacher, 3)
 

@@ -229,25 +229,25 @@ def _normalize_syllables(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], .
     return tuple(out)
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _sl2_reduce(
     a: SymplecticElement | Iterable[Iterable[int]],
-) -> tuple[tuple[int, int, int, int], list[tuple[str, int]], int]:
+) -> tuple[tuple[int, int, int, int], list[int], tuple[int, int], int]:
     """Read a 2x2 matrix A of determinant 1 from int rows (``_int_matrix``), or
-    raise ``NotUnimodular``; return its entries (a, b, c, d), raw syllables
-    of a word for A (which ``sl2_word`` normalizes) and Rademacher's integer
-    function Phi(A) (which ``meyer.phi1`` reads), all from one Euclidean
-    reduction.
+    raise ``NotUnimodular``; return its entries (a, b, c, d), the quotients
+    q_1..q_k and tail (s, b') of one Euclidean reduction A = T^q_1 S ...
+    T^q_k S S^s T^b' (s is 0 or 2), and Rademacher's integer function Phi(A).
+
+    Each step takes q, r = divmod(a, c) of the remainder's first column. Its
+    |c| falls by at least 1 per step, so there are at most |c| steps: few for
+    large quotients, but n for [[1, 0], [-n, 1]] (q = -1, -2, ..., -2).
 
     Phi is folded from Phi(T^n) = n, Phi(S^k) = 0 and Phi(XY) = Phi(X) +
-    Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry, which holds for any
-    factorization. Only the bottom row (c, d) of the running product X is
-    kept, and only up to sign, as Phi(-X) = Phi(X): T^n and S^2 = -I have
-    c = 0 and add no correction; Y = S has c_Y = 1 and c_XY = d, so it adds
-    -3 sign(c d).
+    Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry. With X_k the product
+    of the first k steps, T^q adds q and S adds -3 sign(c_(k-1) c_k): 0 for
+    k = 1, as c_0 = 0. After the first step the remainder's first column has
+    opposite signs and |c| < |a|, so every later q <= -2, and c_k = q_k c_(k-1)
+    - c_(k-2) from c_0 = 0, c_1 = 1 alternates in sign and grows: every later
+    S adds +3.
     """
     mat = a.mat if isinstance(a, SymplecticElement) else _int_matrix(a)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
@@ -257,38 +257,33 @@ def _sl2_reduce(
         raise NotUnimodular("determinant must be 1")
     entries = (aa, bb, cc, dd)
 
-    raw: list[tuple[str, int]] = []
-    phi, c, d = 0, 0, 1
-    # invariant: input = (product of raw) * [[aa, bb], [cc, dd]], and the
-    # product of raw has Phi = phi and bottom row +-(c, d)
-    while cc != 0:
-        q = aa // cc
-        if q != 0:
-            raw.append(("T", q))
-            phi += q
-            d += c * q
-            aa, bb = aa - q * cc, bb - q * dd
-        raw.append(("S", 1))
-        phi -= 3 * _sign(c * d)
-        c, d = d, -c
-        # strip S^{-1} from the remainder: S^{-1} [[a,b],[c,d]] = [[c,d],[-a,-b]]
-        aa, bb, cc, dd = cc, dd, -aa, -bb
-    if aa != 1:  # aa == dd == -1, remainder is -T^{-bb} = S^2 T^{-bb}
-        raw.append(("S", 2))
+    quotients: list[int] = []
+    phi = -3 if cc else 0  # the first S adds no correction
+    # invariant: input = T^q_1 S ... T^q_j S [[aa, bb], [cc, dd]], and for
+    # j >= 1 phi = Phi(T^q_1 S ... T^q_j S)
+    while cc:
+        q, r = divmod(aa, cc)
+        quotients.append(q)
+        phi += q + 3
+        # S^-1 T^-q [[aa, bb], [cc, dd]] = [[cc, dd], [-r, q dd - bb]]
+        aa, bb, cc, dd = cc, dd, -r, q * dd - bb
+    if aa != 1:  # aa == dd == -1, the remainder is -T^-bb = S^2 T^-bb
         bb = -bb
-    if bb != 0:
-        raw.append(("T", bb))
-    return entries, raw, phi + bb
+    return entries, quotients, (1 - aa, bb), phi + bb
 
 
 def sl2_word(a: SymplecticElement | Iterable[Iterable[int]]) -> SL2Word:
     """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
 
-    Euclidean reduction of the first column: the word length is bounded by
-    the bit lengths of the entries, -I is normalized to S^2 and S-exponents
-    are reduced mod 4.
+    The word is T^q S for each quotient of the Euclidean reduction
+    (``_sl2_reduce``), then S^2 for -I and T^b, normalized: T^0 dropped, S
+    exponents reduced mod 4 and adjacent powers of one generator merged. It
+    has at most 2|c| + 2 syllables, and its length ``len()`` sums their
+    exponents: [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
     """
-    return SL2Word(_normalize_syllables(_sl2_reduce(a)[1]))
+    _, quotients, (s, b), _ = _sl2_reduce(a)
+    raw = [syllable for q in quotients for syllable in (("T", q), ("S", 1))]
+    return SL2Word(_normalize_syllables(raw + [("S", s), ("T", b)]))
 
 
 def random_transvection_product(rng, g: int, length: int) -> SymplecticElement:

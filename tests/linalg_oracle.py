@@ -3,8 +3,10 @@
 Matrices are sequences of rows; every result is a list of lists (or a list)
 of ``Fraction``s, which compare equal to the ``int``s the library returns.
 Signatures are read off sympy's characteristic polynomial by Descartes' rule
-of signs. The module imports nothing from ``meyersig``, so a test that
-checks the library against it does not check the library against itself.
+of signs. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
+SL(2,Z) matrix, folded one syllable at a time. The module imports nothing
+from ``meyersig``, so a test that checks the library against it does not
+check the library against itself.
 """
 
 from fractions import Fraction
@@ -104,3 +106,52 @@ def descartes_signature(gram) -> int:
     degree = len(coeffs) - 1
     mirrored = [c * (-1) ** (degree - i) for i, c in enumerate(coeffs)]  # p(-x)
     return _sign_changes(coeffs) - _sign_changes(mirrored)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _merge_syllables(raw) -> tuple[tuple[str, int], ...]:
+    """Merge adjacent powers of one generator, S exponents mod 4, drop the
+    identity syllables."""
+    out: list[tuple[str, int]] = []
+    for gen, e in raw:
+        if out and out[-1][0] == gen:
+            e += out.pop()[1]
+        if gen == "S":
+            e %= 4
+        if e != 0:
+            out.append((gen, e))
+    return tuple(out)
+
+
+def sl2_reduction(a: int, b: int, c: int, d: int) -> tuple[tuple[tuple[str, int], ...], int]:
+    """The normalized S, T syllables and Rademacher's Phi of [[a, b], [c, d]],
+    of determinant 1, by the Euclidean reduction of the first column.
+
+    Each step strips T^q (q = a // c, skipped when 0) and then S from the
+    left, one syllable at a time. Phi is folded along the syllables by
+    Phi(T^n) = n, Phi(S^k) = 0 and Phi(XY) = Phi(X) + Phi(Y)
+    - 3 sign(c_X c_Y c_XY), keeping the bottom row (x, y) of the running
+    product X: an S adds -3 sign(x y).
+    """
+    raw: list[tuple[str, int]] = []
+    phi, x, y = 0, 0, 1
+    while c != 0:
+        q = a // c
+        if q != 0:
+            raw.append(("T", q))
+            phi += q
+            y += x * q
+            a, b = a - q * c, b - q * d
+        raw.append(("S", 1))
+        phi -= 3 * _sign(x * y)
+        x, y = y, -x
+        a, b, c, d = c, d, -a, -b  # S^-1 [[a, b], [c, d]]
+    if a != 1:  # a == d == -1: -T^-b = S^2 T^-b
+        raw.append(("S", 2))
+        b = -b
+    if b != 0:
+        raw.append(("T", b))
+    return _merge_syllables(raw), phi + b

@@ -1,0 +1,218 @@
+"""Standing mutants of the library, each with the tests that must catch it.
+
+Run from the repository root:
+
+    python tests/mutants.py                     # every mutant
+    python tests/mutants.py reduce-drop-q ...   # the named ones
+
+For each mutant the script copies ``src/`` to a temporary directory,
+replaces the one occurrence of ``old`` by ``new`` in ``file`` there, and
+runs the mutant's test ids with ``pytest -x`` against that copy. A mutant
+is caught when pytest exits 1, a failed test; an exit of 0 (the mutant
+survived) or any other (INTERNALERROR, a usage or collection error) fails
+the run, and the script exits 1. ``test_mutants.py`` checks in Tier-1 that
+every old text still occurs exactly once, so the list cannot rot silently.
+The file is not named ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "meyersig"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # in src/meyersig/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+EXACT = "tests/test_exactnum.py::"
+MEYER = "tests/test_meyer.py::"
+ORACLE = "tests/test_tau_oracle.py::"
+REFERENCE = MEYER + "test_sl2_reduction_matches_the_reference_on_explicit_inputs"
+
+MUTANTS = (
+    # the Euclidean reduction behind phi1 and sl2_word
+    Mutant(
+        "reduce-flip-s-correction",
+        "symplectic.py",
+        "phi += q + 3",
+        "phi += q - 3",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "reduce-drop-q",
+        "symplectic.py",
+        "phi += q + 3",
+        "phi += 3",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "reduce-unnegated-remainder",
+        "symplectic.py",
+        "aa, bb, cc, dd = cc, dd, -r, q * dd - bb",
+        "aa, bb, cc, dd = cc, dd, r, q * dd - bb",
+        (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
+    ),
+    Mutant(
+        "reduce-drop-tail-negation",
+        "symplectic.py",
+        "        bb = -bb\n    return entries",
+        "        pass\n    return entries",
+        (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
+    ),
+    Mutant(
+        "reduce-drop-tail-from-phi",
+        "symplectic.py",
+        "(1 - aa, bb), phi + bb",
+        "(1 - aa, bb), phi",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    # tau's kernel, Gram and signature
+    Mutant(
+        "kernel-divide-by-p",
+        "exactnum.py",
+        "(p * x - f * y) // prev",
+        "(p * x - f * y) // p",
+        (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
+    ),
+    Mutant(
+        "kernel-skip-zero-rows",
+        "exactnum.py",
+        "                f = row.pop(k)\n",
+        "                f = row.pop(k)\n                if f == 0:\n                    continue\n",
+        (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
+    ),
+    Mutant(
+        "kernel-keep-free-below-start",
+        "exactnum.py",
+        "            if c < start:",
+        "            if c < 0:",
+        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",
+         EXACT + "test_kernel_core_builds_exactly_the_vectors_from_start_on"),
+    ),
+    Mutant(
+        "tau-form-keep-a-zero-x-half",  # (0 | y) kept when y's first entry is not 0
+        "meyer.py",
+        "basis = [v for v in kernel if any(v[:n])]",
+        "basis = [v for v in kernel if any(v[: n + 1])]",
+        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",),
+    ),
+    Mutant(
+        "tau-form-unsigned-swap",
+        "meyer.py",
+        "[[-x for x in u[g:]] + u[:g] for u in us]",
+        "[list(u[g:]) + u[:g] for u in us]",
+        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",
+         "tests/test_acceptance.py::test_criterion_02_cocycle_identity"),
+    ),
+    Mutant(
+        "gram-unchecked",
+        "exactnum.py",
+        "    return _symmetric(tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums))",
+        "    return tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums)",
+        (EXACT + "test_gram_restrict_rejects_asymmetric_result",),
+    ),
+    Mutant(
+        "signature-stop-at-zero-diagonal",
+        "exactnum.py",
+        "            if pair is None:\n                break",
+        "            if True:\n                break",
+        (EXACT + "test_signature_against_root_counting_oracle",),
+    ),
+    Mutant(
+        "signature-sign-of-p",
+        "exactnum.py",
+        "sig += 1 if (p > 0) == (prev > 0) else -1",
+        "sig += 1 if p > 0 else -1",
+        (EXACT + "test_signature_against_root_counting_oracle",),
+    ),
+    Mutant(
+        "tau-negated-at-g4",
+        "meyer.py",
+        "    value = _signature(tau_form(a1, a2))",
+        "    value = _signature(tau_form(a1, a2)) * (-1 if a1.g == 4 else 1)",
+        (ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations",),
+    ),
+    # elements and readers
+    Mutant(
+        "transvection-flipped-sign",
+        "symplectic.py",
+        "w = vv[g:] + tuple(-x for x in vv[:g])",
+        "w = tuple(-x for x in vv[g:]) + vv[:g]",
+        ("tests/test_symplectic.py::test_transvection_matches_pointwise_definition",
+         ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations"),
+    ),
+    Mutant(
+        "int-matrix-checks-first-row-only",
+        "exactnum.py",
+        "            if not set(map(type, row)) <= {int}:",
+        "            if not rows and not set(map(type, row)) <= {int}:",
+        (EXACT + "test_linear_algebra_refuses_what_is_not_int_rows",),
+    ),
+    Mutant(
+        "ci-dropped-import",
+        "cli.py",
+        "def cmd_ci(args) -> int:\n    from . import varieties\n",
+        "def cmd_ci(args) -> int:\n",
+        ("tests/test_cli.py::test_ci_golden",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'caught', or why the mutant was not."""
+    with tempfile.TemporaryDirectory(prefix="meyersig-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(PACKAGE, src / "meyersig", ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "meyersig" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return f"the old text occurs {text.count(mutant.old)} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import meyersig; print(meyersig.__file__)"],
+            env=env, capture_output=True, text=True,
+        ).stdout
+        if not where.startswith(str(src)):
+            return f"meyersig was imported from {where.strip()!r}, not the mutated copy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    if "INTERNALERROR" in proc.stdout + proc.stderr:
+        return f"INTERNALERROR (exit {proc.returncode})"
+    if proc.returncode != 1:
+        return "survived" if proc.returncode == 0 else f"pytest exit {proc.returncode}"
+    return "caught"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in [known[n] for n in names] if names else MUTANTS:
+        outcome = run(mutant)
+        failed += outcome != "caught"
+        print(f"{mutant.name}: {outcome}", flush=True)
+    print(f"{len(names or MUTANTS) - failed} caught, {failed} not")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -34,7 +34,7 @@ from meyersig import (
     tau_cocycle_defect,
     tau_form,
 )
-from meyersig import exactnum, meyer
+from meyersig import exactnum, meyer, symplectic
 from conftest import random_sl2, tau_matrix, tau_pairs
 
 TWIST = SymplecticElement([[1, -1], [0, 1]])
@@ -505,6 +505,48 @@ def test_sl2_word_is_in_normal_form_and_evaluates_back():
         assert all(e != 0 for _, e in syllables), syllables
         assert all(g != h for (g, _), (h, _) in zip(syllables, syllables[1:])), syllables
         assert all(1 <= e <= 3 for g, e in syllables if g == "S"), syllables
+
+
+# --- the one reduction against the syllable-at-a-time reference ----------------
+
+
+def _reduces_like_the_reference(matrix):
+    (a, b), (c, d) = matrix
+    syllables, rademacher = oracle.sl2_reduction(a, b, c, d)
+    assert sl2_word(matrix).syllables == syllables, matrix
+    assert symplectic._sl2_reduce(matrix)[-1] == rademacher, matrix
+
+
+# Any word with small exponents, and words with exponents up to 10^6 in the
+# reduction's own shape, T^e then S^odd T^q with q <= -2, which take one step
+# per S. An arbitrary word with such exponents can take about 10^6 steps
+# (test_sl2_reduction_takes_up_to_abs_c_steps).
+big = st.integers(-10**6, 10**6)
+odd = st.integers(-500_000, 499_999).map(lambda k: 2 * k + 1)
+reduced_words = st.builds(
+    lambda e, rest: [("T", e), *(syllable for s, q in rest for syllable in (("S", s), ("T", q)))],
+    big,
+    st.lists(st.tuples(odd, st.integers(-10**6, -2)), max_size=19),
+)
+
+
+@given(word=st.lists(st.tuples(st.sampled_from("ST"), st.integers(-50, 50)), max_size=40) | reduced_words)
+def test_sl2_reduction_matches_the_reference_on_words(word):
+    a, b, c, d = _word_product(word)
+    _reduces_like_the_reference([[a, b], [c, d]])
+
+
+def test_sl2_reduction_takes_up_to_abs_c_steps():
+    # |c| falls by at least 1 per step; [[1, 0], [-n, 1]] = S T^n S^-1 takes n
+    for n in (1, 2, 3, 10, 10_000):
+        _, quotients, _, rademacher = symplectic._sl2_reduce([[1, 0], [-n, 1]])
+        assert quotients == [-1] + [-2] * (n - 1)
+        assert rademacher == n - 3  # 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
+
+
+def test_sl2_reduction_matches_the_reference_on_explicit_inputs():
+    for matrix in [*EXPLICIT.values(), *ONE_PASS_INPUTS, *map(fibonacci_matrix, range(322, 401, 2))]:
+        _reduces_like_the_reference(matrix)
 
 
 def test_phi1_evaluates_no_tau(monkeypatch):

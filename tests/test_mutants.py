@@ -1,0 +1,28 @@
+"""The standing mutants in ``mutants.py`` still apply to the source and still
+name tests that exist. Running them is ``python tests/mutants.py``."""
+
+import ast
+
+import pytest
+
+from mutants import MUTANTS, PACKAGE, ROOT
+
+
+def test_mutant_names_are_unique():
+    names = [m.name for m in MUTANTS]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_old_text_occurs_exactly_once(mutant):
+    assert mutant.old != mutant.new
+    assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_mutant_names_tests_that_exist(mutant):
+    assert mutant.tests
+    for test_id in mutant.tests:
+        path, name = test_id.split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test_id
