@@ -9,7 +9,7 @@ The module holds:
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
   (``kernel_basis``, or ``_kernel`` for the vectors of the free columns
-  from a given one on),
+  from a given one on), and their pivot columns (``_pivot_columns``),
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric integer forms by symmetric Bareiss elimination
@@ -17,12 +17,12 @@ The module holds:
 
 The three linear-algebra helpers, like every matrix argument of the
 library, take rows of ``int``s and refuse any other entry with
-``MatrixFormatError``; they return int rows. ``tau`` calls their cores
-(``_kernel``, ``_gram``, ``_signature``) on rows built from validated
-elements, so nothing is read twice. Both eliminations are Bareiss's
-fraction-free one, with one step: cross-multiply by the new pivot, then
-divide exactly by the previous one. The kernel's Gauss-Jordan elimination
-keeps only the live columns (see ``_kernel``); the signature's symmetric
+``MatrixFormatError``; they return int rows. ``tau`` calls the cores
+(``_kernel``, ``_pivot_columns``, ``_gram``, ``_signature``) on rows built
+from validated elements, so nothing is read twice. Every elimination is
+Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
+then divide exactly by the previous one. The kernel and the pivot pass keep
+only the live columns (see ``_kernel``); the signature's symmetric
 elimination pivots on the diagonal and, where the live diagonal is zero,
 adds one basis vector to another, a unimodular congruence that moves no
 signature (Sylvester's law of inertia). Neither rational nor floating-point
@@ -190,6 +190,33 @@ def _kernel(rows: list[list[int]], cols: int, start: int) -> list[tuple[int, ...
             v[c] = -sign * row[j]
         basis.append(tuple(_primitive(v)))
     return basis
+
+
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    """The pivot columns of the int rows ``rows`` (consumed): the columns that
+    are not combinations of the columns before them. Forward-only Bareiss
+    elimination with ``_kernel``'s step on the rows not yet pivoted on, which
+    keep only the columns not yet eliminated."""
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        for piv, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            for row in rows:
+                del row[0]
+            continue
+        top = rows.pop(piv)
+        p = top.pop(0)
+        for i, row in enumerate(rows):
+            f = row.pop(0)
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+        if not rows:
+            break
+    return pivots
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

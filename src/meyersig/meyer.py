@@ -6,8 +6,11 @@ explicit symmetric bilinear form: the pairing
     <(x, y), (x', y')> = (x + y)^t J (I - A2) y'
 
 restricted to the solution space of (A1^{-1} - I) x + (A2 - I) y = 0 inside
-R^{2g} + R^{2g}. Everything is exact; the basis choice cannot affect the
-result, by Sylvester's law of inertia.
+R^{2g} + R^{2g}. Its radical holds the solutions (x | 0) and (0 | y), so it
+descends to W = Im(A1^{-1} - I) meet Im(A2 - I), Wall's non-additivity form
+(Meyer 1973; Wall 1969), and ``tau_form`` builds its Gram on a basis of W.
+Everything is exact; the basis choice cannot affect the result, by
+Sylvester's law of inertia.
 
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
@@ -37,11 +40,12 @@ from .errors import (
     InvalidInput,
     MatrixFormatError,
 )
-from .exactnum import _gram, _kernel, _rational_arg, _signature
+from .exactnum import _gram, _kernel, _pivot_columns, _rational_arg, _signature
 from .symplectic import (
     IntMatrix,
     SL2Word,
     SymplecticElement,
+    _inverse_minus,
     _sl2_reduce,
     _syllable,
     gen_S,
@@ -49,61 +53,77 @@ from .symplectic import (
 )
 
 
-def _minus_identity(m: IntMatrix) -> IntMatrix:
-    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(m))
-
-
 def _elements(*els: SymplecticElement) -> None:
-    """Refuse an argument of tau that is not a SymplecticElement, naming its type."""
+    """Refuse an argument of tau that is not a SymplecticElement, naming its
+    type, and elements of different genera."""
     for el in els:
         if not isinstance(el, SymplecticElement):
             raise InvalidInput(f"tau takes SymplecticElements, got {type(el).__name__}")
+    if len({el.g for el in els}) > 1:
+        raise GenusMismatch("genus " + " vs ".join(str(el.g) for el in els))
+
+
+def _right(a2: SymplecticElement) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns Q of A2 - I and the rows of (A2 - I)_Q, its columns at Q."""
+    m = [list(row) for row in a2.mat]
+    for i, row in enumerate(m):
+        row[i] -= 1
+    q = _pivot_columns([row[:] for row in m])
+    return q, [[row[c] for c in q] for row in m]
+
+
+def _form(left: IntMatrix, right: tuple[list[int], list[list[int]]]) -> IntMatrix:
+    """``tau_form`` from the rows of A1^-1 - I and ``_right(a2)``."""
+    q, rq = right
+    n, g = len(left), len(left) // 2
+    sums, images = [], []
+    for v in _kernel([[*a, *b] for a, b in zip(left, rq)], n + len(q), n):
+        x, y = list(v[:n]), v[n:]
+        for c, t in zip(q, y):
+            x[c] += t  # x + y, with y scattered onto Q
+        u = [sum(map(mul, row, y)) for row in rq]  # (A2 - I) y
+        sums.append(x)
+        images.append([-t for t in u[g:]] + u[:g])  # J (I - A2) y
+    return _gram(sums, images)
+
+
+def _tau(left: IntMatrix, right: tuple[list[int], list[list[int]]]) -> int:
+    """``tau`` from the rows of A1^-1 - I and ``_right(a2)``."""
+    value = _signature(_form(left, right))
+    if abs(value) > 2 * len(left):
+        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * len(left)}")
+    return value
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     """The Gram matrix, as int rows, of a symmetric form whose signature is
-    tau(a1, a2).
+    tau(a1, a2): Meyer's pairing on a basis of W, so it is dim W square.
 
-    The form is Meyer's pairing on the kernel V less its radical vectors of
-    two kinds, (x | 0) with A1 x = x and (0 | y) with A2 y = y: the Gram has
-    one row per kernel basis vector with both halves nonzero. The (x | 0)
-    vectors, of the free columns in the A1^-1 - I half, are never built;
-    every other x lies on that half's pivot columns, so x = 0 exactly when
-    u = (A2 - I) y = 0, and the pairing's J (I - A2) y is (-u[g:], u[:g]).
-    A radical moves no signature, nor does the choice of basis.
+    The form descends to W through (x | y) -> u = (A2 - I) y. With Q the
+    pivot columns of A2 - I, the basis is the kernel of [(A1^-1 - I) |
+    (A2 - I)_Q] less its vectors (x | 0), which are never built: every x is
+    nonzero and the u are independent. G[i][j] = (x_i + y_i)^t J (I - A2) y_j,
+    y scattered from Q onto 2g coordinates, J (I - A2) y = (-u[g:], u[:g]).
     """
     _elements(a1, a2)
-    if a1.g != a2.g:
-        raise GenusMismatch(f"genus {a1.g} vs {a2.g}")
-    left = _minus_identity(a1.inverse().mat)
-    right = _minus_identity(a2.mat)
-    n, g = len(right), a1.g
-    # the rows of [(A1^-1 - I) | (A2 - I)], built from validated elements
-    kernel = _kernel([list(a + b) for a, b in zip(left, right)], 2 * n, n)
-    basis = [v for v in kernel if any(v[:n])]  # less the vectors (0 | y)
-    us = [[sum(map(mul, row, v[n:])) for row in right] for v in basis]
-    sums = [[a + b for a, b in zip(v, v[n:])] for v in basis]
-    return _gram(sums, [[-x for x in u[g:]] + u[:g] for u in us])
+    return _form(_inverse_minus(a1.mat, 1), _right(a2))
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
     """Value of the signature cocycle on a pair of same-genus elements."""
-    value = _signature(tau_form(a1, a2))
-    if abs(value) > 4 * a1.g:
-        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {4 * a1.g}")
-    return value
+    _elements(a1, a2)
+    return _tau(_inverse_minus(a1.mat, 1), _right(a2))
 
 
 def tau_cocycle_defect(
     a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement
 ) -> int:
-    """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0."""
+    """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0.
+    The rows of a1, a2, a3, a1*a2 and a2*a3 are each built once."""
     _elements(a1, a2, a3)
-    if not (a1.g == a2.g == a3.g):
-        raise GenusMismatch(f"genera {a1.g}, {a2.g}, {a3.g}")
-    return (
-        tau(a1, a2) + tau(a1 * a2, a3) - tau(a2, a3) - tau(a1, a2 * a3)
-    )
+    l1, l12, l2 = (_inverse_minus(a.mat, 1) for a in (a1, a1 * a2, a2))
+    r2, r3, r23 = map(_right, (a2, a3, a2 * a3))
+    return _tau(l1, r2) + _tau(l12, r3) - _tau(l2, r3) - _tau(l1, r23)
 
 
 class PhiBase(Record):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
-from operator import mul
+from operator import mul, neg
 
 from ._record import Record
 from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
@@ -37,6 +37,20 @@ def apply_J(m: IntMatrix) -> IntMatrix:
     halves, (M[g:], -M[:g]), instead of a matrix product."""
     g = len(m) // 2
     return m[g:] + tuple(tuple(-x for x in row) for row in m[:g])
+
+
+def _inverse_minus(m: IntMatrix, k: int) -> IntMatrix:
+    """A^{-1} - kI in one pass: A^{-1} = J^{-1} A^t J = [[D^t, -B^t], [-C^t, A^t]]
+    for A = [[A, B], [C, D]], so row i is column i + g (mod 2g) of A with its
+    halves swapped, the upper one negated for i < g and the lower one else."""
+    g = len(m) // 2
+    cols = tuple(zip(*m))
+    rows = []
+    for i, col in enumerate(cols[g:] + cols[:g]):
+        row = [*col[g:], *map(neg, col[:g])] if i < g else [*map(neg, col[g:]), *col[:g]]
+        row[i] -= k
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class SymplecticElement(Record):
@@ -87,8 +101,7 @@ class SymplecticElement(Record):
         return SymplecticElement._derived(_matmul(self.mat, other.mat))
 
     def inverse(self) -> "SymplecticElement":
-        # A^{-1} = J^{-1} A^t J = J (J A)^t: two signed swaps and a transpose
-        return SymplecticElement._derived(apply_J(tuple(zip(*apply_J(self.mat)))))
+        return SymplecticElement._derived(_inverse_minus(self.mat, 0))
 
     def __pow__(self, e: int) -> "SymplecticElement":
         e = _int_arg(e, "exponent")

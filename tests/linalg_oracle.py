@@ -73,9 +73,29 @@ def rref(m, cols: int) -> tuple[list[list[Fraction]], list[int]]:
     return a, pivots
 
 
+def pivot_columns(m, cols: int) -> list[int]:
+    """The pivot columns of ``m``, which has ``cols`` columns: the columns that
+    are not combinations of the columns before them."""
+    return rref(m, cols)[1]
+
+
 def rank(m) -> int:
-    rows = _rows(m)
-    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+    """The number of nonzero rows of a row echelon form of ``m``: Gaussian
+    elimination below each pivot, on the columns after it."""
+    a = _rows(m)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / top[c]
+            if f != 0:
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], top[c:])]
+        r += 1
+    return r
 
 
 def inverse(m) -> list[list[Fraction]]:

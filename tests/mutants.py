@@ -83,8 +83,8 @@ MUTANTS = (
     Mutant(
         "kernel-divide-by-p",
         "exactnum.py",
-        "(p * x - f * y) // prev",
-        "(p * x - f * y) // p",
+        "                rows[i] = [(p * x - f * y) // prev",
+        "                rows[i] = [(p * x - f * y) // p",
         (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
     ),
     Mutant(
@@ -99,22 +99,30 @@ MUTANTS = (
         "exactnum.py",
         "            if c < start:",
         "            if c < 0:",
-        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",
+        (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",
          EXACT + "test_kernel_core_builds_exactly_the_vectors_from_start_on"),
     ),
     Mutant(
-        "tau-form-keep-a-zero-x-half",  # (0 | y) kept when y's first entry is not 0
+        "tau-form-keep-a-zero-x-half",  # the pass keeps a dependent column, so (0 | y) vectors appear
+        "exactnum.py",
+        "                del row[0]\n            continue\n",
+        "                del row[0]\n            pivots.append(c)\n            continue\n",
+        (EXACT + "test_pivot_columns_are_the_rref_pivots",
+         MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w"),
+    ),
+    Mutant(
+        "tau-form-unscattered-y",  # the sums are x, not x + y
         "meyer.py",
-        "basis = [v for v in kernel if any(v[:n])]",
-        "basis = [v for v in kernel if any(v[: n + 1])]",
-        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",),
+        "            x[c] += t  # x + y, with y scattered onto Q\n",
+        "            pass\n",
+        (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",),
     ),
     Mutant(
         "tau-form-unsigned-swap",
         "meyer.py",
-        "[[-x for x in u[g:]] + u[:g] for u in us]",
-        "[list(u[g:]) + u[:g] for u in us]",
-        (MEYER + "test_tau_form_drops_exactly_the_radical_vectors",
+        "images.append([-t for t in u[g:]] + u[:g])",
+        "images.append(list(u[g:]) + u[:g])",
+        (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",
          "tests/test_acceptance.py::test_criterion_02_cocycle_identity"),
     ),
     Mutant(
@@ -141,9 +149,16 @@ MUTANTS = (
     Mutant(
         "tau-negated-at-g4",
         "meyer.py",
-        "    value = _signature(tau_form(a1, a2))",
-        "    value = _signature(tau_form(a1, a2)) * (-1 if a1.g == 4 else 1)",
+        "    value = _signature(_form(left, right))",
+        "    value = _signature(_form(left, right)) * (-1 if len(left) == 8 else 1)",
         (ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations",),
+    ),
+    Mutant(
+        "defect-wrong-right-side",  # tau(a1, a3) in place of tau(a1, a2 a3)
+        "meyer.py",
+        "- _tau(l1, r23)",
+        "- _tau(l1, r3)",
+        (MEYER + "test_cocycle_defect_shares_the_four_tau_values",),
     ),
     # elements and readers
     Mutant(

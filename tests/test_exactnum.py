@@ -22,7 +22,7 @@ from meyersig import (
     sl2_word,
     transvection,
 )
-from meyersig.exactnum import _kernel, parse_rational
+from meyersig.exactnum import _kernel, _pivot_columns, parse_rational
 
 
 def diag(*entries) -> tuple[tuple[int, ...], ...]:
@@ -226,6 +226,52 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
         assert _kernel([list(row) for row in m], len(m[0]), start) == [
             v for v in full if any(v[start:])
         ], start
+
+
+@st.composite
+def pivot_matrix(draw):
+    """Int matrices up to 10 x 12 for the pivot pass: low-rank products B C
+    (the empty matrix and the zero matrix among them) or square ones of full
+    rank (a triangular matrix with a nonzero diagonal, its rows shuffled),
+    with zero rows and zero columns spliced in."""
+    entry = st.integers(-5, 5)
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+        k = draw(st.integers(0, min(rows, cols)))
+        b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        c = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] if k else [0] * cols
+             for row in b]
+    else:
+        n = draw(st.integers(1, 8))
+        diagonal = st.integers(-5, -1) | st.integers(1, 5)
+        m = [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        m = draw(st.permutations(m))
+        rows, cols = n, n
+    for at in draw(st.lists(st.integers(0, cols), max_size=2)):
+        m = [row[:at] + [0] + row[at:] for row in m]
+        cols += 1
+    for at in draw(st.lists(st.integers(0, rows), max_size=2)):
+        m = m[:at] + [[0] * cols] + m[at:]
+        rows += 1
+    return m, cols
+
+
+@given(case=pivot_matrix())
+def test_pivot_columns_are_the_rref_pivots(case):
+    m, cols = case
+    assert _pivot_columns([list(row) for row in m]) == oracle.pivot_columns(m, cols)
+
+
+@pytest.mark.parametrize(
+    "m, pivots",
+    [([], []), ([[], []], []), ([[0, 0], [0, 0]], []), ([[0, 2, 4], [0, 1, 2]], [1]),
+     ([[1, 2, 3], [2, 4, 7]], [0, 2]), ([[0, 1], [1, 0]], [0, 1])],
+    ids=["no-rows", "no-columns", "zero", "rank-one", "dependent-middle", "row-swap"],
+)
+def test_pivot_columns_on_explicit_matrices(m, pivots):
+    assert _pivot_columns([list(row) for row in m]) == pivots
 
 
 # --- signature --------------------------------------------------------------

@@ -63,40 +63,48 @@ def test_tau_form_on_twist_powers_is_the_expected_diagonal():
         assert tau_form(TWIST, TWIST**n) == ((-n * (n + 1),),)
 
 
-def _minus_identity(m) -> list[list[int]]:
-    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
-
-
 def _fixes(a, v) -> bool:
     return [sum(map(operator.mul, row, v)) for row in a.mat] == list(v)
 
 
-def test_tau_form_drops_exactly_the_radical_vectors():
-    reached = 0
+def test_tau_form_is_the_pairing_on_a_basis_of_w():
+    singular = 0
     for a1, a2 in tau_pairs(random.Random(1973)):
         n = len(a1.mat)
-        full = kernel_basis(tau_matrix(a1, a2))
+        m = tau_matrix(a1, a2)
+        left, right = [row[:n] for row in m], [row[n:] for row in m]
+        # the pairing is J (I - A2), J = [[0, I], [-I, 0]]
+        pairing = [[-x for x in row] for row in right[n // 2 :]] + right[: n // 2]
+        # V's radical holds the vectors (x | 0) with A1 x = x and (0 | y) with A2 y = y
+        full = kernel_basis(m)
+        gram = gram_restrict(pairing, full)
+        rank_left, rank_right = oracle.rank(left), oracle.rank(right)
         x_only = [i for i, v in enumerate(full) if not any(v[n:])]
         y_only = [i for i, v in enumerate(full) if not any(v[:n])]
-        # the vectors (x | 0) have A1 x = x, and span all of them
-        assert all(_fixes(a1, full[i][:n]) for i in x_only)
-        assert len(x_only) == n - oracle.rank(_minus_identity(a1.mat))
-        # the vectors (0 | y) have A2 y = y, and there are at most dim Fix(A2)
-        assert all(_fixes(a2, full[i][n:]) for i in y_only)
-        assert len(y_only) <= n - oracle.rank(_minus_identity(a2.mat))
-        reached += bool(y_only)
-        # both kinds pair to zero with the whole kernel, and tau_form is the rest;
-        # the pairing is J (I - A2), J = [[0, I], [-I, 0]]
-        m = _minus_identity(a2.mat)
-        pairing = [[-x for x in row] for row in m[n // 2 :]] + m[: n // 2]
-        gram = gram_restrict(pairing, full)
-        dropped = x_only + y_only
-        assert all(gram[i][j] == gram[j][i] == 0 for i in dropped for j in range(len(full)))
-        kept = [i for i in range(len(full)) if i not in dropped]
+        assert all(_fixes(a1, full[i][:n]) for i in x_only) and len(x_only) == n - rank_left
+        assert all(_fixes(a2, full[i][n:]) for i in y_only) and len(y_only) <= n - rank_right
+        assert all(gram[i][j] == gram[j][i] == 0 for i in x_only + y_only for j in range(len(full)))
+        # tau_form is the pairing on the kernel vectors of [(A1^-1 - I) | (A2 - I)_Q]
+        # whose free column is in the second half, y scattered from Q onto 2g coordinates
+        q = oracle.pivot_columns(right, n)
+        singular += len(q) < n
+        basis = []
+        for v in kernel_basis([row + [r[c] for c in q] for row, r in zip(left, right)]):
+            y = [0] * n
+            for c, t in zip(q, v[n:]):
+                y[c] = t
+            if any(y):
+                basis.append(list(v[:n]) + y)
         form = tau_form(a1, a2)
-        assert form == tuple(tuple(gram[i][j] for j in kept) for i in kept)
+        assert form == gram_restrict(pairing, basis)
+        # one vector per dimension of W = Im(A1^-1 - I) meet Im(A2 - I): every x
+        # is nonzero, and the images u = (A2 - I) y are independent
+        assert len(form) == rank_left + rank_right - oracle.rank(m)
+        us = [oracle.mat_vec(right, v[n:]) for v in basis]
+        assert all(any(v[:n]) for v in basis) and all(any(u) for u in us)
+        assert oracle.rank(us) == len(us)
         assert signature_symmetric(form) == signature_symmetric(gram)
-    assert reached == 31
+    assert singular == 80  # of 120 pairs
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -208,6 +216,47 @@ def test_cocycle_defect_random(seeded):
         for _ in range(60):
             a, b, c = (random_transvection_product(seeded, g, 6) for _ in range(3))
             assert tau_cocycle_defect(a, b, c) == 0
+
+
+def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
+    # the defect evaluates, through tau's core, the four values tau computes
+    # one pair at a time: tau(a1, a2), tau(a1 a2, a3), tau(a2, a3), tau(a1, a2 a3)
+    r = random.Random(1818)
+    triples = []
+    for g in range(1, 7):
+        eye = SymplecticElement.identity(g)
+        for _ in range(3):
+            a, b, c = (random_transvection_product(r, g, r.randint(1, 5)) for _ in range(3))
+            triples += [(a, b, c), (a, a, b), (a, a.inverse(), c), (eye, a, b), (a, b, b.inverse()),
+                        (a, eye, a), (b.inverse(), b, b)]
+    core, seen = meyer._tau, []
+    monkeypatch.setattr(meyer, "_tau", lambda left, right: seen.append(core(left, right)) or seen[-1])
+    nonzero = 0
+    for a1, a2, a3 in triples:
+        expected = [tau(a1, a2), tau(a1 * a2, a3), tau(a2, a3), tau(a1, a2 * a3)]
+        seen.clear()
+        assert tau_cocycle_defect(a1, a2, a3) == 0
+        assert seen == expected
+        nonzero += any(expected)
+    assert nonzero == 50  # of 126 triples
+
+
+@pytest.mark.parametrize("fn", [tau, tau_form, tau_cocycle_defect], ids=lambda fn: fn.__name__)
+def test_tau_refuses_elements_of_different_genera(fn):
+    arity = 3 if fn is tau_cocycle_defect else 2
+    for i in range(arity):
+        args = [SymplecticElement.identity(1)] * arity
+        args[i] = SymplecticElement.identity(2)
+        with pytest.raises(GenusMismatch):
+            fn(*args)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_cocycle_defect_checks_each_value_against_the_bound(monkeypatch, g):
+    monkeypatch.setattr(meyer, "_signature", lambda form: 4 * g + 1)
+    eye = SymplecticElement.identity(g)
+    with pytest.raises(ContractViolation):
+        tau_cocycle_defect(eye, eye, eye)
 
 
 def test_tau_conjugation_invariance(seeded):
