@@ -268,16 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RATIONAL_OPTIONS = ("--phi",)
-
-
 def _merge_rational_values(argv: list[str]) -> list[str]:
-    # "--phi -9/17" would be read as two options; fold it into "--phi=-9/17"
+    # "--phi -9/17" would be read as two options; fold it into "--phi=-9/17",
+    # and likewise after an abbreviation that argparse resolves to --phi ("--ph")
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _RATIONAL_OPTIONS and i + 1 < len(argv):
+        if len(tok) > 2 and "--phi".startswith(tok) and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

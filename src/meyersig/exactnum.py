@@ -9,7 +9,8 @@ The module holds:
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
   (``kernel_basis``, or ``_kernel`` for the vectors of the free columns
-  from a given one on), and their pivot columns (``_pivot_columns``),
+  from a given one on), by back-substitution on the one forward
+  elimination (``_echelon``), whose steps also give the pivot columns,
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric integer forms by symmetric Bareiss elimination
@@ -18,11 +19,12 @@ The module holds:
 The three linear-algebra helpers, like every matrix argument of the
 library, take rows of ``int``s and refuse any other entry with
 ``MatrixFormatError``; they return int rows. ``tau`` calls the cores
-(``_kernel``, ``_pivot_columns``, ``_gram``, ``_signature``) on rows built
+(``_echelon``, ``_kernel``, ``_gram``, ``_signature``) on rows built
 from validated elements, so nothing is read twice. Every elimination is
 Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
-then divide exactly by the previous one. The kernel and the pivot pass keep
-only the live columns (see ``_kernel``); the signature's symmetric
+then divide exactly by the previous one. ``_echelon`` eliminates forward
+only, and ``_kernel`` solves its echelon rows back to front, dividing
+exactly by each pivot (see ``_kernel``); the signature's symmetric
 elimination pivots on the diagonal and, where the live diagonal is zero,
 adds one basis vector to another, a unimodular congruence that moves no
 signature (Sylvester's law of inertia). Neither rational nor floating-point
@@ -137,67 +139,20 @@ def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]
     return gram
 
 
-def _kernel(rows: list[list[int]], cols: int, start: int) -> list[tuple[int, ...]]:
-    """The kernel vectors of the int rows ``rows`` (``cols`` wide, consumed)
-    whose free column is ``start`` or later, as primitive integer vectors.
+def _echelon(rows: list[list[int]]) -> list[tuple[int, int, list[int]]]:
+    """Forward-only Bareiss elimination of the int rows ``rows`` (consumed):
+    one ``(c, p, top)`` per pivot step, with c the pivot column, p the pivot
+    and ``top`` the pivot row's entries after column c. The pivot columns are
+    the columns that are not combinations of the columns before them.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination. With p the new pivot and
-    ``prev`` the one before it (1 at first), each pivot step replaces every
-    other row r by (p*r - r[c]*(pivot row)) / prev; by Sylvester's identity
-    the division is exact, and entries stay minors of the input. Rows hold
-    only the live columns: a pivot column leaves every row when it is chosen,
-    since from then on each pivot row holds the current pivot in its own
-    pivot column and 0 in the others; a free column below ``start`` leaves as
-    soon as no pivot is found in it, since no vector is built from it. A step
-    updates each column on its own, so neither removal changes the pivots or
-    the last pivot d.
-
-    The vector of a free column f is the positive multiple, with coprime
-    integer entries, of the reduced-echelon vector that carries 1 at f and
-    the negated reduced-echelon entries at the pivots: |d| at f and
-    -sign(d) * row[f] at each pivot, divided by its content. It depends only
-    on the input, not on the elimination order.
+    With ``prev`` the pivot before p (1 at first), each step takes the first
+    row not yet pivoted on that is nonzero in column c and replaces every
+    other such row r by (p*r - r[c]*top) / prev; by Sylvester's identity the
+    division is exact, and entries stay minors of the input (the last pivot
+    a nonzero rank x rank one). Those rows hold only the columns not yet
+    eliminated.
     """
-    pivots: list[int] = []
-    free: list[int] = []  # the kept free columns, in the order rows hold them
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        k = len(free)  # where the rows hold column c
-        piv = next((i for i in range(r, len(rows)) if rows[i][k]), None)
-        if piv is None:
-            if c < start:
-                for row in rows:
-                    del row[k]
-            else:
-                free.append(c)
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        p = top.pop(k)
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row.pop(k)
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(c)
-        prev = p
-    sign = 1 if prev > 0 else -1
-    basis = []
-    for j, f in enumerate(free):
-        v = [0] * cols
-        v[f] = abs(prev)
-        for row, c in zip(rows, pivots):
-            v[c] = -sign * row[j]
-        basis.append(tuple(_primitive(v)))
-    return basis
-
-
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    """The pivot columns of the int rows ``rows`` (consumed): the columns that
-    are not combinations of the columns before them. Forward-only Bareiss
-    elimination with ``_kernel``'s step on the rows not yet pivoted on, which
-    keep only the columns not yet eliminated."""
-    pivots: list[int] = []
+    steps: list[tuple[int, int, list[int]]] = []
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
         for piv, row in enumerate(rows):
@@ -212,11 +167,40 @@ def _pivot_columns(rows: list[list[int]]) -> list[int]:
         for i, row in enumerate(rows):
             f = row.pop(0)
             rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        pivots.append(c)
+        steps.append((c, p, top))
         prev = p
         if not rows:
             break
-    return pivots
+    return steps
+
+
+def _kernel(rows: list[list[int]], start: int) -> list[tuple[int, ...]]:
+    """The kernel vectors of the int rows ``rows`` (consumed) whose free
+    column is ``start`` or later, as primitive integer vectors.
+
+    ``_echelon`` followed by back-substitution. The vector of a free column
+    f is the positive multiple, with coprime integer entries, of the
+    reduced-echelon vector that carries 1 at f, 0 at the other free columns
+    and the negated reduced-echelon entries at the pivots: |d| at f, d the
+    last pivot, then from the last step up v[c] = -(top . v[c+1:]) / p. Each
+    v[c] is |d| times a reduced-echelon entry, a minor of the input by
+    Cramer's rule, so the division is exact (and 0 at the pivots after f);
+    then v is divided by its content. It depends only on the input.
+    """
+    cols = len(rows[0]) if rows else 0
+    steps = _echelon(rows)
+    d = abs(steps[-1][1]) if steps else 1
+    pivots = {c for c, _, _ in steps}
+    basis = []
+    for f in range(start, cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = d
+        for c, p, top in reversed(steps):
+            v[c] = -sum(map(mul, top, v[c + 1 :])) // p
+        basis.append(tuple(_primitive(v)))
+    return basis
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -228,7 +212,7 @@ def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     positions (see ``_kernel``). The output depends only on M.
     """
     rows = _int_matrix(m)
-    return _kernel([list(row) for row in rows], len(rows[0]) if rows else 0, 0)
+    return _kernel([list(row) for row in rows], 0)
 
 
 def gram_restrict(

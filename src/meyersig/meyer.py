@@ -40,7 +40,7 @@ from .errors import (
     InvalidInput,
     MatrixFormatError,
 )
-from .exactnum import _gram, _kernel, _pivot_columns, _rational_arg, _signature
+from .exactnum import _echelon, _gram, _kernel, _rational_arg, _signature
 from .symplectic import (
     IntMatrix,
     SL2Word,
@@ -64,11 +64,12 @@ def _elements(*els: SymplecticElement) -> None:
 
 
 def _right(a2: SymplecticElement) -> tuple[list[int], list[list[int]]]:
-    """The pivot columns Q of A2 - I and the rows of (A2 - I)_Q, its columns at Q."""
+    """The pivot columns Q of A2 - I, read off the steps of ``_echelon`` (the
+    elimination behind ``_kernel``), and the rows of (A2 - I)_Q, its columns at Q."""
     m = [list(row) for row in a2.mat]
     for i, row in enumerate(m):
         row[i] -= 1
-    q = _pivot_columns([row[:] for row in m])
+    q = [c for c, _, _ in _echelon([row[:] for row in m])]
     return q, [[row[c] for c in q] for row in m]
 
 
@@ -77,7 +78,7 @@ def _form(left: IntMatrix, right: tuple[list[int], list[list[int]]]) -> IntMatri
     q, rq = right
     n, g = len(left), len(left) // 2
     sums, images = [], []
-    for v in _kernel([[*a, *b] for a, b in zip(left, rq)], n + len(q), n):
+    for v in _kernel([[*a, *b] for a, b in zip(left, rq)], n):
         x, y = list(v[:n]), v[n:]
         for c, t in zip(q, y):
             x[c] += t  # x + y, with y scattered onto Q

@@ -83,32 +83,45 @@ MUTANTS = (
     Mutant(
         "kernel-divide-by-p",
         "exactnum.py",
-        "                rows[i] = [(p * x - f * y) // prev",
-        "                rows[i] = [(p * x - f * y) // p",
+        "rows[i] = [(p * x - f * y) // prev",
+        "rows[i] = [(p * x - f * y) // p",
         (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
     ),
     Mutant(
         "kernel-skip-zero-rows",
         "exactnum.py",
-        "                f = row.pop(k)\n",
-        "                f = row.pop(k)\n                if f == 0:\n                    continue\n",
+        "            f = row.pop(0)\n",
+        "            f = row.pop(0)\n            if f == 0:\n                continue\n",
         (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
     ),
     Mutant(
-        "kernel-keep-free-below-start",
+        "kernel-flipped-back-substitution",
         "exactnum.py",
-        "            if c < start:",
-        "            if c < 0:",
+        "v[c] = -sum(map(mul, top, v[c + 1 :])) // p",
+        "v[c] = sum(map(mul, top, v[c + 1 :])) // p",
+        (EXACT + "test_kernel_of_twist_block", EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel"),
+    ),
+    Mutant(
+        "kernel-unsigned-last-pivot",  # |d| at f becomes d, negative where d is
+        "exactnum.py",
+        "d = abs(steps[-1][1]) if steps else 1",
+        "d = steps[-1][1] if steps else 1",
+        (EXACT + "test_kernel_of_twist_block", EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel"),
+    ),
+    Mutant(
+        "kernel-keep-free-below-start",  # vectors built from column 0
+        "exactnum.py",
+        "    for f in range(start, cols):",
+        "    for f in range(cols):",
         (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",
          EXACT + "test_kernel_core_builds_exactly_the_vectors_from_start_on"),
     ),
     Mutant(
-        "tau-form-keep-a-zero-x-half",  # the pass keeps a dependent column, so (0 | y) vectors appear
-        "exactnum.py",
-        "                del row[0]\n            continue\n",
-        "                del row[0]\n            pivots.append(c)\n            continue\n",
-        (EXACT + "test_pivot_columns_are_the_rref_pivots",
-         MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w"),
+        "tau-form-keep-a-zero-x-half",  # Q keeps the dependent columns, so (0 | y) vectors appear
+        "meyer.py",
+        "    q = [c for c, _, _ in _echelon([row[:] for row in m])]\n",
+        "    q = list(range(len(m)))\n",
+        (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",),
     ),
     Mutant(
         "tau-form-unscattered-y",  # the sums are x, not x + y

@@ -142,6 +142,12 @@ def test_lasso_power_golden(capsys):
     assert out == "-1/17\n"
 
 
+@pytest.mark.parametrize("option", ["--p", "--ph"])
+def test_lasso_power_reads_a_negative_value_after_an_abbreviated_option(capsys, option):
+    assert run_cli(capsys, "lasso-power", option, "-9/17", "--n", "2") == (0, "-1/17\n", "")
+    assert run_cli(capsys, "lasso-power", option, "9/17", "--n", "2") == (0, "35/17\n", "")
+
+
 def test_lasso_power_rejects_bad_input(capsys):
     code, _, _ = run_cli(capsys, "lasso-power", "--phi", "x", "--n", "2")
     assert code == 2

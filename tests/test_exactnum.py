@@ -22,7 +22,7 @@ from meyersig import (
     sl2_word,
     transvection,
 )
-from meyersig.exactnum import _kernel, _pivot_columns, parse_rational
+from meyersig.exactnum import _echelon, _kernel, parse_rational
 
 
 def diag(*entries) -> tuple[tuple[int, ...], ...]:
@@ -127,11 +127,17 @@ def test_kernel_of_injective_map():
     assert kernel_basis([]) == []  # a matrix without rows has no columns
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_kernel_of_twist_block(n):
-    # [(A^{-1} - I) | (A^n - I)] for the parabolic A = [[1,-1],[0,1]]
-    basis = kernel_basis([[0, 1, 0, -n], [0, 0, 0, 0]])
-    assert basis == [(1, 0, 0, 0), (0, 0, 1, 0), (0, n, 0, 1)]
+@pytest.mark.parametrize(
+    "m, basis",
+    [*(([[0, 1, 0, -n], [0, 0, 0, 0]], [(1, 0, 0, 0), (0, 0, 1, 0), (0, n, 0, 1)]) for n in (1, 2, 5)),
+     ([[2, 4, 1, 3], [1, 2, -5, 7]], [(-2, 1, 0, 0), (-2, 0, 1, 1)])],
+    ids=["1", "2", "5", "negative-last-pivot"],
+)
+def test_kernel_of_twist_block(m, basis):
+    # [(A^{-1} - I) | (A^n - I)] for the parabolic A = [[1,-1],[0,1]]; and a
+    # matrix whose last pivot, -11 in column 2, follows the free column 1, so
+    # the back-substitution divides 4*11 + 0 + 0 and 0 + 11 + 3*11 exactly by 2
+    assert kernel_basis(m) == basis
 
 
 def test_kernel_vectors_lie_in_kernel_and_are_independent():
@@ -223,7 +229,7 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
     # vectors of kernel_basis that are nonzero at or after start
     full = kernel_basis(m)
     for start in range(len(m[0]) + 1):
-        assert _kernel([list(row) for row in m], len(m[0]), start) == [
+        assert _kernel([list(row) for row in m], start) == [
             v for v in full if any(v[start:])
         ], start
 
@@ -258,10 +264,15 @@ def pivot_matrix(draw):
     return m, cols
 
 
+def pivot_columns(m: list[list[int]]) -> list[int]:
+    """The pivot columns of ``_echelon``'s steps on a copy of m."""
+    return [c for c, _, _ in _echelon([list(row) for row in m])]
+
+
 @given(case=pivot_matrix())
 def test_pivot_columns_are_the_rref_pivots(case):
     m, cols = case
-    assert _pivot_columns([list(row) for row in m]) == oracle.pivot_columns(m, cols)
+    assert pivot_columns(m) == oracle.pivot_columns(m, cols)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +282,7 @@ def test_pivot_columns_are_the_rref_pivots(case):
     ids=["no-rows", "no-columns", "zero", "rank-one", "dependent-middle", "row-swap"],
 )
 def test_pivot_columns_on_explicit_matrices(m, pivots):
-    assert _pivot_columns([list(row) for row in m]) == pivots
+    assert pivot_columns(m) == pivots
 
 
 # --- signature --------------------------------------------------------------
