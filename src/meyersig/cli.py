@@ -1,12 +1,18 @@
 """Command line interface.
 
-Every subcommand prints one record per line as space-separated key=value
-pairs (or a JSON object with --json); rationals are always reduced and
+Each subcommand's handler returns its result as data: a record of
+``(key, value)`` pairs read off the library's values (``presets`` returns
+one record per preset). ``main`` renders it in one step. With --json a
+record is one JSON object, each ``Fraction`` written as a string. In text a
+one-pair record prints as its bare value and a longer one as space-separated
+key=value tokens, booleans as true/false. Rationals are always reduced and
 rendered as "p/q", or "p" when the denominator is 1. Output is deterministic
 and byte-stable for fixed inputs.
 
 Exit codes: 0 success, 2 input error, 3 contract violation.
-Each handler imports only the layer it runs, so a call loads no other.
+Every call loads ``meyersig.exactnum``: the numeral grammar and the argument
+checks, and with them tau's linear algebra. Beyond it, each handler imports
+only the layer it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .errors import ContractViolation, InvalidInput
 from .exactnum import parse_integer, parse_matrix, parse_rational
@@ -26,20 +31,20 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _fields(record, names: str) -> list:
+    """The ``(name, value)`` pairs of a library record, for space-separated names."""
+    return [(name, getattr(record, name)) for name in names.split()]
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+def _text(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _record(pairs: list[tuple[str, object]]) -> dict:
-    return {k: _jsonable(v) for k, v in pairs}
+def _line(pairs: list) -> str:
+    """A lone value bare, else key=value tokens; a pair keyed None prints its value alone."""
+    if len(pairs) == 1:
+        return _text(pairs[0][1])
+    return " ".join(_text(v) if k is None else f"{k}={_text(v)}" for k, v in pairs)
 
 
 def _too_large() -> InvalidInput:
@@ -48,32 +53,20 @@ def _too_large() -> InvalidInput:
     )
 
 
-def _print(render) -> None:
-    """Print the line ``render()`` builds: the one place results become text.
+def _render(result, as_json: bool) -> str:
+    """The one place a result becomes output: a record, or a tuple of records
+    (a JSON list, a text line each).
 
     An integer past the interpreter's digit limit has no string form; the
     inputs asked for a result too large to print, so that is an input error.
     """
     try:
-        line = render()
+        if as_json:
+            obj = [dict(r) for r in result] if isinstance(result, tuple) else dict(result)
+            return json.dumps(obj, default=str)
+        return "\n".join(map(_line, result if isinstance(result, tuple) else (result,)))
     except ValueError as exc:
         raise _too_large() from exc
-    print(line)
-
-
-def _emit(pairs: list[tuple[str, object]], as_json: bool, prefix: str = "") -> None:
-    if as_json:
-        _print(lambda: json.dumps(_record(pairs)))
-    else:
-        _print(lambda: prefix + " ".join(f"{k}={_fmt(v)}" for k, v in pairs))
-
-
-def _emit_value(key: str, value, as_json: bool) -> None:
-    """A single result: bare in text, {key: value} in JSON."""
-    if as_json:
-        _emit([(key, value)], as_json)
-    else:
-        _print(lambda: _fmt(value))
 
 
 def _read(path: str) -> str:
@@ -89,46 +82,26 @@ def _load_symplectic(path: str):
     return SymplecticElement(parse_matrix(_read(path)))
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args) -> list:
     from . import meyer
-    a1 = _load_symplectic(args.a1)
-    a2 = _load_symplectic(args.a2)
-    _emit_value("tau", meyer.tau(a1, a2), args.json)
-    return EXIT_OK
+    return [("tau", meyer.tau(_load_symplectic(args.a1), _load_symplectic(args.a2)))]
 
 
-def cmd_phi1(args) -> int:
+def cmd_phi1(args) -> list:
     from . import meyer
-    _emit_value("phi1", meyer.phi1(_load_symplectic(args.matrix)), args.json)
-    return EXIT_OK
+    return [("phi1", meyer.phi1(_load_symplectic(args.matrix)))]
 
 
-def _invariant_pairs(inv):
-    if inv is None:
-        return []
-    return [("sign", inv.sign), ("chi", inv.chi), ("deg", inv.deg), ("genus", inv.genus)]
-
-
-def _value_pairs(rep):
-    return [("deg_DX", rep.deg_DX), ("phi", rep.phi)]
-
-
-def _ratio_pairs(rep):
-    return [("alpha", rep.alpha), ("beta", rep.beta)]
-
-
-def cmd_ci(args) -> int:
+def cmd_ci(args) -> list:
     from . import varieties
-    degrees = varieties.parse_degrees(args.degrees)
-    inv, rep = varieties.ci_surface_invariants(args.m, degrees)
-    pairs = _invariant_pairs(inv) + _value_pairs(rep) + _ratio_pairs(rep)
+    inv, rep = varieties.ci_surface_invariants(args.m, varieties.parse_degrees(args.degrees))
+    pairs = _fields(inv, "sign chi deg genus") + _fields(rep, "deg_DX phi alpha beta")
     if inv.genus == 1:
         pairs.append(("genus_boundary", True))
-    _emit(pairs, args.json)
-    return EXIT_OK
+    return pairs
 
 
-def cmd_veronese(args) -> int:
+def cmd_veronese(args) -> list:
     from . import varieties
     degrees = varieties.parse_degrees(args.degrees)
     spec = varieties.CISpec(args.m, degrees, args.n, args.d)
@@ -137,78 +110,42 @@ def cmd_veronese(args) -> int:
     limit = sys.get_int_max_str_digits()
     if limit and spec.d > 1 and spec.n - 2 >= limit / math.log10(spec.d):
         raise _too_large()
-    rep = varieties.veronese_ci_lasso(spec)
-    _emit(_ratio_pairs(rep) + _value_pairs(rep), args.json)
-    return EXIT_OK
+    return _fields(varieties.veronese_ci_lasso(spec), "alpha beta deg_DX phi")
 
 
-def cmd_lasso_power(args) -> int:
+def cmd_lasso_power(args) -> list:
     from . import varieties
-    _emit_value("phi", varieties.lasso_power(parse_rational(args.phi), args.n), args.json)
-    return EXIT_OK
+    return [("phi", varieties.lasso_power(parse_rational(args.phi), args.n))]
 
 
-def cmd_germ(args) -> int:
+def cmd_germ(args) -> list:
     from . import localsig
     entry = localsig.germ(args.name)
-    _emit(
-        [
-            ("phi", entry.phi_value),
-            ("nbhd_sign", entry.nbhd_sign),
-            ("sigma", entry.sigma),
-        ],
-        args.json,
-    )
-    return EXIT_OK
+    return [("phi", entry.phi_value)] + _fields(entry, "nbhd_sign sigma")
 
 
-def cmd_fibration(args) -> int:
+def cmd_fibration(args) -> list:
     from . import localsig
     led = localsig.ledger_from_json(_read(args.ledger))
     if args.solve:
-        solved = localsig.solve_unknown_germ(led)
-        _emit(
-            [
-                ("name", solved.name),
-                ("phi", solved.phi),
-                ("nbhd_sign", solved.nbhd_sign),
-                ("sigma", solved.sigma),
-            ],
-            args.json,
-        )
-    else:
-        report = localsig.check_fibration(led)
-        _emit(
-            [
-                ("total_sign", report.total_sign),
-                ("germ_sum", report.germ_sum),
-                ("residual", report.residual),
-                ("ok", report.ok),
-            ],
-            args.json,
-        )
-    return EXIT_OK
+        return _fields(localsig.solve_unknown_germ(led), "name phi nbhd_sign sigma")
+    return _fields(localsig.check_fibration(led), "total_sign germ_sum residual ok")
 
 
-def cmd_presets(args) -> int:
+def cmd_presets(args) -> tuple:
+    """The one handler whose layouts differ: JSON keeps every field under its
+    name; text leads with the bare name and shows alpha/beta only on the
+    closed-form routes, ahead of the value."""
     from . import varieties
-    presets = [varieties.resolve_preset(name) for name in varieties.named_presets()]
-    if args.json:
-        records = [
-            [("name", p.name)]
-            + _invariant_pairs(p.invariants)
-            + _value_pairs(p.report)
-            + _ratio_pairs(p.report)
-            for p in presets
-        ]
-        _print(lambda: json.dumps([_record(pairs) for pairs in records]))
-        return EXIT_OK
-    for p in presets:
-        # text shows alpha/beta only on the closed-form routes, ahead of the value
-        ratio = _ratio_pairs(p.report) if p.report.alpha is not None else []
-        pairs = _invariant_pairs(p.invariants) + ratio + _value_pairs(p.report)
-        _emit(pairs, as_json=False, prefix=f"{p.name} ")
-    return EXIT_OK
+    records = []
+    for p in map(varieties.resolve_preset, varieties.named_presets()):
+        inv = _fields(p.invariants, "sign chi deg genus") if p.invariants else []
+        if args.json:
+            records.append([("name", p.name)] + inv + _fields(p.report, "deg_DX phi alpha beta"))
+        else:
+            ratio = "alpha beta " if p.report.alpha is not None else ""
+            records.append([(None, p.name)] + inv + _fields(p.report, ratio + "deg_DX phi"))
+    return tuple(records)
 
 
 @functools.cache
@@ -270,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_rational_values(argv: list[str]) -> list[str]:
     # "--phi -9/17" would be read as two options; fold it into "--phi=-9/17",
-    # and likewise after an abbreviation that argparse resolves to --phi ("--ph")
+    # and likewise after an abbreviation that argparse resolves to --phi ("--ph");
+    # an option name is no value, so "--phi --n" is left for argparse to refuse
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if len(tok) > 2 and "--phi".startswith(tok) and i + 1 < len(argv):
+        if len(tok) > 2 and "--phi".startswith(tok) and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -294,13 +232,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already wrote the usage message
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except InvalidInput as exc:
+        out = _render(args.func(args), args.json)
+    except (InvalidInput, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        return EXIT_INPUT if isinstance(exc, InvalidInput) else EXIT_CONTRACT
+    print(out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -102,9 +102,9 @@ def ledger() -> tuple[FiberGerm, ...]:
 
 
 def germ(name: str) -> FiberGerm:
-    entry = _GERMS.get(name)
+    entry = _GERMS.get(name) if isinstance(name, str) else None
     if entry is None:
-        raise UnknownName(f"unknown germ {name!r}")
+        raise UnknownName(f"unknown germ {_shown(name)}")
     return entry
 
 

@@ -89,7 +89,7 @@ class SymplecticElement(Record):
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        if g < 1:
+        if _int_arg(g, "genus") < 1:
             raise NotSymplectic(f"genus must be >= 1, got {_shown(g)}")
         return cls._derived(_identity(2 * g))
 

@@ -189,12 +189,27 @@ MUTANTS = (
         "            if not rows and not set(map(type, row)) <= {int}:",
         (EXACT + "test_linear_algebra_refuses_what_is_not_int_rows",),
     ),
+    # the CLI: a handler's import, and the one render step
     Mutant(
         "ci-dropped-import",
         "cli.py",
-        "def cmd_ci(args) -> int:\n    from . import varieties\n",
-        "def cmd_ci(args) -> int:\n",
+        "def cmd_ci(args) -> list:\n    from . import varieties\n",
+        "def cmd_ci(args) -> list:\n",
         ("tests/test_cli.py::test_ci_golden",),
+    ),
+    Mutant(
+        "render-bool-by-str",  # True prints as True, not true
+        "cli.py",
+        "return str(value).lower() if isinstance(value, bool) else str(value)",
+        "return str(value)",
+        ("tests/test_cli.py::test_ci_golden", "tests/test_cli.py::test_fibration_check"),
+    ),
+    Mutant(
+        "render-lone-value-as-token",  # tau prints tau=-1, not -1
+        "cli.py",
+        "    if len(pairs) == 1:\n",
+        "    if not pairs:\n",
+        ("tests/test_cli.py::test_tau_golden", "tests/test_cli.py::test_phi1_golden"),
     ),
 )
 

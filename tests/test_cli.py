@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,17 @@ def test_lasso_power_reads_a_negative_value_after_an_abbreviated_option(capsys, 
     assert run_cli(capsys, "lasso-power", option, "9/17", "--n", "2") == (0, "35/17\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--phi", "--n", "2"], ["--phi", "--json", "--n", "2"], ["--ph", "--n", "2"], ["--n", "2", "--phi", "--json"]],
+    ids=["before-n", "before-json", "abbreviated", "last"],
+)
+def test_lasso_power_does_not_read_an_option_as_phi(capsys, argv):
+    code, out, err = run_cli(capsys, "lasso-power", *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --phi: expected one argument\n")
+
+
 def test_lasso_power_rejects_bad_input(capsys):
     code, _, _ = run_cli(capsys, "lasso-power", "--phi", "x", "--n", "2")
     assert code == 2
@@ -259,6 +272,14 @@ FIBRATION = {
     ],
 }
 
+UNSOLVED = {
+    "total_sign": -146,
+    "germs": [
+        {"name": "R4/F_I", "phi": "-9/17", "count": 277},
+        {"name": "R4/F_31", "phi": None, "nbhd_sign": -1, "count": 1},
+    ],
+}
+
 
 def test_fibration_check(capsys, tmp_path):
     path = tmp_path / "fib.json"
@@ -269,15 +290,8 @@ def test_fibration_check(capsys, tmp_path):
 
 
 def test_fibration_solve_and_round_trip(capsys, tmp_path):
-    unsolved = {
-        "total_sign": -146,
-        "germs": [
-            {"name": "R4/F_I", "phi": "-9/17", "count": 277},
-            {"name": "R4/F_31", "phi": None, "nbhd_sign": -1, "count": 1},
-        ],
-    }
     path = tmp_path / "fib.json"
-    path.write_text(json.dumps(unsolved))
+    path.write_text(json.dumps(UNSOLVED))
     code, out, _ = run_cli(capsys, "fibration", "--ledger", str(path), "--solve")
     assert code == 0
     assert out == "name=R4/F_31 phi=28/17 nbhd_sign=-1 sigma=11/17\n"
@@ -372,3 +386,106 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "phi=2/17 nbhd_sign=0 sigma=2/17\n"
+
+
+VERONESE = ["veronese", "--m", "0", "--degrees", "", "--n", "4", "--d", "2"]
+# argv, text output, --json output: every subcommand, byte for byte
+GOLDEN = [
+    (["tau", "--a1", "A.txt", "--a2", "A.txt"], "-1", '{"tau": -1}'),
+    (["phi1", "--matrix", "A.txt"], "-2/3", '{"phi1": "-2/3"}'),
+    (
+        ["ci", "--m", "1", "--degrees", "3"],
+        "sign=-5 chi=9 deg=3 genus=1 deg_DX=12 phi=-2/3 alpha=-8/3 beta=4 genus_boundary=true",
+        '{"sign": -5, "chi": 9, "deg": 3, "genus": 1, "deg_DX": 12, "phi": "-2/3", '
+        '"alpha": "-8/3", "beta": 4, "genus_boundary": true}',
+    ),
+    (
+        ["ci", "--m", "2", "--degrees", "2,3"],
+        "sign=-16 chi=24 deg=6 genus=4 deg_DX=42 phi=-11/21 alpha=-11/3 beta=7",
+        '{"sign": -16, "chi": 24, "deg": 6, "genus": 4, "deg_DX": 42, "phi": "-11/21", '
+        '"alpha": "-11/3", "beta": 7}',
+    ),
+    (
+        VERONESE,
+        "alpha=-5 beta=10 deg_DX=40 phi=-1/2",
+        '{"alpha": "-5", "beta": 10, "deg_DX": 40, "phi": "-1/2"}',
+    ),
+    (["lasso-power", "--phi", "-9/17", "--n", "2"], "-1/17", '{"phi": "-1/17"}'),
+    (
+        ["germ", "--name", "R4/F_31"],
+        "phi=28/17 nbhd_sign=-1 sigma=11/17",
+        '{"phi": "28/17", "nbhd_sign": -1, "sigma": "11/17"}',
+    ),
+    (
+        ["fibration", "--ledger", "fib.json"],
+        "total_sign=-146 germ_sum=-146 residual=0 ok=true",
+        '{"total_sign": -146, "germ_sum": "-146", "residual": "0", "ok": true}',
+    ),
+    (
+        ["fibration", "--ledger", "unsolved.json", "--solve"],
+        "name=R4/F_31 phi=28/17 nbhd_sign=-1 sigma=11/17",
+        '{"name": "R4/F_31", "phi": "28/17", "nbhd_sign": -1, "sigma": "11/17"}',
+    ),
+    (
+        ["presets"],
+        "segre33 sign=0 chi=4 deg=18 genus=4 deg_DX=34 phi=-9/17\n"
+        "veronese-p4-d2 alpha=-5 beta=10 deg_DX=40 phi=-1/2",
+        '[{"name": "segre33", "sign": 0, "chi": 4, "deg": 18, "genus": 4, "deg_DX": 34, '
+        '"phi": "-9/17", "alpha": null, "beta": null}, {"name": "veronese-p4-d2", '
+        '"deg_DX": 40, "phi": "-1/2", "alpha": "-5", "beta": 10}]',
+    ),
+]
+
+
+@pytest.fixture
+def input_files(tmp_path, monkeypatch):
+    """A.txt, fib.json and unsolved.json in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.txt").write_text("2 2\n1 -1\n0 1\n")
+    (tmp_path / "fib.json").write_text(json.dumps(FIBRATION))
+    (tmp_path / "unsolved.json").write_text(json.dumps(UNSOLVED))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, text, as_json_text",
+    GOLDEN,
+    ids=["tau", "phi1", "ci", "ci-genus-4", "veronese", "lasso-power", "germ", "fibration", "fibration-solve", "presets"],
+)
+def test_output_is_exact(capsys, input_files, argv, text, as_json_text, as_json):
+    # compared as text, not through json.loads, so key order and spacing count
+    out = as_json_text if as_json else text
+    assert run_cli(capsys, *argv, *(["--json"] if as_json else [])) == (0, out + "\n", "")
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """The README's ``meyersig ... # -> output`` examples; the arrow may stand
+    on the line below the command."""
+    lines = README.splitlines()
+    examples = []
+    for line, below in zip(lines, lines[1:] + [""]):
+        if line.startswith("meyersig "):
+            command, _, out = line.partition("# -> ")
+            if not out and below.startswith("# -> "):
+                out = below.removeprefix("# -> ")
+            if out:
+                examples.append((shlex.split(command)[1:], out))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_shows_an_example_of_every_computing_subcommand():
+    shown = {argv[0] for argv, _ in README_EXAMPLES}
+    assert shown == {"tau", "phi1", "ci", "veronese", "lasso-power", "germ", "fibration"}
+
+
+@pytest.mark.parametrize("argv, out", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_examples(capsys, input_files, argv, out):
+    # fib.json is the ledger the README shows, with one germ's phi null
+    Path("fib.json").write_text(README.split("```json\n")[1].split("```")[0])
+    assert run_cli(capsys, *argv) == (0, out + "\n", "")

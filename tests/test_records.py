@@ -34,9 +34,11 @@ from meyersig import (
     SL2Word,
     SurfaceInvariants,
     SymplecticElement,
+    UnknownName,
     ci_surface_invariants,
     fiber_count,
     generic_surface_lasso,
+    germ,
     germ_sigma,
     lasso_power,
     ledger_from_obj,
@@ -231,6 +233,10 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: SymplecticElement.identity(-BIG), NotSymplectic),
         (lambda: generic_surface_lasso(SurfaceInvariants(0, -BIG, 1, 1)), NonPositiveDegDX),
         (lambda: LassoReport(-BIG, Fr(1)), NonPositiveDegDX),
+        (lambda: SymplecticElement.identity(True), InvalidInput),
+        (lambda: SymplecticElement.identity(1.5), InvalidInput),
+        (lambda: germ([]), UnknownName),
+        (lambda: germ([BIG]), UnknownName),
     ],
     ids=[
         "surface-genus",
@@ -273,6 +279,10 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "huge-identity-genus",
         "huge-generic-discriminant",
         "huge-lasso-degree",
+        "identity-bool-genus",
+        "identity-float-genus",
+        "germ-list-name",
+        "germ-huge-list-name",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):
