@@ -9,7 +9,9 @@ key=value tokens, booleans as true/false. Rationals are always reduced and
 rendered as "p/q", or "p" when the denominator is 1. Output is deterministic
 and byte-stable for fixed inputs.
 
-Exit codes: 0 success, 2 input error, 3 contract violation.
+Exit codes: 0 success, 2 input error, 3 contract violation. A numeral the
+grammar refuses (read through an argparse ``type``) raises ``InvalidInput``
+out of ``parse_args``: one ``error:`` line and exit 2, as for a bad file.
 Every call loads ``meyersig.exactnum``: the numeral grammar and the argument
 checks, and with them tau's linear algebra. Beyond it, each handler imports
 only the layer it runs.
@@ -115,7 +117,7 @@ def cmd_veronese(args) -> list:
 
 def cmd_lasso_power(args) -> list:
     from . import varieties
-    return [("phi", varieties.lasso_power(parse_rational(args.phi), args.n))]
+    return [("phi", varieties.lasso_power(args.phi, args.n))]
 
 
 def cmd_germ(args) -> list:
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_veronese)
 
     p = sub.add_parser("lasso-power", parents=[common], help="Meyer value on the n-th power of a lasso")
-    p.add_argument("--phi", required=True, help="value on the lasso, as p/q")
+    p.add_argument("--phi", type=parse_rational, required=True, help="value on the lasso, as p/q")
     p.add_argument("--n", type=parse_integer, required=True)
     p.set_defaults(func=cmd_lasso_power)
 
@@ -227,12 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_rational_values(list(argv))
-    try:
+    try:  # a numeral the grammar refuses leaves parse_args as InvalidInput
         args = parser.parse_args(argv)
+        out = _render(args.func(args), args.json)
     except SystemExit as exc:  # argparse already wrote the usage message
         return int(exc.code) if exc.code else 0
-    try:
-        out = _render(args.func(args), args.json)
     except (InvalidInput, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InvalidInput) else EXIT_CONTRACT

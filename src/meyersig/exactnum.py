@@ -3,8 +3,10 @@
 The module holds:
 
 * numeral parsing: one grammar for integers (``parse_integer``) and one for
-  rationals (``parse_rational``), and the matrix text format
-  (``parse_matrix``), which gives int rows,
+  rationals (``parse_rational``), each refusing with ``MatrixFormatError``,
+  and the matrix text format (``parse_matrix``), which gives int rows,
+* the checks of number arguments (``_int_arg``, ``_rational_arg``); the one
+  lower-bound message of the library ("n must be >= 2, got 1") is ``_int_arg``'s,
 * the one reader of matrix arguments (``_int_matrix``): a matrix is a tuple
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
@@ -50,19 +52,24 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
 def parse_integer(token: str) -> int:
     """Parse an optional sign and ASCII digits: the integers of ``parse_rational``.
 
-    Anything else, and integers beyond the digit limit, raise ``ValueError``,
-    so this also serves as an argparse ``type``.
+    Anything else, and integers past the interpreter's digit limit, raise
+    ``MatrixFormatError``; argparse passes it on, as it is no ``ValueError``.
     """
     if not _INTEGER.fullmatch(token):
-        raise ValueError(f"bad integer {token!r}")
-    return int(token)
+        raise MatrixFormatError(f"bad integer {token!r}")
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise MatrixFormatError("bad integer: too many digits") from exc
 
 
-def _int_arg(x, name: str) -> int:
-    """An integer argument from a library caller: an ``int`` is returned as it
-    is; a ``bool``, float, string or anything else raises ``InvalidInput``."""
+def _int_arg(x, name: str, low: int | None = None) -> int:
+    """An ``int`` argument from a library caller, not below ``low`` if given, is
+    returned as it is; anything else (a ``bool`` or float too) raises ``InvalidInput``."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise InvalidInput(f"{name} must be an int, got {type(x).__name__}")
+    if low is not None and x < low:
+        raise InvalidInput(f"{name} must be >= {low}, got {_shown(x)}")
     return x
 
 
@@ -300,16 +307,13 @@ def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     tokens = text.split()
     if len(tokens) < 2:
         raise MatrixFormatError("expected a 'rows cols' header")
-    try:
-        rows, cols = parse_integer(tokens[0]), parse_integer(tokens[1])
-    except ValueError as exc:
-        raise MatrixFormatError(f"bad header {tokens[:2]!r}") from exc
+    rows, cols = parse_integer(tokens[0]), parse_integer(tokens[1])
     if rows < 0 or cols < 0:
         raise MatrixFormatError("negative dimensions")
     body = tokens[2:]
     if len(body) != rows * cols:
         raise MatrixFormatError(
-            f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(body)}"
+            f"expected {_shown(rows * cols)} entries for a {rows}x{cols} matrix, got {len(body)}"
         )
     entries = [parse_rational(tok) for tok in body]
     if any(x.denominator != 1 for x in entries):

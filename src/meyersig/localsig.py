@@ -31,10 +31,8 @@ class ComplexSurfaceData(Record):
     __slots__ = ("chi_O", "K2", "fiber_genus")
 
     def _check(self):
-        for name in self.__slots__:
-            _int_arg(getattr(self, name), name)
-        if self.fiber_genus < 2:
-            raise InvalidInput(f"fiber genus must be >= 2, got {_shown(self.fiber_genus)}")
+        for name, low in (("chi_O", None), ("K2", None), ("fiber_genus", 2)):
+            _int_arg(getattr(self, name), name, low)
 
 
 def surface_topology(data: ComplexSurfaceData) -> tuple[int, int]:
@@ -52,8 +50,7 @@ def fiber_count(chi_top: int, g: int) -> int:
     Counts germs weighted by their Euler contribution; each one-node germ
     contributes exactly 1, topologically trivial germs contribute 0.
     """
-    if _int_arg(g, "fiber genus") < 2:
-        raise InvalidInput(f"fiber genus must be >= 2, got {_shown(g)}")
+    g = _int_arg(g, "fiber genus", 2)
     return _int_arg(chi_top, "chi_top") - 2 * (2 - 2 * g)
 
 
@@ -117,8 +114,7 @@ class LedgerEntry(Record):
         if self.phi is not None:
             _rational_arg(self.phi, "phi")
         _int_arg(self.nbhd_sign, "nbhd_sign")
-        if _int_arg(self.count, "count") < 1:
-            raise InvalidInput(f"count must be >= 1, got {_shown(self.count)}")
+        _int_arg(self.count, "count", 1)
 
     @property
     def sigma(self) -> Fraction | None:
@@ -211,10 +207,12 @@ def ledger_from_obj(obj) -> FibrationLedger:
 
 
 def ledger_from_json(text: str) -> FibrationLedger:
-    # JSONDecodeError is a ValueError, as is an integer past the digit limit;
-    # nesting deeper than the interpreter's stack raises RecursionError
+    # nesting deeper than the stack raises RecursionError; the one ValueError
+    # that is no JSONDecodeError is an integer past the digit limit
     try:
         obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"bad ledger JSON: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidInput("bad ledger JSON: an integer has too many digits") from exc
     return ledger_from_obj(obj)

@@ -43,12 +43,8 @@ class SurfaceInvariants(Record):
     __slots__ = ("sign", "chi", "deg", "genus")
 
     def _check(self):
-        for name in self.__slots__:
-            _int_arg(getattr(self, name), name)
-        if self.deg < 1:
-            raise InvalidInput(f"degree must be >= 1, got {_shown(self.deg)}")
-        if self.genus < 0:
-            raise InvalidInput(f"genus must be >= 0, got {_shown(self.genus)}")
+        for name, low in (("sign", None), ("chi", None), ("deg", 1), ("genus", 0)):
+            _int_arg(getattr(self, name), name, low)
 
 
 class LassoReport(Record):
@@ -69,36 +65,29 @@ class LassoReport(Record):
 class CISpec(Record):
     """Combinatorial description of a Veronese-embedded complete intersection.
 
-    m defining degrees (each >= 2), ambient-slice dimension n >= 2, Veronese
-    degree d >= 1. m = 0 stands for projective space itself and requires
-    d >= 2. The tuples on which the closed formulas degenerate are rejected:
-    (d, m, degrees) = (1, 1, (2,)) and (n, d, m) = (2, 2, 0).
+    m >= 0 defining degrees (each >= 2), ambient-slice dimension n >= 2 and
+    Veronese degree d >= 1, else ``InvalidInput`` naming the field. m = 0
+    stands for projective space itself and requires d >= 2. The tuples on
+    which the closed formulas degenerate are ``ExcludedCase``s: m = 0 with
+    d = 1, (d, m, degrees) = (1, 1, (2,)) and (n, d, m) = (2, 2, 0).
     """
 
     __slots__ = ("m", "degrees", "n", "d")
     _defaults = {"n": 2, "d": 1}
 
     def _check(self):
-        for name in ("m", "n", "d"):
-            _int_arg(getattr(self, name), name)
+        for name, low in (("m", None), ("n", 2), ("d", 1)):
+            _int_arg(getattr(self, name), name, low)
         try:
             degrees = tuple(self.degrees)
         except TypeError as exc:
             kind = type(self.degrees).__name__
             raise InvalidInput(f"degrees must be iterable, got {kind}") from exc
-        object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree") for x in degrees))
+        object.__setattr__(self, "degrees", tuple(_int_arg(x, "degree", 2) for x in degrees))
         if self.m != len(self.degrees):
             raise InvalidInput(
                 f"m = {_shown(self.m)} but {len(self.degrees)} degrees supplied"
             )
-        if self.m < 0:
-            raise InvalidInput("m must be >= 0")
-        if any(x < 2 for x in self.degrees):
-            raise InvalidInput(f"defining degrees must be >= 2, got {_shown(self.degrees)}")
-        if self.n < 2:
-            raise InvalidInput(f"dimension must be >= 2, got {_shown(self.n)}")
-        if self.d < 1:
-            raise InvalidInput(f"Veronese degree must be >= 1, got {_shown(self.d)}")
         if self.m == 0 and self.d < 2:
             raise ExcludedCase("m = 0 requires Veronese degree d >= 2")
         if self.d == 1 and self.m == 1 and self.degrees == (2,):
@@ -136,9 +125,11 @@ def ci_surface_invariants(
 
     The four invariants are evaluated exactly from their closed forms:
     degree, Euler characteristic, signature and section genus. The lasso
-    value is ``veronese_ci_lasso`` at n = 2, d = 1.
+    value is ``veronese_ci_lasso`` at n = 2, d = 1; m < 1 is an ``ExcludedCase``.
     """
-    spec = CISpec(m, degrees, n=2, d=1)  # validates, m >= 1 here
+    if _int_arg(m, "m") < 1:
+        raise ExcludedCase(f"m = {_shown(m)} is excluded: a surface needs m >= 1 degrees")
+    spec = CISpec(m, degrees, n=2, d=1)
     s1, s2, e2 = _sym_sums(spec.degrees)
     deg = prod(spec.degrees)
     chi = deg * (comb(m + 3, 2) + s2 - (m + 3) * s1 + e2)
@@ -185,8 +176,7 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
     Valid whenever consecutive powers pair to cocycle value -1, which is the
     case for the monodromy of a lasso (a power of a single transvection).
     """
-    if _int_arg(n, "power") < 1:
-        raise InvalidInput(f"power must be >= 1, got {_shown(n)}")
+    _int_arg(n, "power", 1)
     if isinstance(phi_sigma, str):
         phi_sigma = parse_rational(phi_sigma)
     return Fraction(_rational_arg(phi_sigma, "phi")) * n + (n - 1)
@@ -218,15 +208,8 @@ def resolve_preset(name: str) -> PresetReport:
     raise UnknownName(f"unknown preset {name!r}")
 
 
-def _parse_int(token: str) -> int:
-    try:
-        return parse_integer(token)
-    except ValueError as exc:
-        raise InvalidInput(f"bad integer {token!r}") from exc
-
-
 def parse_degrees(token: str) -> tuple[int, ...]:
     """Comma-separated integers; a blank string is the empty list (m = 0)."""
     if token.strip() == "":
         return ()
-    return tuple(_parse_int(t) for t in token.split(","))
+    return tuple(map(parse_integer, token.split(",")))

@@ -41,6 +41,8 @@ EXACT = "tests/test_exactnum.py::"
 MEYER = "tests/test_meyer.py::"
 ORACLE = "tests/test_tau_oracle.py::"
 REFERENCE = MEYER + "test_sl2_reduction_matches_the_reference_on_explicit_inputs"
+GOLDEN = "tests/test_cli.py::test_output_is_exact"
+REFUSED = "tests/test_cli.py::test_refused_numbers_print_one_error_line"
 
 MUTANTS = (
     # the Euclidean reduction behind phi1 and sl2_word
@@ -189,27 +191,59 @@ MUTANTS = (
         "            if not rows and not set(map(type, row)) <= {int}:",
         (EXACT + "test_linear_algebra_refuses_what_is_not_int_rows",),
     ),
+    # refusals of outside numbers: the bound, the digit limit, the CLI's one error line
+    Mutant(
+        "bound-refuses-its-low",  # ci's CISpec has n = 2 and d = 1, both at the bound
+        "exactnum.py",
+        "if low is not None and x < low:",
+        "if low is not None and x <= low:",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "bound-admits-one-below",
+        "exactnum.py",
+        "if low is not None and x < low:",
+        "if low is not None and x < low - 1:",
+        ("tests/test_records.py::test_validation_raises_the_documented_error",),
+    ),
+    Mutant(
+        "parse-integer-digit-limit-as-value-error",  # argparse prints a usage message
+        "exactnum.py",
+        "    try:\n        return int(token)\n    except ValueError as exc:"
+        "  # more digits than the interpreter converts\n"
+        '        raise MatrixFormatError("bad integer: too many digits") from exc\n',
+        "    return int(token)\n",
+        (REFUSED, EXACT + "test_parse_matrix_rejects_garbage"),
+    ),
+    Mutant(
+        "parse-args-outside-try",  # a refused numeral escapes main
+        "cli.py",
+        "    try:  # a numeral the grammar refuses leaves parse_args as InvalidInput\n"
+        "        args = parser.parse_args(argv)\n",
+        "    args = parser.parse_args(argv)\n    try:\n",
+        (REFUSED,),
+    ),
     # the CLI: a handler's import, and the one render step
     Mutant(
         "ci-dropped-import",
         "cli.py",
         "def cmd_ci(args) -> list:\n    from . import varieties\n",
         "def cmd_ci(args) -> list:\n",
-        ("tests/test_cli.py::test_ci_golden",),
+        (GOLDEN,),
     ),
     Mutant(
         "render-bool-by-str",  # True prints as True, not true
         "cli.py",
         "return str(value).lower() if isinstance(value, bool) else str(value)",
         "return str(value)",
-        ("tests/test_cli.py::test_ci_golden", "tests/test_cli.py::test_fibration_check"),
+        (GOLDEN,),
     ),
     Mutant(
         "render-lone-value-as-token",  # tau prints tau=-1, not -1
         "cli.py",
         "    if len(pairs) == 1:\n",
         "    if not pairs:\n",
-        ("tests/test_cli.py::test_tau_golden", "tests/test_cli.py::test_phi1_golden"),
+        (GOLDEN,),
     ),
 )
 

@@ -23,19 +23,6 @@ def twist_file(tmp_path):
     return str(path)
 
 
-def test_tau_golden(capsys, twist_file):
-    code, out, err = run_cli(capsys, "tau", "--a1", twist_file, "--a2", twist_file)
-    assert code == 0
-    assert out == "-1\n"
-    assert err == ""
-
-
-def test_tau_json(capsys, twist_file):
-    code, out, _ = run_cli(capsys, "tau", "--json", "--a1", twist_file, "--a2", twist_file)
-    assert code == 0
-    assert json.loads(out) == {"tau": -1}
-
-
 def test_tau_bound_violation_is_contract_violation(capsys, twist_file, monkeypatch):
     monkeypatch.setattr(meyer, "_signature", lambda form: 5)
     code, out, err = run_cli(capsys, "tau", "--a1", twist_file, "--a2", twist_file)
@@ -50,12 +37,6 @@ def test_tau_genus_mismatch_is_input_error(capsys, twist_file, tmp_path):
     code, out, err = run_cli(capsys, "tau", "--a1", twist_file, "--a2", str(big))
     assert code == 2
     assert "error" in err
-
-
-def test_phi1_golden(capsys, twist_file):
-    code, out, _ = run_cli(capsys, "phi1", "--matrix", twist_file)
-    assert code == 0
-    assert out == "-2/3\n"
 
 
 def test_phi1_rejects_bad_matrix(capsys, tmp_path):
@@ -92,25 +73,10 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in err
 
 
-def test_germ_golden(capsys):
-    code, out, _ = run_cli(capsys, "germ", "--name", "R4/F_31")
-    assert code == 0
-    assert out == "phi=28/17 nbhd_sign=-1 sigma=11/17\n"
-
-
 def test_germ_unknown_name(capsys):
     code, _, err = run_cli(capsys, "germ", "--name", "R4/F_xyz")
     assert code == 2
     assert "error" in err
-
-
-def test_veronese_golden(capsys):
-    code, out, _ = run_cli(
-        capsys, "veronese", "--m", "0", "--degrees", "", "--n", "4", "--d", "2"
-    )
-    assert code == 0
-    assert "deg_DX=40 phi=-1/2" in out
-    assert out == "alpha=-5 beta=10 deg_DX=40 phi=-1/2\n"
 
 
 def test_veronese_excluded_case(capsys):
@@ -119,29 +85,6 @@ def test_veronese_excluded_case(capsys):
     )
     assert code == 2
     assert "error" in err
-
-
-def test_ci_golden(capsys):
-    code, out, _ = run_cli(capsys, "ci", "--m", "1", "--degrees", "3")
-    assert code == 0
-    assert out == (
-        "sign=-5 chi=9 deg=3 genus=1 deg_DX=12 phi=-2/3 "
-        "alpha=-8/3 beta=4 genus_boundary=true\n"
-    )
-
-
-def test_ci_json(capsys):
-    code, out, _ = run_cli(capsys, "ci", "--json", "--m", "2", "--degrees", "2,3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["deg"] == 6
-    assert payload["phi"] == "-11/21"
-
-
-def test_lasso_power_golden(capsys):
-    code, out, _ = run_cli(capsys, "lasso-power", "--phi", "-9/17", "--n", "2")
-    assert code == 0
-    assert out == "-1/17\n"
 
 
 @pytest.mark.parametrize("option", ["--p", "--ph"])
@@ -250,14 +193,6 @@ def test_result_too_large_to_print_is_input_error(capsys, argv, as_json):
     assert err.startswith("error") and err.count("\n") == 1
 
 
-def test_presets_listing(capsys):
-    code, out, _ = run_cli(capsys, "presets")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "segre33 sign=0 chi=4 deg=18 genus=4 deg_DX=34 phi=-9/17"
-    assert lines[1] == "veronese-p4-d2 alpha=-5 beta=10 deg_DX=40 phi=-1/2"
-
-
 def test_presets_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, "presets")
     _, second, _ = run_cli(capsys, "presets")
@@ -279,14 +214,6 @@ UNSOLVED = {
         {"name": "R4/F_31", "phi": None, "nbhd_sign": -1, "count": 1},
     ],
 }
-
-
-def test_fibration_check(capsys, tmp_path):
-    path = tmp_path / "fib.json"
-    path.write_text(json.dumps(FIBRATION))
-    code, out, _ = run_cli(capsys, "fibration", "--ledger", str(path))
-    assert code == 0
-    assert out == "total_sign=-146 germ_sum=-146 residual=0 ok=true\n"
 
 
 def test_fibration_solve_and_round_trip(capsys, tmp_path):
@@ -458,7 +385,44 @@ def test_output_is_exact(capsys, input_files, argv, text, as_json_text, as_json)
     assert run_cli(capsys, *argv, *(["--json"] if as_json else [])) == (0, out + "\n", "")
 
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# argv, the one stderr line after "error: "; numerals read by argparse and
+# values below a bound are refused in the library's words, with no usage text
+REFUSED = [
+    (["ci", "--m", "x", "--degrees", "3"], "bad integer 'x'"),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "x", "--d", "2"], "bad integer 'x'"),
+    (["lasso-power", "--phi", "1", "--n", "9" * 5000], "bad integer: too many digits"),
+    (["lasso-power", "--phi", "x", "--n", "2"], "bad rational 'x'"),
+    (["veronese", "--m", "1", "--degrees", "1", "--n", "4", "--d", "2"], "degree must be >= 2, got 1"),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "1", "--d", "2"], "n must be >= 2, got 1"),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "4", "--d", "0"], "d must be >= 1, got 0"),
+    (["lasso-power", "--phi", "1", "--n", "0"], "power must be >= 1, got 0"),
+    (["ci", "--m", "0", "--degrees", ""], "m = 0 is excluded: a surface needs m >= 1 degrees"),
+    (["fibration", "--ledger", "big.json"], "bad ledger JSON: an integer has too many digits"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    REFUSED,
+    ids=[
+        "ci-m",
+        "veronese-n",
+        "lasso-n-5000-digits",
+        "lasso-phi",
+        "veronese-degree-bound",
+        "veronese-n-bound",
+        "veronese-d-bound",
+        "lasso-n-bound",
+        "ci-m0",
+        "ledger-5000-digits",
+    ],
+)
+def test_refused_numbers_print_one_error_line(capsys, input_files, argv, err):
+    Path("big.json").write_text('{"total_sign": ' + "1" * 5000 + ', "germs": []}')
+    assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+README =(Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

@@ -441,6 +441,9 @@ def test_parse_and_format_round_trip():
         "\uff11 1 5",
         "\u0661 1 5",
         "1 +1_0 5",
+        pytest.param("9" * 4301 + " 1 5", id="<4301 digits> 1"),
+        # a count of entries past the digit limit is shown by its type
+        pytest.param(f"{10**2200} {10**2200} 5", id="<2201 digits>^2 entries"),
         # the grammar reads p/q, and a matrix holds integers
         "1 1 1/2",
         "1 2 -3/4 +2",

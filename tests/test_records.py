@@ -193,16 +193,31 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
     "build, error",
     [
         (lambda: ComplexSurfaceData(1, 2, 1), InvalidInput),
+        (lambda: ComplexSurfaceData(1, 2, 2), None),
         (lambda: LedgerEntry("x", None, 0, 0), InvalidInput),
+        (lambda: LedgerEntry("x", None, 0, 1), None),
         (lambda: SurfaceInvariants(0, 4, 0, 4), InvalidInput),
+        (lambda: SurfaceInvariants(0, 4, 1, 4), None),
         (lambda: SurfaceInvariants(0, 4, 18, -1), InvalidInput),
+        (lambda: SurfaceInvariants(0, 4, 18, 0), None),
         (lambda: LassoReport(0, Fr(1)), NonPositiveDegDX),
         (lambda: LassoReport(12, Fr(-2, 3), Fr(1), 4), ContractViolation),
         (lambda: CISpec(2, (3,)), InvalidInput),
+        (lambda: CISpec(-1, ()), InvalidInput),
+        (lambda: CISpec(0, (), 3, 2), None),
         (lambda: CISpec(1, (1,)), InvalidInput),
+        (lambda: CISpec(1, (2,), d=2), None),
         (lambda: CISpec(1, (3,), n=1), InvalidInput),
+        (lambda: CISpec(1, (3,), n=2), None),
         (lambda: CISpec(1, (3,), d=0), InvalidInput),
+        (lambda: CISpec(1, (3,), d=1), None),
         (lambda: CISpec(0, ()), ExcludedCase),
+        (lambda: ci_surface_invariants(0, ()), ExcludedCase),
+        (lambda: ci_surface_invariants(1, (3,)), None),
+        (lambda: lasso_power(1, 0), InvalidInput),
+        (lambda: lasso_power(1, 1), None),
+        (lambda: fiber_count(0, 1), InvalidInput),
+        (lambda: fiber_count(0, 2), None),
         (lambda: CISpec(1, (2,)), ExcludedCase),
         (lambda: CISpec(0, (), 2, 2), ExcludedCase),
         (lambda: SL2Word((("U", 1),)), MatrixFormatError),
@@ -240,16 +255,31 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
     ],
     ids=[
         "surface-genus",
+        "surface-genus-at-2",
         "entry-count",
+        "entry-count-at-1",
         "invariants-degree",
+        "invariants-degree-at-1",
         "invariants-genus",
+        "invariants-genus-at-0",
         "lasso-degree",
         "lasso-ratio",
         "ci-m",
+        "ci-m-below-0",
+        "ci-m-at-0",
         "ci-degree",
+        "ci-degree-at-2",
         "ci-n",
+        "ci-n-at-2",
         "ci-d",
+        "ci-d-at-1",
         "ci-m0-d1",
+        "ci-surface-m0",
+        "ci-surface-m-at-1",
+        "power-0",
+        "power-at-1",
+        "fiber-count-genus-1",
+        "fiber-count-genus-at-2",
         "ci-quadric",
         "ci-n2-d2-m0",
         "word-generator",
@@ -286,6 +316,9 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
     ],
 )
 def test_validation_raises_the_documented_error(build, error):
+    if error is None:  # a value at its lower bound is accepted
+        build()
+        return
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
