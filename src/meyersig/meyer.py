@@ -14,15 +14,16 @@ Sylvester's law of inertia.
 
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
-generators are *solved* from the group relations S^4 = I and (ST)^6 = I
-rather than hard-coded (``phi1_base``), and ``phi1_word`` derives its value
-on any word by folding tau along it. ``phi1`` itself evaluates the closed
-form -Phi/3 + eps, with Rademacher's integer function Phi (Atiyah 1987, "The
-logarithm of the Dedekind eta-function"; Kirby-Melvin 1994, "Dedekind sums,
-mu-invariants and the signature cocycle") folded in ints inside the
-Euclidean reduction of its argument, so it evaluates no tau; once per
-process the closed form is checked against the solved generator values, so
-every number stays traceable to the cocycle.
+generators are *solved* rather than hard-coded: ``phi1_word`` derives its
+value on any word by folding tau along it, and ``phi1_base`` folds it along
+the relators S^4 and (ST)^6 and solves the two results for phi(S) and phi(T).
+``phi1`` itself evaluates the closed form -Phi/3 + eps, with Rademacher's
+integer function Phi (Atiyah 1987, "The logarithm of the Dedekind
+eta-function"; Kirby-Melvin 1994, "Dedekind sums, mu-invariants and the
+signature cocycle") folded in ints inside the Euclidean reduction of its
+argument, so it evaluates no tau; ``phi1_base``, cached once per process,
+also checks the closed form against the solved generator values, so every
+number stays traceable to the cocycle.
 """
 
 from __future__ import annotations
@@ -137,42 +138,36 @@ class PhiBase(Record):
             _rational_arg(getattr(self, name), name)
 
 
-def _relator_tau_sum(letters: list[str]) -> int:
-    """Sum of tau(g_1..g_i, g_{i+1}) along a relator word; checks it closes."""
-    elements = {"S": gen_S(), "T": gen_T()}
-    prefix = elements[letters[0]]
-    total = 0
-    for ch in letters[1:]:
-        nxt = elements[ch]
-        total += tau(prefix, nxt)
-        prefix = prefix * nxt
-    if prefix != SymplecticElement.identity(1):
-        raise InconsistentRelations(f"word {''.join(letters)} is not a relator")
-    return total
-
-
 @functools.cache
 def phi1_base() -> PhiBase:
-    """Solve for phi(S), phi(T) from the relations S^4 = I and (ST)^6 = I.
+    """Solve for phi(S), phi(T) from the relations S^4 = I and (ST)^6 = I,
+    check the solution, and tie ``phi1``'s closed form to it.
 
-    Expanding phi along a relator w = g_1...g_k gives
-    0 = sum_i phi(g_i) - sum_i tau(g_1..g_i, g_{i+1}), which yields a
-    triangular linear system in (phi(S), phi(T)). The solution is then
-    validated on an independent coincidence of words, (ST)^3 = S^2 = -I;
-    failure means the cocycle itself is broken. The solve is deterministic,
-    so it runs once per process.
+    Expanding phi along a relator w = g_1...g_k gives 0 = sum_i phi(g_i) -
+    sum_i tau(g_1..g_i, g_{i+1}), the tau sum being -phi1_word(w) on the zero
+    base: a triangular linear system in (phi(S), phi(T)). The solution is
+    checked on an independent coincidence of words, (ST)^3 = S^2 = -I, and on
+    S^4 folded by squaring (the cocycle identity at (S^2, S, S)); last, the
+    closed form must give the solved values on S and T. A failure means the
+    cocycle or the closed form is broken and raises ``InconsistentRelations``.
+    The solve is deterministic, so it runs once per process.
     """
-    phi_s = Fraction(_relator_tau_sum(["S"] * 4), 4)
-    phi_t = Fraction(_relator_tau_sum(["S", "T"] * 6), 6) - phi_s
-    base = PhiBase(phi_s, phi_t)
-    lhs = phi1_word([("S", 1), ("T", 1)] * 3, base)
-    rhs = phi1_word([("S", 2)], base)
+    identity, st = SymplecticElement.identity(1), [("S", 1), ("T", 1)]
+    if gen_S() ** 4 != identity or (gen_S() * gen_T()) ** 6 != identity:
+        raise InconsistentRelations("S^4 = (ST)^6 = I does not hold")
+    zero = PhiBase(0, 0)
+    phi_s = Fraction(-phi1_word([("S", 1)] * 4, zero), 4)
+    base = PhiBase(phi_s, Fraction(-phi1_word(st * 6, zero), 6) - phi_s)
+    lhs, rhs = phi1_word(st * 3, base), phi1_word([("S", 2)], base)
     if lhs != rhs:
-        raise InconsistentRelations(
-            f"phi((ST)^3) = {lhs} differs from phi(S^2) = {rhs}"
-        )
-    if phi1_word([("S", 4)], base) != 0 or phi1_word([("S", 1), ("T", 1)] * 6, base) != 0:
-        raise InconsistentRelations("relator words do not fold to zero")
+        raise InconsistentRelations(f"phi((ST)^3) = {lhs} differs from phi(S^2) = {rhs}")
+    if phi1_word([("S", 4)], base) != 0:
+        raise InconsistentRelations("S^4 does not fold to zero")
+    for gen, el, solved in (("S", gen_S(), base.phi_S), ("T", gen_T(), base.phi_T)):
+        if (value := _phi1_closed_form(el)) != solved:
+            raise InconsistentRelations(
+                f"closed form phi({gen}) = {value} differs from the solved {solved}"
+            )
     return base
 
 
@@ -212,9 +207,12 @@ def phi1_word(
     tests exercise. A word that is not iterable, or a syllable that is not a
     tuple (generator, exponent), with the generator "S" or "T" and an ``int``
     exponent, raises ``MatrixFormatError``; a zero exponent is the identity.
+    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``.
     """
     if base is None:
         base = phi1_base()
+    elif not isinstance(base, PhiBase):
+        raise InvalidInput(f"base must be a PhiBase, got {type(base).__name__}")
     try:  # only iterating a word that is not iterable raises TypeError here
         syllables = word.syllables if isinstance(word, SL2Word) else tuple(map(_syllable, word))
     except TypeError as exc:
@@ -240,19 +238,6 @@ def _phi1_closed_form(m: SymplecticElement | Iterable[Iterable[int]]) -> Fractio
     return Fraction(3 * eps - rademacher, 3)
 
 
-@functools.cache
-def _closed_form_matches_base() -> None:
-    """Tie the closed form to the cocycle, once per process: on S and T it must
-    give the values ``phi1_base`` solves from the relations."""
-    base = phi1_base()
-    for gen, el, solved in (("S", gen_S(), base.phi_S), ("T", gen_T(), base.phi_T)):
-        value = _phi1_closed_form(el)
-        if value != solved:
-            raise InconsistentRelations(
-                f"closed form phi({gen}) = {value} differs from the solved {solved}"
-            )
-
-
 def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
     """The cobounding function on SL(2,Z), in closed form.
 
@@ -262,13 +247,14 @@ def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
 
     phi1(A) = -Phi(A)/3 + eps(A), with Rademacher's integer function Phi
     folded in ints inside the Euclidean reduction of A (``_sl2_reduce``); no
-    word is normalized and no tau is evaluated. The first call checks the
-    closed form against the generator values ``phi1_base`` solves from the
-    relations; ``phi1_word(sl2_word(A))`` is the derivation it agrees with.
+    word is normalized and no tau is evaluated. Each call then reads
+    ``phi1_base()``, whose one solve per process checks the closed form
+    against the generator values and raises ``InconsistentRelations`` if they
+    differ; ``phi1_word(sl2_word(A))`` is the derivation it agrees with.
 
     phi1 is a class function, vanishes on the identity, and satisfies
     phi1(A^{-1}) = -phi1(A).
     """
     value = _phi1_closed_form(a)  # reads and checks a before the first-call check
-    _closed_form_matches_base()
+    phi1_base()
     return value

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 from operator import mul, neg
 
 from ._record import Record
-from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
+from .errors import GenusMismatch, InvalidInput, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
 from .exactnum import _int_arg, _int_matrix, _shown
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -143,8 +143,12 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
 
     The coordinate blocks are interleaved, not naively stacked: the result
     acts on (a_1..a_{g1}, a'_1..a'_{g2}, b_1..b_{g1}, b'_1..b'_{g2}), which is
-    exactly what keeps it symplectic for the standard J.
+    exactly what keeps it symplectic for the standard J. An argument that is
+    not a ``SymplecticElement`` raises ``InvalidInput``.
     """
+    for el in (a, b):
+        if not isinstance(el, SymplecticElement):
+            raise InvalidInput(f"direct_sum takes SymplecticElements, got {type(el).__name__}")
     g1, g2 = a.g, b.g
     g = g1 + g2
 

@@ -26,10 +26,6 @@ def seeded():
     return rng(20260809)
 
 
-def sample_symplectic(r: random.Random, g: int, length: int = 8) -> SymplecticElement:
-    return random_transvection_product(r, g, length)
-
-
 def tau_pairs(r: random.Random, per_genus: int = 20, genera=range(1, 7)):
     """Seeded pairs (A1, A2) at each genus, cycling through plain pairs of
     transvection products and pairs built with products, powers and inverses."""

@@ -43,6 +43,8 @@ ORACLE = "tests/test_tau_oracle.py::"
 REFERENCE = MEYER + "test_sl2_reduction_matches_the_reference_on_explicit_inputs"
 GOLDEN = "tests/test_cli.py::test_output_is_exact"
 REFUSED = "tests/test_cli.py::test_refused_numbers_print_one_error_line"
+BASE_REFUSES = MEYER + "test_phi1_base_refuses_relations_the_cocycle_contradicts"
+CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_contradict"
 
 MUTANTS = (
     # the Euclidean reduction behind phi1 and sl2_word
@@ -80,6 +82,35 @@ MUTANTS = (
         "(1 - aa, bb), phi + bb",
         "(1 - aa, bb), phi",
         (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    # phi1's generator values: solved, checked and tied to the closed form in phi1_base
+    Mutant(
+        "phi-base-solve-divisor",
+        "meyer.py",
+        'Fraction(-phi1_word([("S", 1)] * 4, zero), 4)',
+        'Fraction(-phi1_word([("S", 1)] * 4, zero), 2)',
+        (MEYER + "test_phi_base_relations_hold",),
+    ),
+    Mutant(
+        "phi-base-no-relator-check",
+        "meyer.py",
+        "    if gen_S() ** 4 != identity or (gen_S() * gen_T()) ** 6 != identity:\n",
+        "    if False:\n",
+        (BASE_REFUSES,),
+    ),
+    Mutant(
+        "phi-base-no-closed-form-tie",
+        "meyer.py",
+        "        if (value := _phi1_closed_form(el)) != solved:\n",
+        "        if False:\n",
+        (CLOSED_FORM_REFUSED,),
+    ),
+    Mutant(
+        "phi1-skips-phi1-base",
+        "meyer.py",
+        "    phi1_base()\n    return value\n",
+        "    return value\n",
+        (CLOSED_FORM_REFUSED,),
     ),
     # tau's kernel, Gram and signature
     Mutant(
@@ -190,6 +221,20 @@ MUTANTS = (
         "            if not set(map(type, row)) <= {int}:",
         "            if not rows and not set(map(type, row)) <= {int}:",
         (EXACT + "test_linear_algebra_refuses_what_is_not_int_rows",),
+    ),
+    Mutant(
+        "mul-across-genera",
+        "symplectic.py",
+        "        if self.g != other.g:\n",
+        "        if False:\n",
+        ("tests/test_symplectic.py::test_product_refuses_other_genera_and_non_elements",),
+    ),
+    Mutant(
+        "parse-matrix-negative-cols",  # "0 -1" has the 0 entries it asks for
+        "exactnum.py",
+        "if rows < 0 or cols < 0:",
+        "if rows < 0:",
+        (EXACT + "test_parse_matrix_rejects_garbage",),
     ),
     # refusals of outside numbers: the bound, the digit limit, the CLI's one error line
     Mutant(

@@ -381,6 +381,8 @@ def test_gram_restrict_rejects_asymmetric_result():
         gram_restrict(pairing, [(0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(MatrixFormatError):  # basis vectors of length 3 against a 2x2 pairing
         gram_restrict(pairing, [(0, 0, 1)])
+    with pytest.raises(MatrixFormatError, match="pairing matrix must be square"):
+        gram_restrict([[1, 2]], [])
 
 
 def test_gram_vanishes_on_identity_kernel():
@@ -447,6 +449,10 @@ def test_parse_and_format_round_trip():
         # the grammar reads p/q, and a matrix holds integers
         "1 1 1/2",
         "1 2 -3/4 +2",
+        # negative dimensions, also where the entry count -1 * 0 = 0 matches
+        "-1 2",
+        "0 -1",
+        "-1 0",
     ],
 )
 def test_parse_matrix_rejects_garbage(text):

@@ -344,6 +344,7 @@ def test_ledger_json_parsing_defaults_and_unknowns():
         "[]",
         '{"total_sign": 0}',
         '{"total_sign": "x", "germs": []}',
+        '{"total_sign": 0, "germs": {}}',
         '{"total_sign": 0, "germs": [{"phi": "1/2"}]}',
         '{"total_sign": 0, "germs": [{"name": "a", "phi": "x"}]}',
         '{"total_sign": 0, "germs": [{"name": "a", "phi": "1/2", "count": 0}]}',

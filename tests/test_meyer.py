@@ -16,7 +16,6 @@ from meyersig import (
     InvalidInput,
     MatrixFormatError,
     NotUnimodular,
-    PhiBase,
     SymplecticElement,
     direct_sum,
     gen_S,
@@ -614,20 +613,43 @@ def test_phi1_evaluates_no_tau(monkeypatch):
 @pytest.fixture
 def cold_phi1_caches():
     meyer.phi1_base.cache_clear()
-    meyer._closed_form_matches_base.cache_clear()
     yield
-    meyer._closed_form_matches_base.cache_clear()
+    meyer.phi1_base.cache_clear()
 
 
 @pytest.mark.parametrize("field", ["phi_S", "phi_T"])
 def test_phi1_refuses_a_closed_form_the_relations_contradict(monkeypatch, cold_phi1_caches, field):
-    solved = phi1_base()
-    values = {"phi_S": solved.phi_S, "phi_T": solved.phi_T}
-    values[field] += 1
-    wrong = PhiBase(**values)
-    monkeypatch.setattr(meyer, "phi1_base", lambda: wrong)
-    with pytest.raises(InconsistentRelations):
+    # the closed form shifted by 1 on one generator; phi1_base ties it to the solve
+    gen = {"phi_S": gen_S, "phi_T": gen_T}[field]()
+    closed_form = meyer._phi1_closed_form
+    monkeypatch.setattr(meyer, "_phi1_closed_form", lambda m: closed_form(m) + (m == gen))
+    with pytest.raises(InconsistentRelations, match=rf"closed form phi\({field[-1]}\)"):
         phi1(TWIST)
+
+
+def _tau_shifted_at(a1, a2):
+    """``meyer.tau`` plus 1 on the one pair (a1, a2)."""
+    return lambda x, y: tau(x, y) + (x == a1 and y == a2)
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        # (S T^2)^6 is not the identity: S T^2 is parabolic
+        ("gen_T", lambda: gen_T() ** 2, r"S\^4 = \(ST\)\^6 = I does not hold"),
+        # tau(S, T) is folded along (ST)^3 and (ST)^6, not along S^2
+        ("tau", _tau_shifted_at(gen_S(), gen_T()), r"phi\(\(ST\)\^3\) = .* differs"),
+        # tau(-I, -I) is folded only when S^4 is squared from S^2
+        ("tau", _tau_shifted_at(gen_S() ** 2, gen_S() ** 2), r"S\^4 does not fold to zero"),
+    ],
+    ids=["relator", "st-cubed", "s-fourth-squared"],
+)
+def test_phi1_base_refuses_relations_the_cocycle_contradicts(
+    monkeypatch, cold_phi1_caches, name, patch, message
+):
+    monkeypatch.setattr(meyer, name, patch)
+    with pytest.raises(InconsistentRelations, match=message):
+        phi1_base()
 
 
 @pytest.mark.parametrize(

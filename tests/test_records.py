@@ -36,12 +36,14 @@ from meyersig import (
     SymplecticElement,
     UnknownName,
     ci_surface_invariants,
+    direct_sum,
     fiber_count,
     generic_surface_lasso,
     germ,
     germ_sigma,
     lasso_power,
     ledger_from_obj,
+    phi1_word,
     veronese_ci_lasso,
 )
 from meyersig._record import Record
@@ -252,6 +254,11 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: SymplecticElement.identity(1.5), InvalidInput),
         (lambda: germ([]), UnknownName),
         (lambda: germ([BIG]), UnknownName),
+        # an argument of the wrong type is named, not met with AttributeError
+        (lambda: phi1_word([("S", 1)], base=(1, 2)), InvalidInput),
+        (lambda: phi1_word([("S", 1)], base=5), InvalidInput),
+        (lambda: direct_sum(SymplecticElement.identity(1), 3), InvalidInput),
+        (lambda: direct_sum(None, SymplecticElement.identity(1)), InvalidInput),
     ],
     ids=[
         "surface-genus",
@@ -313,6 +320,10 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "identity-float-genus",
         "germ-list-name",
         "germ-huge-list-name",
+        "word-tuple-base",
+        "word-int-base",
+        "direct-sum-int",
+        "direct-sum-none",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):

@@ -6,6 +6,7 @@ import pytest
 
 import linalg_oracle as oracle
 from meyersig import (
+    GenusMismatch,
     InvalidInput,
     MatrixFormatError,
     NotSymplectic,
@@ -109,6 +110,16 @@ def test_transvection_squared_doubles_coefficient():
 def test_transvection_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         transvection((0, 0))
+
+
+def test_product_refuses_other_genera_and_non_elements():
+    a = SymplecticElement([[1, -1], [0, 1]])
+    with pytest.raises(GenusMismatch):
+        a * SymplecticElement.identity(2)
+    with pytest.raises(GenusMismatch):
+        SymplecticElement.identity(2) * a
+    with pytest.raises(TypeError):
+        a * 3
 
 
 def test_direct_sum_identities():
