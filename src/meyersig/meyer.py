@@ -47,6 +47,7 @@ from .symplectic import (
     SL2Word,
     SymplecticElement,
     _inverse_minus,
+    _power,
     _sl2_reduce,
     _syllable,
     gen_S,
@@ -172,29 +173,23 @@ def phi1_base() -> PhiBase:
 
 
 def _fold(
-    m1: SymplecticElement, p1: Fraction, m2: SymplecticElement, p2: Fraction
+    x: tuple[SymplecticElement, Fraction], y: tuple[SymplecticElement, Fraction]
 ) -> tuple[SymplecticElement, Fraction]:
-    # phi(uv) = phi(u) + phi(v) - tau(u, v)
-    return m1 * m2, p1 + p2 - tau(m1, m2)
+    """(uv, phi(uv)) from (u, phi(u)) and (v, phi(v)): phi(uv) = phi(u) + phi(v) - tau(u, v)."""
+    (u, phi_u), (v, phi_v) = x, y
+    return u * v, phi_u + phi_v - tau(u, v)
 
 
 def _power_phi(
     el: SymplecticElement, phi_el: Fraction, e: int
 ) -> tuple[SymplecticElement, Fraction]:
-    """(el^e, phi(el^e)) using only the coboundary identity, in O(log e) steps."""
+    """(el^e, phi(el^e)) using only the coboundary identity, in O(log |e|) steps."""
     if e == 0:
         return SymplecticElement.identity(el.g), Fraction(0)
-    if e < 0:
+    if e < 0:  # phi(el^-1) = tau(el, el^-1) - phi(el), as phi(I) = 0
         inv = el.inverse()
-        phi_inv = Fraction(tau(el, inv)) - phi_el
-        return _power_phi(inv, phi_inv, -e)
-    if e == 1:
-        return el, phi_el
-    half_m, half_p = _power_phi(el, phi_el, e // 2)
-    m, p = _fold(half_m, half_p, half_m, half_p)
-    if e % 2:
-        m, p = _fold(m, p, el, phi_el)
-    return m, p
+        el, phi_el = inv, Fraction(tau(el, inv)) - phi_el
+    return _power((el, phi_el), abs(e), _fold)
 
 
 def phi1_word(
@@ -222,7 +217,7 @@ def phi1_word(
     for gen, e in syllables:
         el, phi_el = generators[gen]
         part = _power_phi(el, phi_el, e)
-        acc = part if acc is None else _fold(acc[0], acc[1], part[0], part[1])
+        acc = part if acc is None else _fold(acc, part)
     return Fraction(0) if acc is None else acc[1]
 
 

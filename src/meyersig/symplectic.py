@@ -32,13 +32,6 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def apply_J(m: IntMatrix) -> IntMatrix:
-    """J * M for J = [[0, I], [-I, 0]], applied as a signed swap of the row
-    halves, (M[g:], -M[:g]), instead of a matrix product."""
-    g = len(m) // 2
-    return m[g:] + tuple(tuple(-x for x in row) for row in m[:g])
-
-
 def _inverse_minus(m: IntMatrix, k: int) -> IntMatrix:
     """A^{-1} - kI in one pass: A^{-1} = J^{-1} A^t J = [[D^t, -B^t], [-C^t, A^t]]
     for A = [[A, B], [C, D]], so row i is column i + g (mod 2g) of A with its
@@ -51,6 +44,20 @@ def _inverse_minus(m: IntMatrix, k: int) -> IntMatrix:
         row[i] -= k
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _power(x, e: int, product):
+    """x^e for e >= 1 by square-and-multiply from the low bit up, with
+    ``product`` as the multiplication: no factor is ever the unit, so there
+    are (bit length - 1) squarings and (number of set bits - 1) other products."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else product(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = product(x, x)
 
 
 class SymplecticElement(Record):
@@ -70,8 +77,8 @@ class SymplecticElement(Record):
         cols = len(rows[0]) if rows else 0
         if n < 2 or n % 2 != 0 or cols != n:
             raise NotSymplectic(f"need an even square matrix of size >= 2, got {n}x{cols}")
-        # for a 2x2 matrix A^t J A = det(A) J, so this also rejects det != 1
-        if _matmul(tuple(zip(*rows)), apply_J(rows)) != apply_J(_identity(n)):
+        # A (J^-1 A^t J) = I iff A^t J A = J; at 2x2 it is det(A) I, refusing det != 1
+        if _matmul(rows, _inverse_minus(rows, 0)) != _identity(n):
             raise NotSymplectic("matrix does not preserve the alternating form")
         object.__setattr__(self, "mat", rows)
 
@@ -105,17 +112,9 @@ class SymplecticElement(Record):
 
     def __pow__(self, e: int) -> "SymplecticElement":
         e = _int_arg(e, "exponent")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = SymplecticElement.identity(self.g)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e == 0:
+            return SymplecticElement.identity(self.g)
+        return _power(self if e > 0 else self.inverse(), abs(e), SymplecticElement.__mul__)
 
     def __repr__(self) -> str:
         return f"SymplecticElement(g={self.g}, {self.mat!r})"
@@ -132,7 +131,7 @@ def transvection(v: Sequence[int]) -> SymplecticElement:
     if not any(vv):
         raise ZeroVector("transvection direction must be nonzero")
     g = len(vv) // 2
-    w = vv[g:] + tuple(-x for x in vv[:g])  # Jv, the signed swap of apply_J
+    w = vv[g:] + tuple(-x for x in vv[:g])  # Jv: the halves of v swapped, the lower one negated
     return SymplecticElement._derived(
         tuple(tuple(int(i == j) + vi * wj for j, wj in enumerate(w)) for i, vi in enumerate(vv))
     )
@@ -149,20 +148,9 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
     for el in (a, b):
         if not isinstance(el, SymplecticElement):
             raise InvalidInput(f"direct_sum takes SymplecticElements, got {type(el).__name__}")
-    g1, g2 = a.g, b.g
-    g = g1 + g2
-
-    def source(i: int) -> tuple[int, int]:
-        if i < g1:
-            return 0, i
-        if i < g:
-            return 1, i - g1
-        if i < g + g1:
-            return 0, g1 + (i - g)
-        return 1, g2 + (i - g - g1)
-
-    mats = (a.mat, b.mat)
-    coords = [source(i) for i in range(2 * g)]
+    mats, gs = (a.mat, b.mat), (a.g, b.g)
+    # (summand, its coordinate): the a-half of A, of B, then the b-half of A, of B
+    coords = [(t, h * gs[t] + i) for h in (0, 1) for t in (0, 1) for i in range(gs[t])]
     rows = tuple(
         tuple(mats[ti][si][sj] if ti == tj else 0 for tj, sj in coords) for ti, si in coords
     )
@@ -234,18 +222,6 @@ class SL2Word(Record):
         return "".join(self.letters())
 
 
-def _normalize_syllables(raw: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    out: list[tuple[str, int]] = []
-    for gen, e in raw:
-        if out and out[-1][0] == gen:
-            e += out.pop()[1]
-        if gen == "S":
-            e %= 4  # S^4 = I
-        if e != 0:
-            out.append((gen, e))
-    return tuple(out)
-
-
 def _sl2_reduce(
     a: SymplecticElement | Iterable[Iterable[int]],
 ) -> tuple[tuple[int, int, int, int], list[int], tuple[int, int], int]:
@@ -292,23 +268,32 @@ def _sl2_reduce(
 def sl2_word(a: SymplecticElement | Iterable[Iterable[int]]) -> SL2Word:
     """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
 
-    The word is T^q S for each quotient of the Euclidean reduction
-    (``_sl2_reduce``), then S^2 for -I and T^b, normalized: T^0 dropped, S
-    exponents reduced mod 4 and adjacent powers of one generator merged. It
-    has at most 2|c| + 2 syllables, and its length ``len()`` sums their
-    exponents: [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
+    The word is T^q S for each quotient q of the Euclidean reduction
+    (``_sl2_reduce``), then S^2 for -I and T^b. The reduction's invariant, that
+    only the first quotient can be 0 and every later one is <= -2, makes this
+    the normal form as it is built: T^0 is dropped, a last S merges with the
+    S^2 into S^3, and no two adjacent syllables share a generator. It has at
+    most 2|c| + 2 syllables, and its length ``len()`` sums their exponents:
+    [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
     """
     _, quotients, (s, b), _ = _sl2_reduce(a)
-    raw = [syllable for q in quotients for syllable in (("T", q), ("S", 1))]
-    return SL2Word(_normalize_syllables(raw + [("S", s), ("T", b)]))
+    syllables = [(gen, e) for q in quotients for gen, e in (("T", q), ("S", 1)) if e]
+    if s and syllables:  # the last syllable is S, and S S^2 = S^3
+        syllables[-1] = ("S", 3)
+    elif s:
+        syllables.append(("S", 2))
+    if b:
+        syllables.append(("T", b))
+    return SL2Word(tuple(syllables))
 
 
 def random_transvection_product(rng, g: int, length: int) -> SymplecticElement:
     """Product of ``length`` transvections on random vectors with entries in [-3, 3].
 
     Intended for seeded property tests with a ``random.Random`` as ``rng``; the
-    zero vector is resampled.
+    zero vector is resampled. A ``length`` not an int >= 0 raises ``InvalidInput``.
     """
+    length = _int_arg(length, "length", 0)
     result = SymplecticElement.identity(g)
     produced = 0
     while produced < length:

@@ -206,7 +206,44 @@ MUTANTS = (
         "- _tau(l1, r3)",
         (MEYER + "test_cocycle_defect_shares_the_four_tau_values",),
     ),
+    # the group layer: the one power loop, the symplectic check, sl2_word's
+    # normal form and direct_sum's coordinates
+    Mutant(
+        "power-loop-double-shift",
+        "symplectic.py",
+        "        e >>= 1\n",
+        "        e >>= 2\n",
+        ("tests/test_symplectic.py::test_power_is_the_repeated_product",),
+    ),
+    Mutant(
+        "symplectic-check-without-J",  # A A^t = I: orthogonal, not symplectic
+        "symplectic.py",
+        "_matmul(rows, _inverse_minus(rows, 0))",
+        "_matmul(rows, tuple(zip(*rows)))",
+        ("tests/test_symplectic.py::test_constructor_accepts_exactly_the_matrices_that_preserve_J",),
+    ),
+    Mutant(
+        "sl2-word-unmerged-tail",  # S then S^2, not S^3
+        "symplectic.py",
+        "    if s and syllables:  # the last syllable is S, and S S^2 = S^3\n",
+        "    if False:\n",
+        (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
+    ),
+    Mutant(
+        "direct-sum-b-half-offset",  # B's b-half read from A's genus on
+        "symplectic.py",
+        "h * gs[t] + i",
+        "h * gs[0] + i",
+        ("tests/test_symplectic.py::test_direct_sum_is_the_interleaved_block_sum",),
+    ),
     # elements and readers
+    Mutant(
+        "transvections-unbounded-length",  # -3 factors is the identity
+        "symplectic.py",
+        '_int_arg(length, "length", 0)',
+        '_int_arg(length, "length")',
+        ("tests/test_records.py::test_validation_raises_the_documented_error",),
+    ),
     Mutant(
         "transvection-flipped-sign",
         "symplectic.py",

@@ -349,6 +349,21 @@ def test_phi1_word_refuses_what_is_not_generator_int_pairs(word):
         phi1_word(word)
 
 
+@pytest.mark.parametrize(
+    "word, product",
+    [
+        ([("T", 2**1100)], [[1, 2**1100], [0, 1]]),
+        ([("T", -(2**1100))], [[1, -(2**1100)], [0, 1]]),
+        ([("S", 2**1100 + 1)], [[0, -1], [1, 0]]),  # S^4 = I
+    ],
+    ids=["T", "T-inverse", "S"],
+)
+def test_phi1_word_folds_a_power_of_thousands_of_bits(word, product):
+    # one square-and-multiply step per bit: a recursion per bit would exceed
+    # the interpreter's recursion limit
+    assert phi1_word(word) == phi1(product)
+
+
 def test_phi_decomposition_independence(seeded):
     base = phi1_base()
     for _ in range(25):

@@ -10,6 +10,7 @@ trips, which must rebuild each value through its validating constructor.
 import ast
 import copy
 import pickle
+import random
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from meyersig import (
     lasso_power,
     ledger_from_obj,
     phi1_word,
+    random_transvection_product,
     veronese_ci_lasso,
 )
 from meyersig._record import Record
@@ -259,6 +261,12 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: phi1_word([("S", 1)], base=5), InvalidInput),
         (lambda: direct_sum(SymplecticElement.identity(1), 3), InvalidInput),
         (lambda: direct_sum(None, SymplecticElement.identity(1)), InvalidInput),
+        # unchecked, 2.5 made 3 factors, True 1, -3 the identity, and "2" a bare TypeError
+        (lambda: random_transvection_product(random.Random(0), 1, 2.5), InvalidInput),
+        (lambda: random_transvection_product(random.Random(0), 1, True), InvalidInput),
+        (lambda: random_transvection_product(random.Random(0), 1, -3), InvalidInput),
+        (lambda: random_transvection_product(random.Random(0), 1, "2"), InvalidInput),
+        (lambda: random_transvection_product(random.Random(0), 1, 0), None),
     ],
     ids=[
         "surface-genus",
@@ -324,6 +332,11 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "word-int-base",
         "direct-sum-int",
         "direct-sum-none",
+        "transvections-float-length",
+        "transvections-bool-length",
+        "transvections-negative-length",
+        "transvections-string-length",
+        "transvections-length-at-0",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):

@@ -22,7 +22,6 @@ from meyersig import (
     sl2_word,
     transvection,
 )
-from meyersig.symplectic import apply_J
 from conftest import random_sl2
 
 
@@ -38,11 +37,44 @@ def test_standard_J_antisymmetric(g):
     assert oracle.transpose(j) == oracle.neg(j)
 
 
-def test_apply_J_is_the_product_with_standard_J():
+def _preserves_J(m) -> bool:
+    """A^t J A = J, the definition, from the oracle's J and products."""
+    j = oracle.standard_J(len(m) // 2)
+    return oracle.matmul(oracle.matmul(oracle.transpose(m), j), m) == j
+
+
+def _near_symplectic(r: random.Random, g: int):
+    """A product of transvections, often with one entry moved by 1 or its
+    rows swapped: symplectic, or one slip away from it."""
+    m = [list(row) for row in random_transvection_product(r, g, r.randint(0, 4)).mat]
+    slip = r.randrange(3)
+    if slip == 1:
+        m[r.randrange(2 * g)][r.randrange(2 * g)] += r.choice((-1, 1))
+    elif slip == 2:
+        i, k = r.sample(range(2 * g), 2)
+        m[i], m[k] = m[k], m[i]
+    return m
+
+
+def test_constructor_accepts_exactly_the_matrices_that_preserve_J():
     r = random.Random(10)
-    for g in (1, 2, 3, 4):
-        m = tuple(tuple(r.randint(-5, 5) for _ in range(2 * g)) for _ in range(2 * g))
-        assert list(map(list, apply_J(m))) == oracle.matmul(oracle.standard_J(g), m)
+    matrices = [_near_symplectic(r, g) for g in (1, 2, 3) for _ in range(60)]
+    matrices += [
+        [[r.randint(-2, 2) for _ in range(2 * g)] for _ in range(2 * g)]
+        for g in (1, 2)
+        for _ in range(200)
+    ]
+    decisions = set()
+    for m in matrices:
+        try:
+            SymplecticElement(m)
+            accepted = True
+        except NotSymplectic as exc:
+            assert str(exc) == "matrix does not preserve the alternating form"
+            accepted = False
+        assert accepted == _preserves_J(m), m
+        decisions.add(accepted)
+    assert decisions == {True, False}
 
 
 def test_constructor_rejects_non_symplectic():
@@ -69,6 +101,19 @@ def test_power_refuses_an_exponent_that_is_not_an_int(e):
     # True would read as 1 and 2.0 would end in a bare TypeError
     with pytest.raises(InvalidInput, match=type(e).__name__):
         SymplecticElement.identity(1) ** e
+
+
+def test_power_is_the_repeated_product():
+    r = random.Random(17)
+    for g in (1, 2, 3):
+        x = random_transvection_product(r, g, 4)
+        eye = SymplecticElement.identity(g)
+        assert x**0 == eye
+        for e in range(-6, 7):
+            expected, factor = eye, x if e >= 0 else x.inverse()
+            for _ in range(abs(e)):
+                expected = expected * factor
+            assert x**e == expected, (g, e)
 
 
 def test_transvection_basis_vectors():
@@ -141,6 +186,27 @@ def test_direct_sum_random_blocks_stay_symplectic():
         s = direct_sum(a, b)
         assert s.g == 3
         assert SymplecticElement(s.mat) == s
+
+
+def test_direct_sum_is_the_interleaved_block_sum():
+    # P (A + B) P^t, with A + B block diagonal on (A's a, A's b, B's a, B's b)
+    # and P ordering the coordinates (A's a, B's a, A's b, B's b)
+    r = random.Random(18)
+    for g1 in (1, 2, 3):
+        for g2 in (1, 2, 3):
+            a, b = random_transvection_product(r, g1, 5), random_transvection_product(r, g2, 5)
+            n1, n = 2 * g1, 2 * (g1 + g2)
+            block = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for k in range(n):
+                    if i < n1 and k < n1:
+                        block[i][k] = a.mat[i][k]
+                    elif i >= n1 and k >= n1:
+                        block[i][k] = b.mat[i - n1][k - n1]
+            order = [*range(g1), *range(n1, n1 + g2), *range(g1, n1), *range(n1 + g2, n)]
+            p = [[int(k == order[i]) for k in range(n)] for i in range(n)]
+            expected = oracle.matmul(oracle.matmul(p, block), oracle.transpose(p))
+            assert list(map(list, direct_sum(a, b).mat)) == expected, (g1, g2)
 
 
 def test_products_inverses_powers_stay_symplectic():
