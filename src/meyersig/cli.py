@@ -14,14 +14,14 @@ grammar refuses (read through an argparse ``type``) raises ``InvalidInput``
 out of ``parse_args``: one ``error:`` line and exit 2, as for a bad file.
 Every call loads ``meyersig.exactnum``: the numeral grammar and the argument
 checks, and with them tau's linear algebra. Beyond it, each handler imports
-only the layer it runs.
+only the layer it runs, ``json`` loads only for --json output or a ledger
+file, and argparse registers the options of the dispatched command alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -64,6 +64,7 @@ def _render(result, as_json: bool) -> str:
     """
     try:
         if as_json:
+            import json  # only --json output and a ledger file read or write JSON
             obj = [dict(r) for r in result] if isinstance(result, tuple) else dict(result)
             return json.dumps(obj, default=str)
         return "\n".join(map(_line, result if isinstance(result, tuple) else (result,)))
@@ -150,9 +151,33 @@ def cmd_presets(args) -> tuple:
     return tuple(records)
 
 
+# name: (help, handler, options); an option (flag, help, type) takes a required
+# value read by type (None: a string), or is a flag with no value if type is bool
+_COMMANDS = {
+    "tau": ("signature cocycle of two symplectic matrices", cmd_tau, (
+        ("--a1", "matrix file (format: 'rows cols' then entries)", None), ("--a2", "matrix file", None))),
+    "phi1": ("Meyer function on an SL(2,Z) matrix", cmd_phi1, (("--matrix", "2x2 matrix file", None),)),
+    "ci": ("complete intersection surface invariants and lasso value", cmd_ci, (
+        ("--m", "number of defining degrees", parse_integer),
+        ("--degrees", "comma-separated degrees, e.g. 2,3", None))),
+    "veronese": ("lasso value for a Veronese-embedded complete intersection", cmd_veronese, (
+        ("--m", None, parse_integer), ("--degrees", "comma-separated degrees; '' for m=0", None),
+        ("--n", "dimension of the variety", parse_integer), ("--d", "Veronese degree", parse_integer))),
+    "lasso-power": ("Meyer value on the n-th power of a lasso", cmd_lasso_power, (
+        ("--phi", "value on the lasso, as p/q", parse_rational), ("--n", None, parse_integer))),
+    "germ": ("look up a built-in fiber germ", cmd_germ, (("--name", "e.g. R4/F_31 or NT5/F_I", None),)),
+    "fibration": ("check or solve a fibration ledger (JSON file)", cmd_fibration, (
+        ("--ledger", "ledger JSON file", None), ("--solve", "solve for the single germ with phi null", bool))),
+    "presets": ("list the named variety presets", cmd_presets, ()),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process for each ``command``.
+    Every command is a choice, so help, usage and an invalid choice read alike;
+    only ``command`` (``None``: none) gets --json and its options, as argparse
+    runs no other subparser."""
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description=(
@@ -162,48 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of key=value text")
-
-    p = sub.add_parser("tau", parents=[common], help="signature cocycle of two symplectic matrices")
-    p.add_argument("--a1", required=True, help="matrix file (format: 'rows cols' then entries)")
-    p.add_argument("--a2", required=True, help="matrix file")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("phi1", parents=[common], help="Meyer function on an SL(2,Z) matrix")
-    p.add_argument("--matrix", required=True, help="2x2 matrix file")
-    p.set_defaults(func=cmd_phi1)
-
-    p = sub.add_parser("ci", parents=[common], help="complete intersection surface invariants and lasso value")
-    p.add_argument("--m", type=parse_integer, required=True, help="number of defining degrees")
-    p.add_argument("--degrees", required=True, help="comma-separated degrees, e.g. 2,3")
-    p.set_defaults(func=cmd_ci)
-
-    p = sub.add_parser("veronese", parents=[common], help="lasso value for a Veronese-embedded complete intersection")
-    p.add_argument("--m", type=parse_integer, required=True)
-    p.add_argument("--degrees", required=True, help="comma-separated degrees; '' for m=0")
-    p.add_argument("--n", type=parse_integer, required=True, help="dimension of the variety")
-    p.add_argument("--d", type=parse_integer, required=True, help="Veronese degree")
-    p.set_defaults(func=cmd_veronese)
-
-    p = sub.add_parser("lasso-power", parents=[common], help="Meyer value on the n-th power of a lasso")
-    p.add_argument("--phi", type=parse_rational, required=True, help="value on the lasso, as p/q")
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.set_defaults(func=cmd_lasso_power)
-
-    p = sub.add_parser("germ", parents=[common], help="look up a built-in fiber germ")
-    p.add_argument("--name", required=True, help="e.g. R4/F_31 or NT5/F_I")
-    p.set_defaults(func=cmd_germ)
-
-    p = sub.add_parser("fibration", parents=[common], help="check or solve a fibration ledger (JSON file)")
-    p.add_argument("--ledger", required=True, help="ledger JSON file")
-    p.add_argument("--solve", action="store_true", help="solve for the single germ with phi null")
-    p.set_defaults(func=cmd_fibration)
-
-    p = sub.add_parser("presets", parents=[common], help="list the named variety presets")
-    p.set_defaults(func=cmd_presets)
-
+    for name, (text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name != command:
+            continue
+        p.add_argument("--json", action="store_true", help="emit JSON instead of key=value text")
+        for flag, flag_help, kind in options:
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "required": True}
+            p.add_argument(flag, help=flag_help, **how)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -225,10 +217,12 @@ def _merge_rational_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_rational_values(list(argv))
+    # argparse dispatches on the first token that names a command, as the
+    # top-level parser has no option that takes a value
+    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
     try:  # a numeral the grammar refuses leaves parse_args as InvalidInput
         args = parser.parse_args(argv)
         out = _render(args.func(args), args.json)

@@ -12,7 +12,6 @@ The built-in germ table covers the genus-4 rank-4 families (names under
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from ._record import Record
@@ -207,8 +206,11 @@ def ledger_from_obj(obj) -> FibrationLedger:
 
 
 def ledger_from_json(text: str) -> FibrationLedger:
-    # nesting deeper than the stack raises RecursionError; the one ValueError
-    # that is no JSONDecodeError is an integer past the digit limit
+    """``ledger_from_obj`` of JSON text; ``json`` loads here, on the first call.
+    Nesting deeper than the stack raises RecursionError; the one ValueError
+    that is no JSONDecodeError is an integer past the digit limit."""
+    import json
+
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -183,12 +183,14 @@ def _fold(
 def _power_phi(
     el: SymplecticElement, phi_el: Fraction, e: int
 ) -> tuple[SymplecticElement, Fraction]:
-    """(el^e, phi(el^e)) using only the coboundary identity, in O(log |e|) steps."""
+    """(el^e, phi(el^e)) using only the coboundary identity, in O(log |e|) steps.
+    A negative e powers el^-1, as phi(el^-1) = tau(el, el^-1) - phi(el) = -phi(el):
+    tau(A, A^-1) = 0, since on its kernel x + y is fixed by A, and so is paired
+    to zero by J (I - A^-1)."""
     if e == 0:
         return SymplecticElement.identity(el.g), Fraction(0)
-    if e < 0:  # phi(el^-1) = tau(el, el^-1) - phi(el), as phi(I) = 0
-        inv = el.inverse()
-        el, phi_el = inv, Fraction(tau(el, inv)) - phi_el
+    if e < 0:
+        el, phi_el = el.inverse(), -phi_el
     return _power((el, phi_el), abs(e), _fold)
 
 

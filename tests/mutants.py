@@ -43,6 +43,7 @@ ORACLE = "tests/test_tau_oracle.py::"
 REFERENCE = MEYER + "test_sl2_reduction_matches_the_reference_on_explicit_inputs"
 GOLDEN = "tests/test_cli.py::test_output_is_exact"
 REFUSED = "tests/test_cli.py::test_refused_numbers_print_one_error_line"
+PARSED = "tests/test_cli.py::test_argparse_decisions_are_exact"
 BASE_REFUSES = MEYER + "test_phi1_base_refuses_relations_the_cocycle_contradicts"
 CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_contradict"
 
@@ -111,6 +112,13 @@ MUTANTS = (
         "    phi1_base()\n    return value\n",
         "    return value\n",
         (CLOSED_FORM_REFUSED,),
+    ),
+    Mutant(
+        "power-phi-keeps-sign",  # phi(el^-1) read as phi(el)
+        "meyer.py",
+        "el, phi_el = el.inverse(), -phi_el",
+        "el, phi_el = el.inverse(), phi_el",
+        (MEYER + "test_phi1_word_folds_a_power_of_thousands_of_bits", MEYER + "test_phi_inverse_antisymmetry"),
     ),
     # tau's kernel, Gram and signature
     Mutant(
@@ -305,7 +313,21 @@ MUTANTS = (
         "    args = parser.parse_args(argv)\n    try:\n",
         (REFUSED,),
     ),
-    # the CLI: a handler's import, and the one render step
+    # the CLI: the parser of the dispatched command, a handler's import, and the one render step
+    Mutant(
+        "dispatch-on-last-command",  # germ --name presets builds presets' options
+        "cli.py",
+        "next((tok for tok in argv if tok in _COMMANDS), None)",
+        "next((tok for tok in reversed(argv) if tok in _COMMANDS), None)",
+        (PARSED,),
+    ),
+    Mutant(
+        "json-only-with-options",  # presets takes no --json
+        "cli.py",
+        '        p.add_argument("--json", action="store_true"',
+        '        options and p.add_argument("--json", action="store_true"',
+        (PARSED,),
+    ),
     Mutant(
         "ci-dropped-import",
         "cli.py",

@@ -291,20 +291,6 @@ def test_fibration_bad_json_is_input_error(capsys, tmp_path):
     assert "error" in err
 
 
-def test_unknown_subcommand_exits_nonzero(capsys):
-    code = main(["frobnicate"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err != ""
-
-
-def test_missing_argument_exits_nonzero(capsys):
-    code = main(["tau", "--a1", "only-one.txt"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "usage" in captured.err
-
-
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "meyersig", "germ", "--name", "R4/F_R"],
@@ -383,6 +369,71 @@ def test_output_is_exact(capsys, input_files, argv, text, as_json_text, as_json)
     # compared as text, not through json.loads, so key order and spacing count
     out = as_json_text if as_json else text
     assert run_cli(capsys, *argv, *(["--json"] if as_json else [])) == (0, out + "\n", "")
+
+
+USAGE = (
+    "usage: meyersig [-h]\n"
+    "                {tau,phi1,ci,veronese,lasso-power,germ,fibration,presets} ...\n"
+)
+HELP = USAGE + """
+Exact computation of the signature cocycle on the symplectic group, the Meyer
+function on SL(2,Z), lasso values for embedded projective varieties, and local
+signatures of fiber germs.
+
+positional arguments:
+  {tau,phi1,ci,veronese,lasso-power,germ,fibration,presets}
+    tau                 signature cocycle of two symplectic matrices
+    phi1                Meyer function on an SL(2,Z) matrix
+    ci                  complete intersection surface invariants and lasso
+                        value
+    veronese            lasso value for a Veronese-embedded complete
+                        intersection
+    lasso-power         Meyer value on the n-th power of a lasso
+    germ                look up a built-in fiber germ
+    fibration           check or solve a fibration ledger (JSON file)
+    presets             list the named variety presets
+
+options:
+  -h, --help            show this help message and exit
+"""
+TAU = ["tau", "--a1", "A.txt", "--a2", "A.txt"]
+# argv, exit code, stdout, stderr: what argparse decides, in its own words
+# (Python 3.11's), at an 80-column terminal
+PARSED = [
+    ([], 2, "", USAGE + "meyersig: error: the following arguments are required: command\n"),
+    (
+        ["frobnicate"],
+        2,
+        "",
+        USAGE + "meyersig: error: argument command: invalid choice: 'frobnicate' (choose from "
+        "'tau', 'phi1', 'ci', 'veronese', 'lasso-power', 'germ', 'fibration', 'presets')\n",
+    ),
+    (
+        ["tau", "--a1", "A.txt"],
+        2,
+        "",
+        "usage: meyersig tau [-h] [--json] --a1 A1 --a2 A2\n"
+        "meyersig tau: error: the following arguments are required: --a2\n",
+    ),
+    (TAU + ["extra"], 2, "", USAGE + "meyersig: error: unrecognized arguments: extra\n"),
+    (["--json"] + TAU, 2, "", USAGE + "meyersig: error: unrecognized arguments: --json\n"),
+    (["phi1", "--matrix", "A.txt", "tau"], 2, "", USAGE + "meyersig: error: unrecognized arguments: tau\n"),
+    # the value names another command; the parser is still germ's
+    (["germ", "--name", "presets"], 2, "", "error: unknown germ 'presets'\n"),
+    (["presets", "--jso"], 0, GOLDEN[-1][2] + "\n", ""),
+    (["-h"], 0, HELP, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    PARSED,
+    ids=["no-command", "unknown-command", "missing-option", "extra", "json-first", "command-as-extra",
+         "command-as-value", "abbreviated-json", "help"],
+)
+def test_argparse_decisions_are_exact(capsys, input_files, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (code, out, err)
 
 
 # argv, the one stderr line after "error: "; numerals read by argparse and

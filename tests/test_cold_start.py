@@ -39,8 +39,8 @@ def fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_by(*argv) -> set[str]:
-    result = fresh_python("-c", PROBE, *argv)
+def loaded_by(*argv, cwd=None) -> set[str]:
+    result = fresh_python("-c", PROBE, *argv, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return set(result.stderr.decode().split())
 
@@ -50,7 +50,7 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.decode().split())
     assert "meyersig.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "random", "typing", "meyersig.symplectic"}
+    unwanted = {"dataclasses", "inspect", "json", "random", "typing", "meyersig.symplectic"}
     assert loaded & unwanted == set()
 
 
@@ -79,6 +79,21 @@ def test_germ_loads_only_localsig():
     loaded = loaded_by("germ", "--name", "R4/F_I")
     assert "meyersig.localsig" in loaded
     assert loaded & {"meyersig.meyer", "meyersig.symplectic", "meyersig.varieties"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ci", "--m", "1", "--degrees", "3"], ["germ", "--name", "R4/F_I"], ["tau", "--a1", "A.txt", "--a2", "A.txt"],
+     ["presets"]],
+    ids=["ci", "germ", "tau", "presets"],
+)
+def test_text_output_loads_no_json(tmp_path, argv):
+    (tmp_path / "A.txt").write_text("2 2\n1 -1\n0 1\n")
+    assert "json" not in loaded_by(*argv, cwd=tmp_path)
+
+
+def test_json_output_loads_json():
+    assert "json" in loaded_by("ci", "--json", "--m", "1", "--degrees", "3")
 
 
 def imported_modules(node: ast.AST) -> list[str]:

@@ -364,6 +364,30 @@ def test_phi1_word_folds_a_power_of_thousands_of_bits(word, product):
     assert phi1_word(word) == phi1(product)
 
 
+@given(g=st.integers(1, 4), length=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_tau_of_an_element_and_its_inverse_is_zero(g, length, seed):
+    # phi(A^-1) = tau(A, A^-1) - phi(A) = -phi(A) rests on this
+    a = random_transvection_product(random.Random(seed), g, length)
+    assert tau(a, a.inverse()) == 0
+
+
+def test_negative_powers_evaluate_no_more_tau_than_positive_ones(monkeypatch):
+    phi1_base()  # warm: the solve's own tau calls are not counted
+    calls = []
+
+    def counted(a1, a2):
+        calls.append(None)
+        return tau(a1, a2)
+
+    monkeypatch.setattr(meyer, "tau", counted)
+    counts = []
+    for e in (5, -5):
+        calls.clear()
+        phi1_word([("T", e)])
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
 def test_phi_decomposition_independence(seeded):
     base = phi1_base()
     for _ in range(25):
