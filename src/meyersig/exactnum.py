@@ -5,8 +5,12 @@ The module holds:
 * numeral parsing: one grammar for integers (``parse_integer``) and one for
   rationals (``parse_rational``), each refusing with ``MatrixFormatError``,
   and the matrix text format (``parse_matrix``), which gives int rows,
-* the checks of number arguments (``_int_arg``, ``_rational_arg``); the one
-  lower-bound message of the library ("n must be >= 2, got 1") is ``_int_arg``'s,
+* the checks of the library's arguments, each raising ``InvalidInput`` that
+  names the argument: ``_int_arg`` for an ``int``, whose lower-bound message
+  ("n must be >= 2, got 1") is the library's one, ``_rational_arg`` for an
+  ``int`` or a ``Fraction``, ``_numeral_arg`` for those or a numeral string,
+  read as a ``Fraction``, and ``_kind_arg`` for an argument of one type, a
+  record or a ``str`` ("spec must be a CISpec, got int"),
 * the one reader of matrix arguments (``_int_matrix``): a matrix is a tuple
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
@@ -77,6 +81,20 @@ def _rational_arg(x, name: str) -> int | Fraction:
     """Like ``_int_arg``, for an ``int`` or a ``Fraction`` (not a ``bool`` or float)."""
     if type(x) not in (int, Fraction):
         raise InvalidInput(f"{name} must be an int or a Fraction, got {_shown(x)}")
+    return x
+
+
+def _numeral_arg(x, name: str) -> Fraction:
+    """A rational argument as a ``Fraction``: a ``str`` read by ``parse_rational``,
+    anything else checked by ``_rational_arg``."""
+    return parse_rational(x) if isinstance(x, str) else Fraction(_rational_arg(x, name))
+
+
+def _kind_arg(x, kind: type, name: str):
+    """``x`` if it is a ``kind``, such as a record type or ``str``; anything
+    else raises ``InvalidInput`` naming ``name`` and the type of ``x``."""
+    if not isinstance(x, kind):
+        raise InvalidInput(f"{name} must be a {kind.__name__}, got {type(x).__name__}")
     return x
 
 
@@ -302,9 +320,10 @@ def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
 
     Entries are ``parse_rational`` tokens separated by arbitrary whitespace,
     so an integral "p/q" such as "4/2" reads as its integer; once every token
-    has parsed, a non-integral one raises ``MatrixFormatError``.
+    has parsed, a non-integral one raises ``MatrixFormatError``. Text that is
+    not a ``str`` raises ``InvalidInput``.
     """
-    tokens = text.split()
+    tokens = _kind_arg(text, str, "matrix text").split()
     if len(tokens) < 2:
         raise MatrixFormatError("expected a 'rows cols' header")
     rows, cols = parse_integer(tokens[0]), parse_integer(tokens[1])

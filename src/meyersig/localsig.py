@@ -15,13 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .errors import (
-    IncompleteLedger,
-    InvalidInput,
-    UnknownName,
-    ZeroOrManyUnknowns,
-)
-from .exactnum import _int_arg, _rational_arg, _shown, parse_rational
+from .errors import IncompleteLedger, InvalidInput, UnknownName, ZeroOrManyUnknowns
+from .exactnum import _int_arg, _kind_arg, _numeral_arg, _rational_arg, _shown
 
 
 class ComplexSurfaceData(Record):
@@ -40,6 +35,7 @@ def surface_topology(data: ComplexSurfaceData) -> tuple[int, int]:
     Noether: chi_O = (K^2 + chi_top) / 12; Hirzebruch: Sign = (K^2 - 2 chi_top)/3.
     Jointly: chi_top = 12 chi_O - K^2 and Sign = K^2 - 8 chi_O.
     """
+    _kind_arg(data, ComplexSurfaceData, "data")
     return 12 * data.chi_O - data.K2, data.K2 - 8 * data.chi_O
 
 
@@ -59,6 +55,7 @@ class FiberGerm(Record):
     __slots__ = ("name", "phi_value", "nbhd_sign")
 
     def _check(self):
+        _kind_arg(self.name, str, "name")
         _rational_arg(self.phi_value, "phi_value")
         _int_arg(self.nbhd_sign, "nbhd_sign")
 
@@ -69,10 +66,8 @@ class FiberGerm(Record):
 
 def germ_sigma(phi_value: Fraction | int | str, nbhd_sign: int) -> Fraction:
     """Local signature: Meyer value of the lifted monodromy plus the
-    signature of a fiber neighbourhood."""
-    if isinstance(phi_value, str):
-        phi_value = parse_rational(phi_value)
-    return Fraction(_rational_arg(phi_value, "phi_value")) + _int_arg(nbhd_sign, "nbhd_sign")
+    signature of a fiber neighbourhood; a string ``phi_value`` is read as a rational."""
+    return _numeral_arg(phi_value, "phi_value") + _int_arg(nbhd_sign, "nbhd_sign")
 
 
 _GERM_TABLE: tuple[tuple[str, Fraction, int], ...] = (
@@ -110,6 +105,7 @@ class LedgerEntry(Record):
     __slots__ = ("name", "phi", "nbhd_sign", "count")
 
     def _check(self):
+        _kind_arg(self.name, str, "name")
         if self.phi is not None:
             _rational_arg(self.phi, "phi")
         _int_arg(self.nbhd_sign, "nbhd_sign")
@@ -127,13 +123,17 @@ class FibrationLedger(Record):
 
     def _check(self):
         _int_arg(self.total_sign, "total_sign")
-        germs = self.germs
-        if not (isinstance(germs, tuple) and all(isinstance(e, LedgerEntry) for e in germs)):
-            raise InvalidInput("germs must be a tuple of LedgerEntry")
+        for entry in _kind_arg(self.germs, tuple, "germs"):
+            _kind_arg(entry, LedgerEntry, "each germ")
 
 
 class FibrationReport(Record):
     __slots__ = ("total_sign", "germ_sum", "residual")
+
+    def _check(self):
+        _int_arg(self.total_sign, "total_sign")
+        for name in ("germ_sum", "residual"):
+            _rational_arg(getattr(self, name), name)
 
     @property
     def ok(self) -> bool:
@@ -145,6 +145,7 @@ def check_fibration(led: FibrationLedger) -> FibrationReport:
 
     A mismatch is reported as an exact residual, never raised.
     """
+    _kind_arg(led, FibrationLedger, "ledger")
     total = Fraction(0)
     for entry in led.germs:
         if entry.sigma is None:
@@ -159,6 +160,7 @@ def solve_unknown_germ(led: FibrationLedger) -> LedgerEntry:
     Returns the entry with its phi filled in so that the ledger balances
     exactly.
     """
+    _kind_arg(led, FibrationLedger, "ledger")
     unknowns = [e for e in led.germs if e.sigma is None]
     if len(unknowns) != 1:
         raise ZeroOrManyUnknowns(f"{len(unknowns)} unknown germs, need exactly 1")
@@ -199,21 +201,22 @@ def ledger_from_obj(obj) -> FibrationLedger:
         except UnicodeEncodeError as exc:
             raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
         phi = item.get("phi")
-        if isinstance(phi, str):
-            phi = parse_rational(phi)
+        if phi is not None:
+            phi = _numeral_arg(phi, "phi")
         entries.append(LedgerEntry(name, phi, item.get("nbhd_sign", 0), item.get("count", 1)))
     return FibrationLedger(total, tuple(entries))
 
 
 def ledger_from_json(text: str) -> FibrationLedger:
     """``ledger_from_obj`` of JSON text; ``json`` loads here, on the first call.
-    Nesting deeper than the stack raises RecursionError; the one ValueError
-    that is no JSONDecodeError is an integer past the digit limit."""
+    Nesting deeper than the stack raises RecursionError, text that is no
+    ``str`` or bytes TypeError, and bytes that do not decode UnicodeDecodeError;
+    the one other ValueError is an integer past the digit limit."""
     import json
 
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"bad ledger JSON: {exc}") from exc
     except ValueError as exc:
         raise InvalidInput("bad ledger JSON: an integer has too many digits") from exc

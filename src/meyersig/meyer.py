@@ -34,14 +34,8 @@ from fractions import Fraction
 from operator import mul
 
 from ._record import Record
-from .errors import (
-    ContractViolation,
-    GenusMismatch,
-    InconsistentRelations,
-    InvalidInput,
-    MatrixFormatError,
-)
-from .exactnum import _echelon, _gram, _kernel, _rational_arg, _signature
+from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
+from .exactnum import _echelon, _gram, _kernel, _kind_arg, _rational_arg, _signature
 from .symplectic import (
     IntMatrix,
     SL2Word,
@@ -58,9 +52,8 @@ from .symplectic import (
 def _elements(*els: SymplecticElement) -> None:
     """Refuse an argument of tau that is not a SymplecticElement, naming its
     type, and elements of different genera."""
-    for el in els:
-        if not isinstance(el, SymplecticElement):
-            raise InvalidInput(f"tau takes SymplecticElements, got {type(el).__name__}")
+    for name, el in zip(("a1", "a2", "a3"), els):
+        _kind_arg(el, SymplecticElement, name)
     if len({el.g for el in els}) > 1:
         raise GenusMismatch("genus " + " vs ".join(str(el.g) for el in els))
 
@@ -162,7 +155,7 @@ def phi1_base() -> PhiBase:
     lhs, rhs = phi1_word(st * 3, base), phi1_word([("S", 2)], base)
     if lhs != rhs:
         raise InconsistentRelations(f"phi((ST)^3) = {lhs} differs from phi(S^2) = {rhs}")
-    if phi1_word([("S", 4)], base) != 0:
+    if _power_phi(gen_S(), base.phi_S, 4)[1] != 0:
         raise InconsistentRelations("S^4 does not fold to zero")
     for gen, el, solved in (("S", gen_S(), base.phi_S), ("T", gen_T(), base.phi_T)):
         if (value := _phi1_closed_form(el)) != solved:
@@ -204,12 +197,10 @@ def phi1_word(
     tests exercise. A word that is not iterable, or a syllable that is not a
     tuple (generator, exponent), with the generator "S" or "T" and an ``int``
     exponent, raises ``MatrixFormatError``; a zero exponent is the identity.
-    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``.
+    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``. As S^4 = I,
+    an exponent of S folds mod 4, so S^e costs at most two tau.
     """
-    if base is None:
-        base = phi1_base()
-    elif not isinstance(base, PhiBase):
-        raise InvalidInput(f"base must be a PhiBase, got {type(base).__name__}")
+    base = phi1_base() if base is None else _kind_arg(base, PhiBase, "base")
     try:  # only iterating a word that is not iterable raises TypeError here
         syllables = word.syllables if isinstance(word, SL2Word) else tuple(map(_syllable, word))
     except TypeError as exc:
@@ -218,7 +209,7 @@ def phi1_word(
     acc: tuple[SymplecticElement, Fraction] | None = None
     for gen, e in syllables:
         el, phi_el = generators[gen]
-        part = _power_phi(el, phi_el, e)
+        part = _power_phi(el, phi_el, e % 4 if gen == "S" else e)
         acc = part if acc is None else _fold(acc, part)
     return Fraction(0) if acc is None else acc[1]
 

@@ -17,8 +17,8 @@ from collections.abc import Iterable, Sequence
 from operator import mul, neg
 
 from ._record import Record
-from .errors import GenusMismatch, InvalidInput, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
-from .exactnum import _int_arg, _int_matrix, _shown
+from .errors import GenusMismatch, MatrixFormatError, NotSymplectic, NotUnimodular, ZeroVector
+from .exactnum import _int_arg, _int_matrix, _kind_arg, _shown
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -145,9 +145,8 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
     exactly what keeps it symplectic for the standard J. An argument that is
     not a ``SymplecticElement`` raises ``InvalidInput``.
     """
-    for el in (a, b):
-        if not isinstance(el, SymplecticElement):
-            raise InvalidInput(f"direct_sum takes SymplecticElements, got {type(el).__name__}")
+    _kind_arg(a, SymplecticElement, "a")
+    _kind_arg(b, SymplecticElement, "b")
     mats, gs = (a.mat, b.mat), (a.g, b.g)
     # (summand, its coordinate): the a-half of A, of B, then the b-half of A, of B
     coords = [(t, h * gs[t] + i) for h in (0, 1) for t in (0, 1) for i in range(gs[t])]

@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import _int_arg, _rational_arg, _shown, parse_integer, parse_rational
+from .exactnum import _int_arg, _kind_arg, _numeral_arg, _rational_arg, _shown, parse_integer
 
 
 class SurfaceInvariants(Record):
@@ -49,14 +49,20 @@ class SurfaceInvariants(Record):
 
 class LassoReport(Record):
     """Discriminant degree and lasso value; alpha/beta filled on the
-    closed-form routes, where phi = alpha / beta."""
+    closed-form routes, where phi = alpha / beta. A deg D_X below 1 is a
+    ``NonPositiveDegDX``; a beta, if given, must be an int >= 1."""
 
     __slots__ = ("deg_DX", "phi", "alpha", "beta")
     _defaults = {"alpha": None, "beta": None}
 
     def _check(self):
-        if self.deg_DX < 1:
+        if _int_arg(self.deg_DX, "deg_DX") < 1:
             raise NonPositiveDegDX(f"deg D_X = {_shown(self.deg_DX)} is not positive")
+        _rational_arg(self.phi, "phi")
+        if self.alpha is not None:
+            _rational_arg(self.alpha, "alpha")
+        if self.beta is not None:
+            _int_arg(self.beta, "beta", 1)
         if self.alpha is not None and self.beta is not None:
             if Fraction(self.alpha, self.beta) != self.phi:
                 raise ContractViolation("alpha/beta does not reduce to phi")
@@ -108,7 +114,7 @@ def generic_surface_lasso(inv: SurfaceInvariants) -> LassoReport:
 
     deg D_X = chi + deg - 2(2 - 2g) and phi = (sign - deg) / deg D_X.
     """
-    if inv.genus < 1:
+    if _kind_arg(inv, SurfaceInvariants, "invariants").genus < 1:
         raise GenusZero("section genus must be positive")
     deg_dx = inv.chi + inv.deg - 2 * (2 - 2 * inv.genus)
     if deg_dx <= 0:
@@ -153,7 +159,7 @@ def veronese_ci_lasso(spec: CISpec) -> LassoReport:
     closed form; phi = alpha / beta and
     deg D_X = prod(n_i) * d^(n-2) * beta.
     """
-    s1, s2, e2 = _sym_sums(spec.degrees)
+    s1, s2, e2 = _sym_sums(_kind_arg(spec, CISpec, "spec").degrees)
     m, n, d = spec.m, spec.n, spec.d
     alpha = Fraction(m + n + 1 - s2 - (n + 1) * d * d, 3)
     beta = (
@@ -175,11 +181,10 @@ def lasso_power(phi_sigma: Fraction | int | str, n: int) -> Fraction:
 
     Valid whenever consecutive powers pair to cocycle value -1, which is the
     case for the monodromy of a lasso (a power of a single transvection).
+    A string ``phi_sigma`` is read as a rational.
     """
     _int_arg(n, "power", 1)
-    if isinstance(phi_sigma, str):
-        phi_sigma = parse_rational(phi_sigma)
-    return Fraction(_rational_arg(phi_sigma, "phi")) * n + (n - 1)
+    return _numeral_arg(phi_sigma, "phi") * n + (n - 1)
 
 
 SEGRE33 = SurfaceInvariants(sign=0, chi=4, deg=18, genus=4)
@@ -192,7 +197,15 @@ built-in genus-5 family."""
 
 
 class PresetReport(Record):
+    """A named preset: its invariants (None on the Veronese route) and its lasso value."""
+
     __slots__ = ("name", "invariants", "report")
+
+    def _check(self):
+        _kind_arg(self.name, str, "name")
+        if self.invariants is not None:
+            _kind_arg(self.invariants, SurfaceInvariants, "invariants")
+        _kind_arg(self.report, LassoReport, "report")
 
 
 def named_presets() -> tuple[str, ...]:
@@ -205,7 +218,7 @@ def resolve_preset(name: str) -> PresetReport:
         return PresetReport(name, SEGRE33, generic_surface_lasso(SEGRE33))
     if name == "veronese-p4-d2":
         return PresetReport(name, None, veronese_ci_lasso(VERONESE_P4_D2))
-    raise UnknownName(f"unknown preset {name!r}")
+    raise UnknownName(f"unknown preset {_shown(name)}")
 
 
 def parse_degrees(token: str) -> tuple[int, ...]:

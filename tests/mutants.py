@@ -46,6 +46,7 @@ REFUSED = "tests/test_cli.py::test_refused_numbers_print_one_error_line"
 PARSED = "tests/test_cli.py::test_argparse_decisions_are_exact"
 BASE_REFUSES = MEYER + "test_phi1_base_refuses_relations_the_cocycle_contradicts"
 CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_contradict"
+RECORDS = "tests/test_records.py::test_validation_raises_the_documented_error"
 
 MUTANTS = (
     # the Euclidean reduction behind phi1 and sl2_word
@@ -112,6 +113,20 @@ MUTANTS = (
         "    phi1_base()\n    return value\n",
         "    return value\n",
         (CLOSED_FORM_REFUSED,),
+    ),
+    Mutant(
+        "phi-base-s4-through-word",  # S^4 folds mod 4 to the identity: a vacuous check
+        "meyer.py",
+        "    if _power_phi(gen_S(), base.phi_S, 4)[1] != 0:\n",
+        '    if phi1_word([("S", 4)], base) != 0:\n',
+        (BASE_REFUSES,),
+    ),
+    Mutant(
+        "phi1-word-s-unreduced",  # S^e squared once per bit of e
+        "meyer.py",
+        'e % 4 if gen == "S" else e',
+        "e",
+        (MEYER + "test_s_exponents_fold_mod_4",),
     ),
     Mutant(
         "power-phi-keeps-sign",  # phi(el^-1) read as phi(el)
@@ -250,7 +265,7 @@ MUTANTS = (
         "symplectic.py",
         '_int_arg(length, "length", 0)',
         '_int_arg(length, "length")',
-        ("tests/test_records.py::test_validation_raises_the_documented_error",),
+        (RECORDS,),
     ),
     Mutant(
         "transvection-flipped-sign",
@@ -294,7 +309,14 @@ MUTANTS = (
         "exactnum.py",
         "if low is not None and x < low:",
         "if low is not None and x < low - 1:",
-        ("tests/test_records.py::test_validation_raises_the_documented_error",),
+        (RECORDS,),
+    ),
+    Mutant(
+        "preset-name-by-repr",  # repr of a 5000-digit int raises ValueError
+        "varieties.py",
+        'f"unknown preset {_shown(name)}"',
+        'f"unknown preset {name!r}"',
+        (RECORDS,),
     ),
     Mutant(
         "parse-integer-digit-limit-as-value-error",  # argparse prints a usage message
@@ -312,6 +334,14 @@ MUTANTS = (
         "        args = parser.parse_args(argv)\n",
         "    args = parser.parse_args(argv)\n    try:\n",
         (REFUSED,),
+    ),
+    # refusals of arguments of the wrong kind, through exactnum._kind_arg
+    Mutant(
+        "check-fibration-unchecked",  # a bare AttributeError on reading the germs
+        "localsig.py",
+        '    _kind_arg(led, FibrationLedger, "ledger")\n    total = Fraction(0)\n',
+        "    total = Fraction(0)\n",
+        (RECORDS, "tests/test_public_calls.py::test_every_public_call_returns_or_raises_a_meyersig_error"),
     ),
     # the CLI: the parser of the dispatched command, a handler's import, and the one render step
     Mutant(

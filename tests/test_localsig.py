@@ -352,8 +352,15 @@ def test_ledger_json_parsing_defaults_and_unknowns():
         pytest.param('{"total_sign": ' + "1" * 5000 + ', "germs": []}', id="5000-digit int"),
         pytest.param("[" * 100_000, id="deep nesting"),
         pytest.param('{"total_sign": 0, "germs": [{"name": "\\ud800"}]}', id="lone surrogate"),
+        pytest.param(5, id="not text"),  # json raises TypeError
     ],
 )
 def test_ledger_json_rejects_malformed(text):
     with pytest.raises(InvalidInput):
         ledger_from_json(text)
+
+
+def test_ledger_json_names_undecodable_bytes():
+    # a UnicodeDecodeError is a ValueError, which the digit-limit message would claim
+    with pytest.raises(InvalidInput, match="can't decode"):
+        ledger_from_json(b"\xff")

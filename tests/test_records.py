@@ -36,6 +36,7 @@ from meyersig import (
     SurfaceInvariants,
     SymplecticElement,
     UnknownName,
+    check_fibration,
     ci_surface_invariants,
     direct_sum,
     fiber_count,
@@ -43,9 +44,14 @@ from meyersig import (
     germ,
     germ_sigma,
     lasso_power,
+    ledger_from_json,
     ledger_from_obj,
+    parse_matrix,
     phi1_word,
     random_transvection_product,
+    resolve_preset,
+    solve_unknown_germ,
+    surface_topology,
     veronese_ci_lasso,
 )
 from meyersig._record import Record
@@ -267,6 +273,24 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: random_transvection_product(random.Random(0), 1, -3), InvalidInput),
         (lambda: random_transvection_product(random.Random(0), 1, "2"), InvalidInput),
         (lambda: random_transvection_product(random.Random(0), 1, 0), None),
+        # unchecked, a TypeError, a ZeroDivisionError, or accepted as given
+        (lambda: LassoReport("x", 1), InvalidInput),
+        (lambda: LassoReport(1, 1, 1, 0), InvalidInput),
+        (lambda: LassoReport(1, 1, 1, 1), None),
+        (lambda: FiberGerm(None, 1, 0), InvalidInput),
+        (lambda: LedgerEntry(None, None, 0, 1), InvalidInput),
+        (lambda: PresetReport(1, 2, 3), InvalidInput),
+        (lambda: PresetReport("x", SEGRE_REPORT, SEGRE_REPORT), InvalidInput),
+        (lambda: FibrationReport("a", "b", "c"), InvalidInput),
+        # each ended in a bare AttributeError, TypeError or ValueError
+        (lambda: parse_matrix(5), InvalidInput),
+        (lambda: ledger_from_json(5), InvalidInput),
+        (lambda: resolve_preset(BIG), UnknownName),
+        (lambda: check_fibration(5), InvalidInput),
+        (lambda: solve_unknown_germ(5), InvalidInput),
+        (lambda: surface_topology(5), InvalidInput),
+        (lambda: generic_surface_lasso(5), InvalidInput),
+        (lambda: veronese_ci_lasso(SEGRE), InvalidInput),
     ],
     ids=[
         "surface-genus",
@@ -337,6 +361,22 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "transvections-negative-length",
         "transvections-string-length",
         "transvections-length-at-0",
+        "lasso-string-degree",
+        "lasso-zero-beta",
+        "lasso-beta-at-1",
+        "fiber-germ-none-name",
+        "entry-none-name",
+        "preset-ints",
+        "preset-report-as-invariants",
+        "fibration-report-strings",
+        "parse-matrix-int",
+        "ledger-json-int",
+        "preset-huge-name",
+        "check-fibration-int",
+        "solve-int",
+        "surface-topology-int",
+        "generic-lasso-int",
+        "veronese-invariants",
     ],
 )
 def test_validation_raises_the_documented_error(build, error):
