@@ -201,8 +201,7 @@ def ledger_from_obj(obj) -> FibrationLedger:
         except UnicodeEncodeError as exc:
             raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
         phi = item.get("phi")
-        if phi is not None:
-            phi = _numeral_arg(phi, "phi")
+        phi = None if phi is None else _numeral_arg(phi, "phi")
         entries.append(LedgerEntry(name, phi, item.get("nbhd_sign", 0), item.get("count", 1)))
     return FibrationLedger(total, tuple(entries))
 

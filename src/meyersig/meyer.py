@@ -155,7 +155,7 @@ def phi1_base() -> PhiBase:
     lhs, rhs = phi1_word(st * 3, base), phi1_word([("S", 2)], base)
     if lhs != rhs:
         raise InconsistentRelations(f"phi((ST)^3) = {lhs} differs from phi(S^2) = {rhs}")
-    if _power_phi(gen_S(), base.phi_S, 4)[1] != 0:
+    if phi1_word([("S", 4)], base) != 0:
         raise InconsistentRelations("S^4 does not fold to zero")
     for gen, el, solved in (("S", gen_S(), base.phi_S), ("T", gen_T(), base.phi_T)):
         if (value := _phi1_closed_form(el)) != solved:
@@ -197,8 +197,7 @@ def phi1_word(
     tests exercise. A word that is not iterable, or a syllable that is not a
     tuple (generator, exponent), with the generator "S" or "T" and an ``int``
     exponent, raises ``MatrixFormatError``; a zero exponent is the identity.
-    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``. As S^4 = I,
-    an exponent of S folds mod 4, so S^e costs at most two tau.
+    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``.
     """
     base = phi1_base() if base is None else _kind_arg(base, PhiBase, "base")
     try:  # only iterating a word that is not iterable raises TypeError here
@@ -209,7 +208,7 @@ def phi1_word(
     acc: tuple[SymplecticElement, Fraction] | None = None
     for gen, e in syllables:
         el, phi_el = generators[gen]
-        part = _power_phi(el, phi_el, e % 4 if gen == "S" else e)
+        part = _power_phi(el, phi_el, e)
         acc = part if acc is None else _fold(acc, part)
     return Fraction(0) if acc is None else acc[1]
 

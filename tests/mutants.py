@@ -115,20 +115,6 @@ MUTANTS = (
         (CLOSED_FORM_REFUSED,),
     ),
     Mutant(
-        "phi-base-s4-through-word",  # S^4 folds mod 4 to the identity: a vacuous check
-        "meyer.py",
-        "    if _power_phi(gen_S(), base.phi_S, 4)[1] != 0:\n",
-        '    if phi1_word([("S", 4)], base) != 0:\n',
-        (BASE_REFUSES,),
-    ),
-    Mutant(
-        "phi1-word-s-unreduced",  # S^e squared once per bit of e
-        "meyer.py",
-        'e % 4 if gen == "S" else e',
-        "e",
-        (MEYER + "test_s_exponents_fold_mod_4",),
-    ),
-    Mutant(
         "power-phi-keeps-sign",  # phi(el^-1) read as phi(el)
         "meyer.py",
         "el, phi_el = el.inverse(), -phi_el",

@@ -313,7 +313,7 @@ def test_phi_base_relations_hold():
     assert 4 * base.phi_S == tau(s, s) + tau(s * s, s) + tau(s * s * s, s)
     st = [("S", 1), ("T", 1)]
     assert phi1_word(st * 6, base) == 0
-    assert meyer._power_phi(s, base.phi_S, 4)[1] == 0  # S^4 folded by squaring
+    assert phi1_word([("S", 4)], base) == 0
 
 
 def test_phi_of_identity_and_empty_word():
@@ -386,25 +386,6 @@ def test_negative_powers_evaluate_no_more_tau_than_positive_ones(monkeypatch):
         phi1_word([("T", e)])
         counts.append(len(calls))
     assert counts[1] <= counts[0]
-
-
-@pytest.mark.parametrize(
-    "e, value, taus",
-    [(2**1100 + 1, -1, 0), (-(2**1100) - 1, 1, 2), (4, 0, 0)],
-    ids=["S", "S-inverse", "S-fourth"],
-)
-def test_s_exponents_fold_mod_4(monkeypatch, e, value, taus):
-    # S^4 = I: S^e folds as S^(e mod 4), not by squaring once per bit of e
-    phi1_base()  # warm: the solve's own tau calls are not counted
-    calls = []
-
-    def counted(a1, a2):
-        calls.append(None)
-        return tau(a1, a2)
-
-    monkeypatch.setattr(meyer, "tau", counted)
-    assert phi1_word([("S", e)]) == value
-    assert len(calls) == taus
 
 
 def test_phi_decomposition_independence(seeded):
