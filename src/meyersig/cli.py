@@ -176,8 +176,9 @@ _COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process for each ``command``.
     Every command is a choice, so help, usage and an invalid choice read alike;
-    only ``command`` (``None``: none) gets --json and its options, as argparse
-    runs no other subparser."""
+    argparse runs the subparser of ``command`` alone (``None``: none), so the
+    factory given as ``parser_class`` builds that one, with --json and its
+    options, and leaves the others ``None``."""
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description=(
@@ -186,16 +187,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "projective varieties, and local signatures of fiber germs."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, handler, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if name != command:
-            continue
+
+    def subparser(*, prog: str, spec: tuple | None) -> argparse.ArgumentParser | None:
+        if spec is None:
+            return None
+        handler, options = spec
+        p = argparse.ArgumentParser(prog=prog)
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value text")
         for flag, flag_help, kind in options:
             how = {"action": "store_true"} if kind is bool else {"type": kind, "required": True}
             p.add_argument(flag, help=flag_help, **how)
         p.set_defaults(func=handler)
+        return p
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, (text, handler, options) in _COMMANDS.items():
+        sub.add_parser(name, help=text, spec=(handler, options) if name == command else None)
     return parser
 
 

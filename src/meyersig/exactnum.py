@@ -15,8 +15,9 @@ The module holds:
   of ``int`` tuples, and nothing else is read as one,
 * right kernel bases of integer matrices, as primitive integer vectors
   (``kernel_basis``, or ``_kernel`` for the vectors of the free columns
-  from a given one on), by back-substitution on the one forward
-  elimination (``_echelon``), whose steps also give the pivot columns,
+  from a given one on and the pivot columns before it), by
+  back-substitution on the one forward elimination (``_echelon``), whose
+  steps also give the pivot columns,
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric integer forms by symmetric Bareiss elimination
@@ -199,9 +200,12 @@ def _echelon(rows: list[list[int]]) -> list[tuple[int, int, list[int]]]:
     return steps
 
 
-def _kernel(rows: list[list[int]], start: int) -> list[tuple[int, ...]]:
-    """The kernel vectors of the int rows ``rows`` (consumed) whose free
-    column is ``start`` or later, as primitive integer vectors.
+def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The pivot columns below ``start`` and the kernel vectors of the int
+    rows ``rows`` (consumed) whose free column is ``start`` or later, as
+    primitive integer vectors. Such a vector is zero at the free columns
+    below ``start``, so deleting some of them from ``rows`` only deletes
+    its zeros there.
 
     ``_echelon`` followed by back-substitution. The vector of a free column
     f is the positive multiple, with coprime integer entries, of the
@@ -225,7 +229,7 @@ def _kernel(rows: list[list[int]], start: int) -> list[tuple[int, ...]]:
         for c, p, top in reversed(steps):
             v[c] = -sum(map(mul, top, v[c + 1 :])) // p
         basis.append(tuple(_primitive(v)))
-    return basis
+    return [c for c, _, _ in steps if c < start], basis
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -237,7 +241,7 @@ def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     positions (see ``_kernel``). The output depends only on M.
     """
     rows = _int_matrix(m)
-    return _kernel([list(row) for row in rows], 0)
+    return _kernel([list(row) for row in rows], 0)[1]
 
 
 def gram_restrict(

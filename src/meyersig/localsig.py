@@ -195,11 +195,13 @@ def ledger_from_obj(obj) -> FibrationLedger:
     for item in raw_germs:
         if not isinstance(item, dict) or "name" not in item:
             raise InvalidInput(f"bad germ entry {_shown(item)}")
-        name = str(item["name"])
-        try:
-            name.encode("utf-8")  # a lone surrogate has no encoding to print
+        try:  # an int past the digit limit has no str, a lone surrogate no encoding
+            name = str(item["name"])
+            name.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
+        except ValueError as exc:
+            raise InvalidInput(f"germ name {_shown(item['name'])} has no string form") from exc
         phi = item.get("phi")
         phi = None if phi is None else _numeral_arg(phi, "phi")
         entries.append(LedgerEntry(name, phi, item.get("nbhd_sign", 0), item.get("count", 1)))

@@ -29,7 +29,7 @@ number stays traceable to the cocycle.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -58,37 +58,68 @@ def _elements(*els: SymplecticElement) -> None:
         raise GenusMismatch("genus " + " vs ".join(str(el.g) for el in els))
 
 
-def _right(a2: SymplecticElement) -> tuple[list[int], list[list[int]]]:
-    """The pivot columns Q of A2 - I, read off the steps of ``_echelon`` (the
-    elimination behind ``_kernel``), and the rows of (A2 - I)_Q, its columns at Q."""
-    m = [list(row) for row in a2.mat]
+Side = tuple[list[int], Sequence[Sequence[int]]]  # columns, and a matrix's rows at them
+
+
+def _at(cols: list[int], m: Sequence[Sequence[int]]) -> Side:
+    """``cols`` and the rows of the square ``m`` at them: ``m`` itself, not
+    a copy, when ``cols`` is every column."""
+    return cols, m if len(cols) == len(m) else [[row[c] for c in cols] for row in m]
+
+
+def _minus_one(a: SymplecticElement) -> list[list[int]]:
+    """The rows of A - I."""
+    m = [list(row) for row in a.mat]
     for i, row in enumerate(m):
         row[i] -= 1
+    return m
+
+
+def _left(a1: SymplecticElement) -> Side:
+    """Every column and the rows of A1^-1 - I."""
+    rows = _inverse_minus(a1.mat, 1)
+    return list(range(len(rows))), rows
+
+
+def _right(a2: SymplecticElement) -> Side:
+    """The pivot columns Q of A2 - I, read off the steps of ``_echelon`` (the
+    elimination behind ``_kernel``), and the rows of (A2 - I)_Q, its columns at Q."""
+    m = _minus_one(a2)
     q = [c for c, _, _ in _echelon([row[:] for row in m])]
-    return q, [[row[c] for c in q] for row in m]
+    return _at(q, m)
 
 
-def _form(left: IntMatrix, right: tuple[list[int], list[list[int]]]) -> IntMatrix:
-    """``tau_form`` from the rows of A1^-1 - I and ``_right(a2)``."""
-    q, rq = right
-    n, g = len(left), len(left) // 2
+def _form(left: Side, right: Side) -> tuple[IntMatrix, list[int]]:
+    """``tau_form`` from columns P with the rows of (A1^-1 - I)_P, and from
+    ``_right(a2)``; with it, the pivot columns of A1^-1 - I among P. P must
+    hold every pivot column: the vectors built are zero at the other columns."""
+    (p, lp), (q, rq) = left, right
+    n, g, k = len(lp), len(lp) // 2, len(p)
+    pivots, vectors = _kernel([[*a, *b] for a, b in zip(lp, rq)], k)
     sums, images = [], []
-    for v in _kernel([[*a, *b] for a, b in zip(left, rq)], n):
-        x, y = list(v[:n]), v[n:]
+    for v in vectors:
+        if k == n:
+            x = list(v[:n])
+        else:  # x scattered back from P
+            x = [0] * n
+            for c, t in zip(p, v):
+                x[c] = t
+        y = v[k:]
         for c, t in zip(q, y):
             x[c] += t  # x + y, with y scattered onto Q
         u = [sum(map(mul, row, y)) for row in rq]  # (A2 - I) y
         sums.append(x)
         images.append([-t for t in u[g:]] + u[:g])  # J (I - A2) y
-    return _gram(sums, images)
+    return _gram(sums, images), [p[c] for c in pivots]
 
 
-def _tau(left: IntMatrix, right: tuple[list[int], list[list[int]]]) -> int:
-    """``tau`` from the rows of A1^-1 - I and ``_right(a2)``."""
-    value = _signature(_form(left, right))
-    if abs(value) > 2 * len(left):
-        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * len(left)}")
-    return value
+def _tau(left: Side, right: Side) -> tuple[int, list[int]]:
+    """``tau`` from ``_form``'s arguments, and ``_form``'s pivot columns."""
+    form, pivots = _form(left, right)
+    value, n = _signature(form), len(left[1])
+    if abs(value) > 2 * n:
+        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * n}")
+    return value, pivots
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
@@ -102,24 +133,38 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     y scattered from Q onto 2g coordinates, J (I - A2) y = (-u[g:], u[:g]).
     """
     _elements(a1, a2)
-    return _form(_inverse_minus(a1.mat, 1), _right(a2))
+    return _form(_left(a1), _right(a2))[0]
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
     """Value of the signature cocycle on a pair of same-genus elements."""
     _elements(a1, a2)
-    return _tau(_inverse_minus(a1.mat, 1), _right(a2))
+    return _tau(_left(a1), _right(a2))[0]
 
 
 def tau_cocycle_defect(
     a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement
 ) -> int:
     """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0.
-    The rows of a1, a2, a3, a1*a2 and a2*a3 are each built once."""
+
+    The rows of a1, a1*a2, a2, a3 and a2*a3 are each built once, and six
+    forward eliminations run: the pivot passes of A3 - I and A2A3 - I, and
+    the four joint ones of ``_form``. tau(a2, a3) goes first, as its
+    elimination finds the pivot columns of A2^-1 - I, and those are the
+    columns Q of A2 - I: A2^-1 - I = -A2^-1 (A2 - I), and an invertible
+    factor on the left keeps every linear relation among the columns. So
+    tau(a1, a2) needs no pass on A2 - I. It finds P1, the pivot columns of
+    A1^-1 - I, and tau(a1, a2*a3) eliminates [(A1^-1 - I)_P1 | (A2A3 - I)_Q]:
+    its kernel vectors are zero at the other columns of A1^-1 - I.
+    """
     _elements(a1, a2, a3)
-    l1, l12, l2 = (_inverse_minus(a.mat, 1) for a in (a1, a1 * a2, a2))
-    r2, r3, r23 = map(_right, (a2, a3, a2 * a3))
-    return _tau(l1, r2) + _tau(l12, r3) - _tau(l2, r3) - _tau(l1, r23)
+    l1, l12, l2 = map(_left, (a1, a1 * a2, a2))
+    r3, r23 = _right(a3), _right(a2 * a3)
+    t23, p2 = _tau(l2, r3)
+    t12, p1 = _tau(l1, _at(p2, _minus_one(a2)))
+    t123 = _tau(l12, r3)[0]
+    t1_23 = _tau(_at(p1, l1[1]), r23)[0]
+    return t12 + t123 - t23 - t1_23
 
 
 class PhiBase(Record):

@@ -204,16 +204,37 @@ MUTANTS = (
     Mutant(
         "tau-negated-at-g4",
         "meyer.py",
-        "    value = _signature(_form(left, right))",
-        "    value = _signature(_form(left, right)) * (-1 if len(left) == 8 else 1)",
+        "    value, n = _signature(form), len(left[1])",
+        "    value, n = _signature(form) * (-1 if len(left[1]) == 8 else 1), len(left[1])",
         (ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations",),
     ),
     Mutant(
         "defect-wrong-right-side",  # tau(a1, a3) in place of tau(a1, a2 a3)
         "meyer.py",
-        "- _tau(l1, r23)",
-        "- _tau(l1, r3)",
+        "    t1_23 = _tau(_at(p1, l1[1]), r23)[0]",
+        "    t1_23 = _tau(_at(p1, l1[1]), r3)[0]",
         (MEYER + "test_cocycle_defect_shares_the_four_tau_values",),
+    ),
+    Mutant(
+        "defect-r2-from-a3-pivots",  # tau(a1, a2)'s right side at the pivot columns of A3 - I
+        "meyer.py",
+        "_at(p2, _minus_one(a2))",
+        "_at(r3[0], _minus_one(a2))",
+        (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
+    ),
+    Mutant(
+        "defect-p1-short-of-its-last-column",
+        "meyer.py",
+        "_at(p1, l1[1])",
+        "_at(p1[:-1], l1[1])",
+        (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
+    ),
+    Mutant(
+        "form-unscattered-x",  # x from P's columns left in the first |P| coordinates
+        "meyer.py",
+        "            for c, t in zip(p, v):\n                x[c] = t\n",
+        "            x[:k] = v[:k]\n",
+        (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
     # the group layer: the one power loop, the symplectic check, sl2_word's
     # normal form and direct_sum's coordinates
@@ -321,6 +342,14 @@ MUTANTS = (
         "    args = parser.parse_args(argv)\n    try:\n",
         (REFUSED,),
     ),
+    Mutant(
+        "ledger-name-by-str",  # str of a 5000-digit int raises ValueError
+        "localsig.py",
+        "        except ValueError as exc:\n"
+        "            raise InvalidInput(f\"germ name {_shown(item['name'])} has no string form\") from exc\n",
+        "",
+        (RECORDS,),
+    ),
     # refusals of arguments of the wrong kind, through exactnum._kind_arg
     Mutant(
         "check-fibration-unchecked",  # a bare AttributeError on reading the germs
@@ -336,6 +365,13 @@ MUTANTS = (
         "next((tok for tok in argv if tok in _COMMANDS), None)",
         "next((tok for tok in reversed(argv) if tok in _COMMANDS), None)",
         (PARSED,),
+    ),
+    Mutant(
+        "subparser-for-every-command",  # seven parsers built that argparse never runs
+        "cli.py",
+        "spec=(handler, options) if name == command else None",
+        "spec=(handler, options)",
+        ("tests/test_cli.py::test_parser_builds_the_dispatched_subparser_alone",),
     ),
     Mutant(
         "json-only-with-options",  # presets takes no --json

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from meyersig import ledger_from_json, meyer, solve_unknown_germ, varieties
+from meyersig import cli
 from meyersig.cli import main
 
 
@@ -434,6 +436,15 @@ PARSED = [
 def test_argparse_decisions_are_exact(capsys, input_files, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_parser_builds_the_dispatched_subparser_alone(command):
+    # every command stays a choice; argparse runs one subparser, so one is built
+    parser = cli.build_parser.__wrapped__(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    assert [name for name, p in sub.choices.items() if p is not None] == [command] * (command is not None)
 
 
 # argv, the one stderr line after "error: "; numerals read by argparse and

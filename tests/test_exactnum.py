@@ -226,12 +226,18 @@ def int_matrix_with_row_defects(draw):
 @given(m=int_matrix_with_row_defects())
 def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
     # the core drops the free columns below start and keeps the rest: the
-    # vectors of kernel_basis that are nonzero at or after start
-    full = kernel_basis(m)
+    # vectors of kernel_basis that are nonzero at or after start, with the
+    # pivot columns below start; deleting the free columns below start from
+    # m only deletes the vectors' zeros there
+    full, pivots = kernel_basis(m), pivot_columns(m)
     for start in range(len(m[0]) + 1):
-        assert _kernel([list(row) for row in m], start) == [
-            v for v in full if any(v[start:])
-        ], start
+        below, vectors = _kernel([list(row) for row in m], start)
+        assert below == [c for c in pivots if c < start], start
+        assert vectors == [v for v in full if any(v[start:])], start
+        keep = below + list(range(start, len(m[0])))
+        assert _kernel([[row[c] for c in keep] for row in m], len(below)) == (
+            list(range(len(below))), [tuple(v[c] for c in keep) for v in vectors]
+        ), start
 
 
 @st.composite

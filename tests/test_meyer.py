@@ -217,10 +217,8 @@ def test_cocycle_defect_random(seeded):
             assert tau_cocycle_defect(a, b, c) == 0
 
 
-def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
-    # the defect evaluates, through tau's core, the four values tau computes
-    # one pair at a time: tau(a1, a2), tau(a1 a2, a3), tau(a2, a3), tau(a1, a2 a3)
-    r = random.Random(1818)
+def _defect_triples(r: random.Random) -> list:
+    """Three seeded triples per genus 1-6, each with the degenerate triples built from it."""
     triples = []
     for g in range(1, 7):
         eye = SymplecticElement.identity(g)
@@ -228,16 +226,65 @@ def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
             a, b, c = (random_transvection_product(r, g, r.randint(1, 5)) for _ in range(3))
             triples += [(a, b, c), (a, a, b), (a, a.inverse(), c), (eye, a, b), (a, b, b.inverse()),
                         (a, eye, a), (b.inverse(), b, b)]
+    return triples
+
+
+def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
+    # the defect evaluates, through tau's core, the four values tau computes
+    # one pair at a time, in the order tau(a2, a3), whose elimination gives
+    # tau(a1, a2) its right side, tau(a1, a2), whose gives tau(a1, a2 a3) its
+    # left columns, tau(a1 a2, a3) and tau(a1, a2 a3)
+    triples = _defect_triples(random.Random(1818))
     core, seen = meyer._tau, []
     monkeypatch.setattr(meyer, "_tau", lambda left, right: seen.append(core(left, right)) or seen[-1])
     nonzero = 0
     for a1, a2, a3 in triples:
-        expected = [tau(a1, a2), tau(a1 * a2, a3), tau(a2, a3), tau(a1, a2 * a3)]
+        expected = [tau(a2, a3), tau(a1, a2), tau(a1 * a2, a3), tau(a1, a2 * a3)]
         seen.clear()
         assert tau_cocycle_defect(a1, a2, a3) == 0
-        assert seen == expected
+        assert [value for value, _ in seen] == expected
         nonzero += any(expected)
     assert nonzero == 50  # of 126 triples
+
+
+def test_cocycle_defect_forms_are_tau_form_of_its_four_pairs(monkeypatch):
+    # the Grams the defect builds, with the right side of (a1, a2) and the left
+    # columns of (a1, a2 a3) read off earlier eliminations, are tau_form's
+    # Grams of the four pairs, entry for entry; g = 5 is on no workload
+    triples = _defect_triples(random.Random(2718))
+    core, seen = meyer._form, []
+    monkeypatch.setattr(meyer, "_form", lambda left, right: seen.append(core(left, right)) or seen[-1])
+    narrowed = 0
+    for a1, a2, a3 in triples:
+        pairs = [(a2, a3), (a1, a2), (a1 * a2, a3), (a1, a2 * a3)]
+        expected = [tau_form(x, y) for x, y in pairs]
+        seen.clear()
+        assert tau_cocycle_defect(a1, a2, a3) == 0
+        assert [form for form, _ in seen] == expected
+        narrowed += oracle.rank(meyer._left(a1)[1]) < 2 * a1.g
+    assert narrowed == 105  # of 126 triples, where tau(a1, a2 a3) eliminates fewer columns
+
+
+def test_cocycle_defect_runs_six_eliminations(monkeypatch):
+    # two pivot passes, on A3 - I and A2 A3 - I, and the four joint eliminations:
+    # tau(a2, a3)'s elimination gives the pivot columns of A2 - I
+    r = random.Random(6)
+    echelon, calls = exactnum._echelon, []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(exactnum, "_echelon", counted)
+    monkeypatch.setattr(meyer, "_echelon", counted)
+    for g in (1, 2, 4, 6):
+        a, b, c = (random_transvection_product(r, g, 5) for _ in range(3))
+        calls.clear()
+        assert tau_cocycle_defect(a, b, c) == 0
+        assert len(calls) == 6, g
+        calls.clear()
+        tau(a, b)
+        assert len(calls) == 2, g
 
 
 @pytest.mark.parametrize("fn", [tau, tau_form, tau_cocycle_defect], ids=lambda fn: fn.__name__)

@@ -255,6 +255,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: fiber_count(0, -BIG), InvalidInput),
         (lambda: ComplexSurfaceData(0, 0, -BIG), InvalidInput),
         (lambda: ledger_from_obj({"total_sign": 0, "germs": [BIG]}), InvalidInput),
+        (lambda: ledger_from_obj({"total_sign": 0, "germs": [{"name": BIG}]}), InvalidInput),
         (lambda: SymplecticElement.identity(-BIG), NotSymplectic),
         (lambda: generic_surface_lasso(SurfaceInvariants(0, -BIG, 1, 1)), NonPositiveDegDX),
         (lambda: LassoReport(-BIG, Fr(1)), NonPositiveDegDX),
@@ -345,6 +346,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "huge-fiber-count-genus",
         "huge-surface-genus",
         "huge-ledger-germ",
+        "huge-ledger-germ-name",
         "huge-identity-genus",
         "huge-generic-discriminant",
         "huge-lasso-degree",
