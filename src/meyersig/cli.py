@@ -175,10 +175,12 @@ _COMMANDS = {
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process for each ``command``.
-    Every command is a choice, so help, usage and an invalid choice read alike;
-    argparse runs the subparser of ``command`` alone (``None``: none), so the
-    factory given as ``parser_class`` builds that one, with --json and its
-    options, and leaves the others ``None``."""
+    Every command is a choice, so help, usage and an invalid choice read alike.
+    The factory given as ``parser_class`` builds the subparser of ``command``
+    alone (``None``: none), with --json and its options, from whatever
+    keywords ``add_parser`` passes on, and leaves the others ``None``. That
+    relies on argparse calling only the dispatched command's parser: ``main``
+    passes the command that argparse will dispatch on."""
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description=(
@@ -188,11 +190,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
 
-    def subparser(*, prog: str, spec: tuple | None) -> argparse.ArgumentParser | None:
+    def subparser(*, spec: tuple | None, **kwargs) -> argparse.ArgumentParser | None:
         if spec is None:
             return None
         handler, options = spec
-        p = argparse.ArgumentParser(prog=prog)
+        p = argparse.ArgumentParser(**kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value text")
         for flag, flag_help, kind in options:
             how = {"action": "store_true"} if kind is bool else {"type": kind, "required": True}

@@ -168,8 +168,8 @@ MUTANTS = (
     Mutant(
         "tau-form-unscattered-y",  # the sums are x, not x + y
         "meyer.py",
-        "            x[c] += t  # x + y, with y scattered onto Q\n",
-        "            pass\n",
+        "    sums, images, cols = [], [], p + q\n",
+        "    sums, images, cols = [], [], p\n",
         (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",),
     ),
     Mutant(
@@ -232,8 +232,8 @@ MUTANTS = (
     Mutant(
         "form-unscattered-x",  # x from P's columns left in the first |P| coordinates
         "meyer.py",
-        "            for c, t in zip(p, v):\n                x[c] = t\n",
-        "            x[:k] = v[:k]\n",
+        "    sums, images, cols = [], [], p + q\n",
+        "    sums, images, cols = [], [], [*range(k), *q]\n",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
     # the group layer: the one power loop, the symplectic check, sl2_word's
@@ -372,6 +372,13 @@ MUTANTS = (
         "spec=(handler, options) if name == command else None",
         "spec=(handler, options)",
         ("tests/test_cli.py::test_parser_builds_the_dispatched_subparser_alone",),
+    ),
+    Mutant(
+        "subparser-from-prog-alone",  # a keyword argparse forwards beyond prog is dropped
+        "cli.py",
+        "p = argparse.ArgumentParser(**kwargs)",
+        "p = argparse.ArgumentParser(prog=kwargs['prog'])",
+        ("tests/test_cli.py::test_subparser_is_built_from_every_keyword_argparse_forwards",),
     ),
     Mutant(
         "json-only-with-options",  # presets takes no --json

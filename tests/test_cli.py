@@ -447,6 +447,20 @@ def test_parser_builds_the_dispatched_subparser_alone(command):
     assert [name for name, p in sub.choices.items() if p is not None] == [command] * (command is not None)
 
 
+def test_subparser_is_built_from_every_keyword_argparse_forwards(monkeypatch):
+    # an argparse whose add_parser forwards a keyword beyond prog, as newer
+    # ones do, still gets the dispatched command's parser, with that keyword
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser",
+        lambda self, name, **kwargs: add_parser(self, name, allow_abbrev=False, **kwargs),
+    )
+    parser = cli.build_parser.__wrapped__("tau")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices["tau"].allow_abbrev is False
+    assert parser.parse_args(["tau", "--a1", "A", "--a2", "B"]).func is cli.cmd_tau
+
+
 # argv, the one stderr line after "error: "; numerals read by argparse and
 # values below a bound are refused in the library's words, with no usage text
 REFUSED = [
