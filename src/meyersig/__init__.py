@@ -3,7 +3,8 @@ SL(2,Z), lasso values for embedded projective varieties, and local
 signatures of fiber germs of fibered 4-manifolds.
 
 All arithmetic is exact rational; every public value is an ``int`` or a
-``fractions.Fraction``. Public names load their module on first use.
+``fractions.Fraction``. Public names load their module on first use, and
+stay in the package's namespace after it.
 """
 
 _EXPORTS = {
@@ -46,7 +47,8 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
 
 
 def __dir__() -> list[str]:

@@ -242,7 +242,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if isinstance(exc, InvalidInput) else EXIT_CONTRACT
     print(out)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -215,31 +215,21 @@ def _fold(
     return u * v, phi_u + phi_v - tau(u, v)
 
 
-def _power_phi(
-    el: SymplecticElement, phi_el: Fraction, e: int
-) -> tuple[SymplecticElement, Fraction]:
-    """(el^e, phi(el^e)) using only the coboundary identity, in O(log |e|) steps.
-    A negative e powers el^-1, as phi(el^-1) = tau(el, el^-1) - phi(el) = -phi(el):
-    tau(A, A^-1) = 0, since on its kernel x + y is fixed by A, and so is paired
-    to zero by J (I - A^-1)."""
-    if e == 0:
-        return SymplecticElement.identity(el.g), Fraction(0)
-    if e < 0:
-        el, phi_el = el.inverse(), -phi_el
-    return _power((el, phi_el), abs(e), _fold)
-
-
 def phi1_word(
     word: SL2Word | Iterable[tuple[str, int]], base: PhiBase | None = None
 ) -> Fraction:
     """Fold the cobounding function along an explicit word in S and T.
 
+    A syllable g^e gives (g^e, phi(g^e)) as ``symplectic._power`` of (g, phi(g)),
+    or of (g^-1, -phi(g)) for e < 0, under ``_fold``: O(log |e|) tau. These fold
+    left to right; a zero exponent is the identity and adds no tau.
+
     The result depends only on the product of the word, not the word itself;
     that independence is what the coboundary identity guarantees and what the
     tests exercise. A word that is not iterable, or a syllable that is not a
     tuple (generator, exponent), with the generator "S" or "T" and an ``int``
-    exponent, raises ``MatrixFormatError``; a zero exponent is the identity.
-    A ``base`` that is not a ``PhiBase`` raises ``InvalidInput``.
+    exponent, raises ``MatrixFormatError``. A ``base`` that is not a
+    ``PhiBase`` raises ``InvalidInput``.
     """
     base = phi1_base() if base is None else _kind_arg(base, PhiBase, "base")
     try:  # only iterating a word that is not iterable raises TypeError here
@@ -247,12 +237,14 @@ def phi1_word(
     except TypeError as exc:
         raise MatrixFormatError(f"a word must be iterable, got {type(word).__name__}") from exc
     generators = {"S": (gen_S(), base.phi_S), "T": (gen_T(), base.phi_T)}
-    acc: tuple[SymplecticElement, Fraction] | None = None
+    parts = []
     for gen, e in syllables:
-        el, phi_el = generators[gen]
-        part = _power_phi(el, phi_el, e)
-        acc = part if acc is None else _fold(acc, part)
-    return Fraction(0) if acc is None else acc[1]
+        if e:  # phi(A^-1) = tau(A, A^-1) - phi(A) = -phi(A), as tau(A, A^-1) = 0: on
+            # its kernel x + y is fixed by A, and so is paired to zero by J (I - A^-1)
+            el, phi_el = generators[gen]
+            pair = (el, phi_el) if e > 0 else (el.inverse(), -phi_el)
+            parts.append(_power(pair, abs(e), _fold))
+    return functools.reduce(_fold, parts)[1] if parts else Fraction(0)
 
 
 def _sign(x: int) -> int:

@@ -49,7 +49,9 @@ def _inverse_minus(m: IntMatrix, k: int) -> IntMatrix:
 def _power(x, e: int, product):
     """x^e for e >= 1 by square-and-multiply from the low bit up, with
     ``product`` as the multiplication: no factor is ever the unit, so there
-    are (bit length - 1) squarings and (number of set bits - 1) other products."""
+    are (bit length - 1) squarings and (number of set bits - 1) other products.
+    The one power loop: ``SymplecticElement.__pow__`` runs it on elements, and
+    ``meyer.phi1_word`` on pairs (A, phi(A)) under the coboundary identity."""
     result = None
     while True:
         if e & 1:
@@ -158,7 +160,6 @@ def direct_sum(a: SymplecticElement, b: SymplecticElement) -> SymplecticElement:
 
 _S = ((0, -1), (1, 0))
 _T = ((1, 1), (0, 1))
-_S_POWERS = (_identity(2), _S, ((-1, 0), (0, -1)), ((0, 1), (-1, 0)))  # S^0 .. S^3
 
 
 @functools.cache
@@ -201,12 +202,10 @@ class SL2Word(Record):
                 raise MatrixFormatError("exponent must be nonzero")
 
     def evaluate(self) -> SymplecticElement:
-        """The product of the syllables: S^e as S^(e mod 4) and T^e as
-        [[1, e], [0, 1]], folded in 2x2 ints and wrapped once."""
-        mat = _S_POWERS[0]
-        for gen, e in self.syllables:
-            mat = _matmul(mat, _S_POWERS[e % 4] if gen == "S" else ((1, e), (0, 1)))
-        return SymplecticElement._derived(mat)
+        """The product of the syllables left to right, each ``gen_S() ** e`` or
+        ``gen_T() ** e``; the identity for no syllable."""
+        powers = ((gen_S() if gen == "S" else gen_T()) ** e for gen, e in self.syllables)
+        return functools.reduce(mul, powers, SymplecticElement.identity(1))
 
     def letters(self):
         for gen, e in self.syllables:

@@ -117,9 +117,25 @@ MUTANTS = (
     Mutant(
         "power-phi-keeps-sign",  # phi(el^-1) read as phi(el)
         "meyer.py",
-        "el, phi_el = el.inverse(), -phi_el",
-        "el, phi_el = el.inverse(), phi_el",
+        "(el.inverse(), -phi_el)",
+        "(el.inverse(), phi_el)",
         (MEYER + "test_phi1_word_folds_a_power_of_thousands_of_bits", MEYER + "test_phi_inverse_antisymmetry"),
+    ),
+    Mutant(
+        "phi1-word-powers-el-for-negative-e",  # T^-n folded as T^n
+        "meyer.py",
+        "pair = (el, phi_el) if e > 0 else",
+        "pair = (el, phi_el) if True else",
+        (MEYER + "test_phi1_word_folds_a_power_of_thousands_of_bits", MEYER + "test_phi_inverse_antisymmetry"),
+    ),
+    Mutant(
+        "phi1-word-folds-zero-exponents",  # (I, 0) folded in, one tau more per syllable
+        "meyer.py",
+        "        if e:  # phi(A^-1)",
+        "        if not e:\n"
+        "            parts.append((SymplecticElement.identity(1), Fraction(0)))\n"
+        "        else:  # phi(A^-1)",
+        (MEYER + "test_zero_exponents_evaluate_no_tau",),
     ),
     # tau's kernel, Gram and signature
     Mutant(
@@ -236,14 +252,29 @@ MUTANTS = (
         "    sums, images, cols = [], [], [*range(k), *q]\n",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
-    # the group layer: the one power loop, the symplectic check, sl2_word's
-    # normal form and direct_sum's coordinates
+    # the group layer: the one power loop and the powers of SL2Word.evaluate,
+    # the symplectic check, sl2_word's normal form and direct_sum's coordinates
     Mutant(
         "power-loop-double-shift",
         "symplectic.py",
         "        e >>= 1\n",
         "        e >>= 2\n",
         ("tests/test_symplectic.py::test_power_is_the_repeated_product",),
+    ),
+    Mutant(
+        "evaluate-unsigned-exponent",  # T^-n evaluated as T^n
+        "symplectic.py",
+        "gen_T()) ** e for",
+        "gen_T()) ** abs(e) for",
+        ("tests/test_symplectic.py::test_word_evaluates_huge_powers_to_their_closed_forms",),
+    ),
+    Mutant(
+        "evaluate-every-power-of-s",  # S^e for T^e
+        "symplectic.py",
+        '(gen_S() if gen == "S" else gen_T())',
+        "gen_S()",
+        ("tests/test_symplectic.py::test_word_evaluates_huge_powers_to_their_closed_forms",
+         MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
     Mutant(
         "symplectic-check-without-J",  # A A^t = I: orthogonal, not symplectic

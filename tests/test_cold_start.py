@@ -54,6 +54,18 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
     assert loaded & unwanted == set()
 
 
+def test_a_public_name_is_resolved_once():
+    # the first read imports the name's module and keeps the name in the package
+    result = fresh_python(
+        "-c",
+        "import meyersig\n"
+        "assert 'tau' not in vars(meyersig)\n"
+        "assert meyersig.tau is meyersig.meyer.tau\n"
+        "assert vars(meyersig)['tau'] is meyersig.meyer.tau\n",
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_ci_loads_only_varieties():
     loaded = loaded_by("ci", "--m", "1", "--degrees", "3")
     assert "meyersig.varieties" in loaded

@@ -418,7 +418,8 @@ def test_tau_of_an_element_and_its_inverse_is_zero(g, length, seed):
     assert tau(a, a.inverse()) == 0
 
 
-def test_negative_powers_evaluate_no_more_tau_than_positive_ones(monkeypatch):
+def _tau_counts(monkeypatch, words):
+    """phi1_word on each word, and the tau each one evaluates."""
     phi1_base()  # warm: the solve's own tau calls are not counted
     calls = []
 
@@ -427,12 +428,24 @@ def test_negative_powers_evaluate_no_more_tau_than_positive_ones(monkeypatch):
         return tau(a1, a2)
 
     monkeypatch.setattr(meyer, "tau", counted)
-    counts = []
-    for e in (5, -5):
+    values, counts = [], []
+    for word in words:
         calls.clear()
-        phi1_word([("T", e)])
+        values.append(phi1_word(word))
         counts.append(len(calls))
+    return values, counts
+
+
+def test_negative_powers_evaluate_no_more_tau_than_positive_ones(monkeypatch):
+    _, counts = _tau_counts(monkeypatch, ([("T", 5)], [("T", -5)]))
     assert counts[1] <= counts[0]
+
+
+def test_zero_exponents_evaluate_no_tau(monkeypatch):
+    words = ([("S", 3), ("T", -7)], [("T", 0), ("S", 3), ("T", -7), ("S", 0)], [("S", 0)])
+    values, counts = _tau_counts(monkeypatch, words)
+    assert values[0] == values[1] and values[2] == 0
+    assert counts[1] == counts[0] and counts[2] == 0
 
 
 def test_phi_decomposition_independence(seeded):

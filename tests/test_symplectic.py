@@ -322,6 +322,26 @@ def test_word_for_minus_identity():
     assert w.syllables == (("S", 2),)
 
 
+BIG = 2**1100
+
+
+@pytest.mark.parametrize(
+    "syllable, mat",
+    [
+        # S^e is S^(e mod 4) and T^e is [[1, e], [0, 1]], in closed form
+        (("S", BIG), ((1, 0), (0, 1))),
+        (("S", BIG + 1), ((0, -1), (1, 0))),
+        (("S", BIG + 2), ((-1, 0), (0, -1))),
+        (("S", BIG + 3), ((0, 1), (-1, 0))),
+        (("T", 10**9), ((1, 10**9), (0, 1))),
+        (("T", -(10**9)), ((1, -(10**9)), (0, 1))),
+    ],
+    ids=["S-4m", "S-4m+1", "S-4m+2", "S-4m+3", "T", "T-inverse"],
+)
+def test_word_evaluates_huge_powers_to_their_closed_forms(syllable, mat):
+    assert SL2Word((syllable,)).evaluate().mat == mat
+
+
 def test_word_round_trip_on_random_products(seeded):
     for _ in range(100):
         m = random_sl2(seeded, letters=20)
