@@ -41,6 +41,7 @@ from .symplectic import (
     SL2Word,
     SymplecticElement,
     _inverse_minus,
+    _matmul,
     _power,
     _sl2_reduce,
     _syllable,
@@ -58,14 +59,15 @@ def _elements(*els: SymplecticElement) -> None:
         raise GenusMismatch("genus " + " vs ".join(str(el.g) for el in els))
 
 
-Side = tuple[list[int], Sequence[Sequence[int]]]  # columns, and a matrix's rows at them
+Rows = Sequence[Sequence[int]]
+Side = tuple[list[int], Rows]  # columns, and a matrix's rows at them
 
 
-def _at(cols: list[int], m: Sequence[Sequence[int]]) -> Side:
+def _at(cols: list[int], m: Rows) -> Side:
     """``cols`` and the rows of the square ``m`` at them; ``m`` itself when
     ``cols`` is every column, as at g <= 2 whenever A - I is invertible: a
-    copy there costs a g = 2 cocycle defect about 2 %, as much as the pivot
-    pass on A2 - I that the defect saves."""
+    copy there costs a g = 2 cocycle defect about 1 %, under half of one of
+    the pivot passes, on A1 - I and A3 - I, that the defect saves."""
     return cols, m if len(cols) == len(m) else [[row[c] for c in cols] for row in m]
 
 
@@ -77,43 +79,50 @@ def _minus_one(a: SymplecticElement) -> list[list[int]]:
     return m
 
 
-def _left(a1: SymplecticElement) -> Side:
-    """Every column and the rows of A1^-1 - I."""
-    rows = _inverse_minus(a1.mat, 1)
-    return list(range(len(rows))), rows
+def _minus(a: Rows, b: Rows) -> list[list[int]]:
+    """The rows of a - b."""
+    return [[x - y for x, y in zip(u, w)] for u, w in zip(a, b)]
 
 
-def _right(a2: SymplecticElement) -> Side:
-    """The pivot columns Q of A2 - I, read off the steps of ``_echelon`` (the
-    elimination behind ``_kernel``), and the rows of (A2 - I)_Q, its columns at Q."""
-    m = _minus_one(a2)
+def _right(m: Rows) -> Side:
+    """The pivot columns Q of the square int rows ``m``, read off the steps of
+    ``_echelon`` (the elimination behind ``_kernel``), and the rows of ``m`` at Q."""
     q = [c for c, _, _ in _echelon([row[:] for row in m])]
     return _at(q, m)
 
 
-def _form(left: Side, right: Side) -> tuple[IntMatrix, list[int]]:
-    """``tau_form`` from columns P with the rows of (A1^-1 - I)_P, and from
-    ``_right(a2)``; with it, the pivot columns of A1^-1 - I among P. P must
-    hold every pivot column: the vectors built are zero at the other columns."""
-    (p, lp), (q, rq) = left, right
-    n, g, k = len(lp), len(lp) // 2, len(p)
-    pivots, vectors = _kernel([[*a, *b] for a, b in zip(lp, rq)], k)
-    sums, images, cols = [], [], p + q
+def _sides(a1: SymplecticElement, a2: SymplecticElement) -> tuple[Rows, Side, Rows]:
+    """``_form``'s arguments for the pair (a1, a2) as it is, with E = I."""
+    right = _right(_minus_one(a2))
+    return _inverse_minus(a1.mat, 1), right, right[1]
+
+
+def _form(left: Rows, right: Side, block: Rows) -> tuple[IntMatrix, list[int]]:
+    """``tau_form``, and the pivot columns of A1^-1 - I, from ``right``, the
+    columns Q and the rows of (A2 - I)_Q given by ``_right``, and from
+    ``left`` and ``block``, the rows of E (A1^-1 - I) and E (A2 - I)_Q for
+    an invertible E that the caller picks (I for ``tau``). [left | block]
+    is eliminated: E changes neither its kernel, ker(E M) = ker M, nor the
+    vectors and pivot columns ``_kernel`` finds, which depend only on that
+    kernel. The images (A2 - I) y come from ``right``, without E."""
+    (q, rq), n = right, len(left)
+    g = n // 2
+    pivots, vectors = _kernel([[*a, *b] for a, b in zip(left, block)], n)
+    sums, images = [], []
     for v in vectors:
-        x = [0] * n
-        for c, t in zip(cols, v):
-            x[c] += t  # x + y: x scattered back from P, y onto Q
-        y = v[k:]
+        x, y = list(v[:n]), v[n:]
+        for c, t in zip(q, y):
+            x[c] += t  # x + y, y scattered onto Q
         u = [sum(map(mul, row, y)) for row in rq]  # (A2 - I) y
         sums.append(x)
         images.append([-t for t in u[g:]] + u[:g])  # J (I - A2) y
-    return _gram(sums, images), [p[c] for c in pivots]
+    return _gram(sums, images), pivots
 
 
-def _tau(left: Side, right: Side) -> tuple[int, list[int]]:
+def _tau(left: Rows, right: Side, block: Rows) -> tuple[int, list[int]]:
     """``tau`` from ``_form``'s arguments, and ``_form``'s pivot columns."""
-    form, pivots = _form(left, right)
-    value, n = _signature(form), len(left[1])
+    form, pivots = _form(left, right, block)
+    value, n = _signature(form), len(left)
     if abs(value) > 2 * n:
         raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * n}")
     return value, pivots
@@ -130,13 +139,18 @@ def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     y scattered from Q onto 2g coordinates, J (I - A2) y = (-u[g:], u[:g]).
     """
     _elements(a1, a2)
-    return _form(_left(a1), _right(a2))[0]
+    return _form(*_sides(a1, a2))[0]
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
-    """Value of the signature cocycle on a pair of same-genus elements."""
+    """Value of the signature cocycle on a pair of same-genus elements.
+
+    tau is symmetric, tau(a1, a2) = tau(a2, a1) (Meyer 1973, "Die Signatur
+    von Flächenbündeln"), and ``tau_cocycle_defect`` evaluates two of its
+    pairs in the other order.
+    """
     _elements(a1, a2)
-    return _tau(_left(a1), _right(a2))[0]
+    return _tau(*_sides(a1, a2))[0]
 
 
 def tau_cocycle_defect(
@@ -144,24 +158,31 @@ def tau_cocycle_defect(
 ) -> int:
     """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0.
 
-    The rows of a1, a1*a2, a2, a3 and a2*a3 are each built once, and six
-    forward eliminations run: the pivot passes of A3 - I and A2A3 - I, and
-    the four joint ones of ``_form``. tau(a2, a3) goes first, as its
-    elimination finds the pivot columns of A2^-1 - I, and those are the
-    columns Q of A2 - I: A2^-1 - I = -A2^-1 (A2 - I), and an invertible
-    factor on the left keeps every linear relation among the columns. So
-    tau(a1, a2) needs no pass on A2 - I. It finds P1, the pivot columns of
-    A1^-1 - I, and tau(a1, a2*a3) eliminates [(A1^-1 - I)_P1 | (A2A3 - I)_Q]:
-    its kernel vectors are zero at the other columns of A1^-1 - I.
+    Five forward eliminations run, and no 2g x 2g product is built: the
+    pivot pass on A2 - I, which gives Q2, and four joint ones through
+    ``_form``, two of them on the pair in the other order, as tau is
+    symmetric. tau(a1, a2) eliminates [A1^-1 - I | (A2 - I)_Q2], and its
+    first-block pivots are P1, the pivot columns of A1^-1 - I; tau(a3, a2)
+    eliminates [A3^-1 - I | (A2 - I)_Q2] and gives Q3. An invertible factor
+    on the left keeps every linear relation among the columns, so P1 and Q3
+    are the pivot columns of A1 - I and A3 - I (A^-1 - I = -A^-1 (A - I)).
+    The same factor keeps the kernel, so tau(a1 a2, a3) eliminates
+    A2 [(A1 A2)^-1 - I | (A3 - I)_Q3] = [A1^-1 - A2 | A2 (A3 - I)_Q3], and
+    tau(a2 a3, a1) eliminates A3 [(A2 A3)^-1 - I | (A1 - I)_P1] =
+    [A2^-1 - A3 | A3 (A1 - I)_P1]: each left block a difference of rows
+    built here, each right block a 2g x |Q| product. Their Grams are
+    ``tau_form`` of (a1, a2), (a3, a2), (a1 a2, a3) and (a2 a3, a1).
     """
     _elements(a1, a2, a3)
-    l1, l12, l2 = map(_left, (a1, a1 * a2, a2))
-    r3, r23 = _right(a3), _right(a2 * a3)
-    t23, p2 = _tau(l2, r3)
-    t12, p1 = _tau(l1, _at(p2, _minus_one(a2)))
-    t123 = _tau(l12, r3)[0]
-    t1_23 = _tau(_at(p1, l1[1]), r23)[0]
-    return t12 + t123 - t23 - t1_23
+    m1, m2, m3 = map(_minus_one, (a1, a2, a3))
+    l1, l3 = (_inverse_minus(a.mat, 1) for a in (a1, a3))
+    r2 = _right(m2)
+    t12, p1 = _tau(l1, r2, r2[1])
+    t32, q3 = _tau(l3, r2, r2[1])
+    r1, r3 = _at(p1, m1), _at(q3, m3)
+    t12_3 = _tau(_minus(l1, m2), r3, _matmul(a2.mat, r3[1]))[0]
+    t23_1 = _tau(_minus(_inverse_minus(a2.mat, 1), m3), r1, _matmul(a3.mat, r1[1]))[0]
+    return t12 + t12_3 - t32 - t23_1
 
 
 class PhiBase(Record):

@@ -184,8 +184,8 @@ MUTANTS = (
     Mutant(
         "tau-form-unscattered-y",  # the sums are x, not x + y
         "meyer.py",
-        "    sums, images, cols = [], [], p + q\n",
-        "    sums, images, cols = [], [], p\n",
+        "            x[c] += t  # x + y, y scattered onto Q\n",
+        "            x[c] += 0\n",
         (MEYER + "test_tau_form_is_the_pairing_on_a_basis_of_w",),
     ),
     Mutant(
@@ -220,36 +220,43 @@ MUTANTS = (
     Mutant(
         "tau-negated-at-g4",
         "meyer.py",
-        "    value, n = _signature(form), len(left[1])",
-        "    value, n = _signature(form) * (-1 if len(left[1]) == 8 else 1), len(left[1])",
+        "    value, n = _signature(form), len(left)",
+        "    value, n = _signature(form) * (-1 if len(left) == 8 else 1), len(left)",
         (ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations",),
     ),
     Mutant(
-        "defect-wrong-right-side",  # tau(a1, a3) in place of tau(a1, a2 a3)
+        "defect-wrong-right-side",  # tau(a2 a3, a3) in place of tau(a2 a3, a1)
         "meyer.py",
-        "    t1_23 = _tau(_at(p1, l1[1]), r23)[0]",
-        "    t1_23 = _tau(_at(p1, l1[1]), r3)[0]",
+        "r1, _matmul(a3.mat, r1[1])",
+        "r3, _matmul(a3.mat, r3[1])",
         (MEYER + "test_cocycle_defect_shares_the_four_tau_values",),
     ),
     Mutant(
         "defect-r2-from-a3-pivots",  # tau(a1, a2)'s right side at the pivot columns of A3 - I
         "meyer.py",
-        "_at(p2, _minus_one(a2))",
-        "_at(r3[0], _minus_one(a2))",
+        "    r2 = _right(m2)\n",
+        "    r2 = _at(_right(m3)[0], m2)\n",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
     Mutant(
         "defect-p1-short-of-its-last-column",
         "meyer.py",
-        "_at(p1, l1[1])",
-        "_at(p1[:-1], l1[1])",
+        "_at(p1, m1)",
+        "_at(p1[:-1], m1)",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
     Mutant(
-        "form-unscattered-x",  # x from P's columns left in the first |P| coordinates
+        "defect-unlifted-right-block",  # (A3 - I)_Q3 eliminated without the factor A2
         "meyer.py",
-        "    sums, images, cols = [], [], p + q\n",
-        "    sums, images, cols = [], [], [*range(k), *q]\n",
+        "_matmul(a2.mat, r3[1])",
+        "r3[1]",
+        (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
+    ),
+    Mutant(
+        "defect-left-factor-from-a3",  # A1^-1 - A3 in place of A1^-1 - A2
+        "meyer.py",
+        "_minus(l1, m2)",
+        "_minus(l1, m3)",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
     ),
     # the group layer: the one power loop and the powers of SL2Word.evaluate,
@@ -308,8 +315,8 @@ MUTANTS = (
     Mutant(
         "transvection-flipped-sign",
         "symplectic.py",
-        "w = vv[g:] + tuple(-x for x in vv[:g])",
-        "w = tuple(-x for x in vv[g:]) + vv[:g]",
+        "w = (*v[g:], *map(neg, v[:g]))",
+        "w = (*map(neg, v[g:]), *v[:g])",
         ("tests/test_symplectic.py::test_transvection_matches_pointwise_definition",
          ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations"),
     ),

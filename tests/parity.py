@@ -29,7 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "parity.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-from meyersig import SL2Word, phi1_word, random_transvection_product, sl2_word  # noqa: E402
+from meyersig import (  # noqa: E402
+    SL2Word,
+    SymplecticElement,
+    phi1_word,
+    random_transvection_product,
+    sl2_word,
+    tau,
+    tau_form,
+)
 
 BIG = 2**1100
 
@@ -78,10 +86,23 @@ def power_family() -> Iterator[str]:
                 yield f"{x.mat} {e} {(x**e).mat}"
 
 
+def tau_family() -> Iterator[str]:
+    """``tau`` of both orders and the size of ``tau_form`` on seeded pairs at
+    g = 1-6, with (a, a), (a, a^-1), (a, I) and (I, a) for each first element."""
+    r = random.Random(20284)
+    for g in range(1, 7):
+        eye = SymplecticElement.identity(g)
+        for _ in range(40):
+            a, b = (random_transvection_product(r, g, r.randint(1, 5)) for _ in range(2))
+            for x, y in ((a, b), (a, a), (a, a.inverse()), (a, eye), (eye, a)):
+                yield f"{x.mat} {y.mat} {tau(x, y)} {tau(y, x)} {len(tau_form(x, y))}"
+
+
 FAMILIES = {
     "phi1-word": phi1_word_family,
     "sl2-word": sl2_word_family,
     "power": power_family,
+    "tau": tau_family,
 }
 
 

@@ -231,43 +231,45 @@ def _defect_triples(r: random.Random) -> list:
 
 def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
     # the defect evaluates, through tau's core, the four values tau computes
-    # one pair at a time, in the order tau(a2, a3), whose elimination gives
-    # tau(a1, a2) its right side, tau(a1, a2), whose gives tau(a1, a2 a3) its
-    # left columns, tau(a1 a2, a3) and tau(a1, a2 a3)
+    # one pair at a time, in the order tau(a1, a2), whose elimination gives
+    # P1, tau(a3, a2), whose gives Q3, tau(a1 a2, a3) and tau(a2 a3, a1); by
+    # tau's symmetry these are the values of the four pairs as named
     triples = _defect_triples(random.Random(1818))
     core, seen = meyer._tau, []
-    monkeypatch.setattr(meyer, "_tau", lambda left, right: seen.append(core(left, right)) or seen[-1])
+    monkeypatch.setattr(meyer, "_tau", lambda *args: seen.append(core(*args)) or seen[-1])
     nonzero = 0
     for a1, a2, a3 in triples:
-        expected = [tau(a2, a3), tau(a1, a2), tau(a1 * a2, a3), tau(a1, a2 * a3)]
+        evaluated = [tau(x, y) for x, y in ((a1, a2), (a3, a2), (a1 * a2, a3), (a2 * a3, a1))]
+        named = [tau(x, y) for x, y in ((a1, a2), (a2, a3), (a1 * a2, a3), (a1, a2 * a3))]
         seen.clear()
         assert tau_cocycle_defect(a1, a2, a3) == 0
-        assert [value for value, _ in seen] == expected
-        nonzero += any(expected)
+        assert [value for value, _ in seen] == evaluated == named
+        nonzero += any(named)
     assert nonzero == 50  # of 126 triples
 
 
 def test_cocycle_defect_forms_are_tau_form_of_its_four_pairs(monkeypatch):
-    # the Grams the defect builds, with the right side of (a1, a2) and the left
-    # columns of (a1, a2 a3) read off earlier eliminations, are tau_form's
-    # Grams of the four pairs, entry for entry; g = 5 is on no workload
+    # the Grams the defect builds, with the right sides of (a1 a2, a3) and
+    # (a2 a3, a1) at columns read off earlier eliminations and their rows
+    # multiplied on the left by A2 and A3, are tau_form's Grams of the four
+    # oriented pairs, entry for entry; g = 5 is on no workload
     triples = _defect_triples(random.Random(2718))
     core, seen = meyer._form, []
-    monkeypatch.setattr(meyer, "_form", lambda left, right: seen.append(core(left, right)) or seen[-1])
+    monkeypatch.setattr(meyer, "_form", lambda *args: seen.append(core(*args)) or seen[-1])
     narrowed = 0
     for a1, a2, a3 in triples:
-        pairs = [(a2, a3), (a1, a2), (a1 * a2, a3), (a1, a2 * a3)]
+        pairs = [(a1, a2), (a3, a2), (a1 * a2, a3), (a2 * a3, a1)]
         expected = [tau_form(x, y) for x, y in pairs]
         seen.clear()
         assert tau_cocycle_defect(a1, a2, a3) == 0
         assert [form for form, _ in seen] == expected
-        narrowed += oracle.rank(meyer._left(a1)[1]) < 2 * a1.g
-    assert narrowed == 105  # of 126 triples, where tau(a1, a2 a3) eliminates fewer columns
+        narrowed += oracle.rank(meyer._minus_one(a1)) < 2 * a1.g
+    assert narrowed == 105  # of 126 triples, where (A1 - I)_P1 has fewer columns than A1 - I
 
 
-def test_cocycle_defect_runs_six_eliminations(monkeypatch):
-    # two pivot passes, on A3 - I and A2 A3 - I, and the four joint eliminations:
-    # tau(a2, a3)'s elimination gives the pivot columns of A2 - I
+def test_cocycle_defect_runs_five_eliminations(monkeypatch):
+    # the pivot pass on A2 - I and the four joint eliminations: those of
+    # tau(a1, a2) and tau(a3, a2) give the pivot columns of A1 - I and A3 - I
     r = random.Random(6)
     echelon, calls = exactnum._echelon, []
 
@@ -281,10 +283,23 @@ def test_cocycle_defect_runs_six_eliminations(monkeypatch):
         a, b, c = (random_transvection_product(r, g, 5) for _ in range(3))
         calls.clear()
         assert tau_cocycle_defect(a, b, c) == 0
-        assert len(calls) == 6, g
+        assert len(calls) == 5, g
         calls.clear()
         tau(a, b)
         assert len(calls) == 2, g
+
+
+def test_cocycle_defect_multiplies_no_elements(monkeypatch):
+    # a1 a2 and a2 a3 enter only through A2 [(A1 A2)^-1 - I | (A3 - I)_Q3]
+    # and A3 [(A2 A3)^-1 - I | (A1 - I)_P1], whose right blocks are 2g x |Q|
+    triples = _defect_triples(random.Random(29))
+
+    def refuse(*args):
+        pytest.fail("the cocycle defect multiplied two elements")
+
+    monkeypatch.setattr(SymplecticElement, "__mul__", refuse)
+    for a1, a2, a3 in triples:
+        assert tau_cocycle_defect(a1, a2, a3) == 0
 
 
 @pytest.mark.parametrize("fn", [tau, tau_form, tau_cocycle_defect], ids=lambda fn: fn.__name__)
@@ -303,6 +318,21 @@ def test_cocycle_defect_checks_each_value_against_the_bound(monkeypatch, g):
     eye = SymplecticElement.identity(g)
     with pytest.raises(ContractViolation):
         tau_cocycle_defect(eye, eye, eye)
+
+
+def test_tau_is_symmetric():
+    # tau(a, b) = tau(b, a) (Meyer 1973), which the cocycle defect uses, with
+    # the pairs (a, a), (a, a^-1), (a, I) and (I, a) for each first element
+    r = random.Random(29)
+    values = []
+    for g in range(1, 7):
+        eye = SymplecticElement.identity(g)
+        for _ in range(6):
+            a, b = (random_transvection_product(r, g, r.randint(1, 5)) for _ in range(2))
+            for x, y in ((a, b), (a, a), (a, a.inverse()), (a, eye), (eye, a)):
+                values.append(tau(x, y))
+                assert tau(y, x) == values[-1], (x, y)
+    assert len(set(values)) >= 3  # a sample of zeros would check nothing
 
 
 def test_tau_conjugation_invariance(seeded):

@@ -29,12 +29,8 @@ def sympy_tau(a1, a2) -> int:
     m1, m2, eye = sympy.Matrix(a1), sympy.Matrix(a2), sympy.eye(n)
     j = sympy.Matrix(n, n, lambda r, c: (c == r + g) - (r == c + g))
     kernel = (m1.inv() - eye).row_join(m2 - eye).nullspace()
-    pairing = j * (eye - m2)
-    gram = sympy.Matrix(
-        len(kernel),
-        len(kernel),
-        lambda r, c: ((kernel[r][:n, :] + kernel[r][n:, :]).T * pairing * kernel[c][n:, :])[0, 0],
-    )
+    k = sympy.Matrix.hstack(*kernel) if kernel else sympy.zeros(2 * n, 0)  # one vector a column
+    gram = (k[:n, :] + k[n:, :]).T * j * (eye - m2) * k[n:, :]
     assert gram == gram.T
     return descartes_signature(gram)
 
@@ -68,6 +64,9 @@ def test_tau_matches_the_sympy_oracle(g, count):
     for a1, a2 in _pairs(g, count):
         values.append(tau(a1, a2))
         assert values[-1] == sympy_tau(a1.mat, a2.mat)
+        # tau is symmetric (Meyer 1973), as tau_cocycle_defect assumes when it
+        # evaluates two of its four values in the other order
+        assert values[-1] == sympy_tau(a2.mat, a1.mat)
     assert len(set(values)) >= 3  # a sample of zeros would check nothing
 
 
