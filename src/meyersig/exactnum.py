@@ -18,6 +18,9 @@ The module holds:
   from a given one on and the pivot columns before it), by
   back-substitution on the one forward elimination (``_echelon``), whose
   steps also give the pivot columns,
+* exact solves X^-1 Y of a square X as |det X| X^-1 Y, an integer matrix
+  (``_solve``), by the same elimination and back-substitution, for the
+  resolvents (A - I)^-1 of the cocycle defect's Cayley path,
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
 * signatures of symmetric integer forms by symmetric Bareiss elimination
@@ -26,12 +29,13 @@ The module holds:
 The three linear-algebra helpers, like every matrix argument of the
 library, take rows of ``int``s and refuse any other entry with
 ``MatrixFormatError``; they return int rows. ``tau`` calls the cores
-(``_echelon``, ``_kernel``, ``_gram``, ``_signature``) on rows built
-from validated elements, so nothing is read twice. Every elimination is
-Bareiss's fraction-free one, with one step: cross-multiply by the new pivot,
-then divide exactly by the previous one. ``_echelon`` eliminates forward
-only, and ``_kernel`` solves its echelon rows back to front, dividing
-exactly by each pivot (see ``_kernel``); the signature's symmetric
+(``_echelon``, ``_kernel``, ``_gram``, ``_signature``), and the cocycle
+defect ``_solve`` too, on rows built from validated elements, so nothing
+is read twice. Every elimination is Bareiss's fraction-free one, with one
+step: cross-multiply by the new pivot, then divide exactly by the previous
+one. ``_echelon`` eliminates forward only, and ``_kernel`` and ``_solve``
+solve its echelon rows back to front (``_back``), dividing exactly by each
+pivot (see ``_kernel``); the signature's symmetric
 elimination pivots on the diagonal and, where the live diagonal is zero,
 adds one basis vector to another, a unimodular congruence that moves no
 signature (Sylvester's law of inertia). Neither rational nor floating-point
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -226,10 +230,43 @@ def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[in
             continue
         v = [0] * cols
         v[f] = d
-        for c, p, top in reversed(steps):
-            v[c] = -sum(map(mul, top, v[c + 1 :])) // p
-        basis.append(tuple(_primitive(v)))
+        basis.append(tuple(_primitive(_back(steps, v))))
     return [c for c, _, _ in steps if c < start], basis
+
+
+def _back(steps: list[tuple[int, int, list[int]]], v: list[int]) -> list[int]:
+    """``v``, given at the free columns, completed at the pivot columns by
+    back-substitution on ``_echelon``'s steps: from the last step up,
+    v[c] = -(top . v[c+1:]) / p, so that v is in the kernel."""
+    for c, p, top in reversed(steps):
+        v[c] = -sum(map(mul, top, v[c + 1 :])) // p
+    return v
+
+
+def _solve(
+    x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]] | None:
+    """(|d|, the columns of |d| X^-1 Y) for the n x n int rows X and the
+    int rows Y, n of them, with d = +-det X the last pivot; ``None`` when
+    some column of X is not a pivot, that is when X is singular.
+
+    ``_echelon`` on [X | Y], then ``_kernel``'s back-substitution without
+    ``_primitive``: the kernel vector of the free column n + j that carries
+    -|d| there is (|d| X^-1 Y e_j | -|d| e_j), and its first n entries are
+    column j. They are |d| times reduced-echelon entries, so integers, as
+    in ``_kernel``; ``meyer`` reads the resolvents |d| (A - I)^-1 off them.
+    """
+    n = len(x)
+    steps = _echelon([[*u, *w] for u, w in zip(x, y)])
+    if len(steps) < n or steps[n - 1][0] >= n:
+        return None
+    d, width = abs(steps[-1][1]), n + len(y[0])
+    cols = []
+    for j in range(n, width):
+        v = [0] * width
+        v[j] = -d
+        cols.append(_back(steps, v)[:n])
+    return d, cols
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

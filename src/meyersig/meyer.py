@@ -12,6 +12,16 @@ descends to W = Im(A1^{-1} - I) meet Im(A2 - I), Wall's non-additivity form
 Everything is exact; the basis choice cannot affect the result, by
 Sylvester's law of inertia.
 
+When A1 - I and A2 - I are both invertible, W = R^{2g} and the form has a
+closed form in the resolvents R_A = (A - I)^{-1}. With w = (A2 - I) y,
+y = R_A2 w and x = -(A1^{-1} - I)^{-1} w = (I + R_A1) w, so the pairing is
+-w^t (I + R_A1 + R_A2)^t J w'; 2 (I + R_A1 + R_A2) is the sum of the Cayley
+transforms (A + I)(A - I)^{-1} of A1 and A2. ``tau_cocycle_defect``
+evaluates its four values this way (the Cayley path) when all five A - I
+it needs, for A1, A2, A3, A1 A2 and A2 A3, are invertible; ``tau`` and
+``tau_form`` always use the kernel above, as one pair alone gains nothing
+from the resolvents.
+
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
 generators are *solved* rather than hard-coded: ``phi1_word`` derives its
@@ -35,11 +45,21 @@ from operator import mul
 
 from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
-from .exactnum import _echelon, _gram, _kernel, _kind_arg, _rational_arg, _signature
+from .exactnum import (
+    _echelon,
+    _gram,
+    _kernel,
+    _kind_arg,
+    _rational_arg,
+    _signature,
+    _solve,
+    _symmetric,
+)
 from .symplectic import (
     IntMatrix,
     SL2Word,
     SymplecticElement,
+    _identity,
     _inverse_minus,
     _matmul,
     _power,
@@ -65,9 +85,9 @@ Side = tuple[list[int], Rows]  # columns, and a matrix's rows at them
 
 def _at(cols: list[int], m: Rows) -> Side:
     """``cols`` and the rows of the square ``m`` at them; ``m`` itself when
-    ``cols`` is every column, as at g <= 2 whenever A - I is invertible: a
-    copy there costs a g = 2 cocycle defect about 1 %, under half of one of
-    the pivot passes, on A1 - I and A3 - I, that the defect saves."""
+    ``cols`` is every column, that is whenever A - I is invertible, as for
+    most pairs at g <= 2: a copy there made ``tau`` at g = 1 and 2 about
+    2-5 % slower, and the defect's Cayley path reads only the columns."""
     return cols, m if len(cols) == len(m) else [[row[c] for c in cols] for row in m]
 
 
@@ -119,13 +139,54 @@ def _form(left: Rows, right: Side, block: Rows) -> tuple[IntMatrix, list[int]]:
     return _gram(sums, images), pivots
 
 
+def _bounded(value: int, n: int) -> int:
+    """``value``, a tau at genus g = n / 2, or ``ContractViolation`` if |tau| > 4g."""
+    if abs(value) > 2 * n:
+        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * n}")
+    return value
+
+
 def _tau(left: Rows, right: Side, block: Rows) -> tuple[int, list[int]]:
     """``tau`` from ``_form``'s arguments, and ``_form``'s pivot columns."""
     form, pivots = _form(left, right, block)
-    value, n = _signature(form), len(left)
-    if abs(value) > 2 * n:
-        raise ContractViolation(f"|tau| = {abs(value)} exceeds 4g = {2 * n}")
-    return value, pivots
+    return _bounded(_signature(form), len(left)), pivots
+
+
+Resolvent = tuple[int, list[list[int]]]  # (|d|, the columns of N = |d| (A - I)^-1)
+
+
+def _cayley(a: Resolvent, b: Resolvent) -> int:
+    """tau(A, B) from the resolvents of A and B, when A - I and B - I are
+    invertible: the signature of -(|d_A d_B| I + |d_B| N_A + |d_A| N_B)^t J,
+    |d_A d_B| times Meyer's form on W = R^2g (see ``tau_cocycle_defect``).
+    Row i of -S^t J is column i of S with its halves swapped, the new lower
+    one negated."""
+    (da, na), (db, nb) = a, b
+    k, g = da * db, len(na) // 2
+    gram = []
+    for i, (u, w) in enumerate(zip(na, nb)):
+        col = [db * x + da * y for x, y in zip(u, w)]
+        col[i] += k
+        gram.append((*col[g:], *[-t for t in col[:g]]))
+    return _bounded(_signature(_symmetric(tuple(gram))), len(na))
+
+
+def _resolvents(
+    a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement, minus: Sequence[Rows]
+) -> list[Resolvent] | None:
+    """The resolvents of A1, A2, A3, A1 A2 and A2 A3, from ``minus``, the rows
+    of the first three A - I, or ``None`` at the first singular A - I. Those
+    of the products solve A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
+    A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1."""
+    eye = _identity(len(a1.mat))
+    inv1, inv2 = (_inverse_minus(a.mat, 0) for a in (a1, a2))
+    systems = [*((m, eye) for m in minus), (_minus(a2.mat, inv1), inv1), (_minus(a3.mat, inv2), inv2)]
+    found = []
+    for x, y in systems:
+        if (solved := _solve(x, y)) is None:
+            return None
+        found.append(solved)
+    return found
 
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
@@ -158,8 +219,20 @@ def tau_cocycle_defect(
 ) -> int:
     """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0.
 
-    Five forward eliminations run, and no 2g x 2g product is built: the
-    pivot pass on A2 - I, which gives Q2, and four joint ones through
+    No two elements are multiplied. The pivot pass on A2 - I runs first and
+    gives Q2. When |Q2| = 2g, the Cayley path (see the module docstring)
+    takes the resolvents N_X = |d_X| (X - I)^-1, integer matrices, of
+    X = A1, A2, A3, A1 A2 and A2 A3 from five ``_solve``s, those of the
+    products as A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
+    A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1. Each value tau(A, B) is
+    then the signature of -(|d_A d_B| I + |d_B| N_A + |d_A| N_B)^t J
+    (``_cayley``), |d_A d_B| > 0 times Meyer's form on W = R^2g; N_A1, N_A2
+    and N_A3 each serve two of the four pairs. A singular solve sends the
+    defect to the kernel path, as does |Q2| < 2g, which rank(A2 - I) < 2g
+    forces: a product of k < 2g transvections always takes the kernel path.
+
+    On the kernel path five forward eliminations run, and no 2g x 2g
+    product is built: the pivot pass, and four joint ones through
     ``_form``, two of them on the pair in the other order, as tau is
     symmetric. tau(a1, a2) eliminates [A1^-1 - I | (A2 - I)_Q2], and its
     first-block pivots are P1, the pivot columns of A1^-1 - I; tau(a3, a2)
@@ -175,8 +248,11 @@ def tau_cocycle_defect(
     """
     _elements(a1, a2, a3)
     m1, m2, m3 = map(_minus_one, (a1, a2, a3))
-    l1, l3 = (_inverse_minus(a.mat, 1) for a in (a1, a3))
     r2 = _right(m2)
+    if len(r2[0]) == len(m2) and (found := _resolvents(a1, a2, a3, (m1, m2, m3))):
+        c1, c2, c3, c12, c23 = found
+        return _cayley(c1, c2) - _cayley(c2, c3) + _cayley(c12, c3) - _cayley(c1, c23)
+    l1, l3 = (_inverse_minus(a.mat, 1) for a in (a1, a3))
     t12, p1 = _tau(l1, r2, r2[1])
     t32, q3 = _tau(l3, r2, r2[1])
     r1, r3 = _at(p1, m1), _at(q3, m3)

@@ -107,6 +107,11 @@ def inverse(m) -> list[list[Fraction]]:
     return [row[n:] for row in reduced]
 
 
+def determinant(m) -> Fraction:
+    """det m, by sympy."""
+    return Fraction(int(sympy.Matrix(m).det()))
+
+
 def _sign_changes(coeffs) -> int:
     signs = [c > 0 for c in coeffs if c != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

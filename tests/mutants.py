@@ -220,8 +220,8 @@ MUTANTS = (
     Mutant(
         "tau-negated-at-g4",
         "meyer.py",
-        "    value, n = _signature(form), len(left)",
-        "    value, n = _signature(form) * (-1 if len(left) == 8 else 1), len(left)",
+        "_bounded(_signature(form), len(left))",
+        "_bounded(_signature(form) * (-1 if len(left) == 8 else 1), len(left))",
         (ORACLE + "test_tau_sums_to_the_signature_of_the_chain_relations",),
     ),
     Mutant(
@@ -258,6 +258,61 @@ MUTANTS = (
         "_minus(l1, m2)",
         "_minus(l1, m3)",
         (MEYER + "test_cocycle_defect_forms_are_tau_form_of_its_four_pairs",),
+    ),
+    # the Cayley path of the defect: the solve, the form and its checks
+    Mutant(
+        "solve-accepts-a-singular-x",  # a pivot in Y's columns read as one of X's
+        "exactnum.py",
+        "if len(steps) < n or steps[n - 1][0] >= n:",
+        "if len(steps) < n:",
+        (EXACT + "test_solve_is_the_determinant_times_the_inverse",),
+    ),
+    Mutant(
+        "solve-unsigned-seed",  # -|d| X^-1 Y
+        "exactnum.py",
+        "        v[j] = -d\n",
+        "        v[j] = d\n",
+        (EXACT + "test_solve_is_the_determinant_times_the_inverse",
+         MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible"),
+    ),
+    Mutant(
+        "cayley-drops-identity",  # -(R_A + R_B)^t J
+        "meyer.py",
+        "        col[i] += k\n",
+        "        col[i] += 0\n",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "cayley-unsigned-swap",  # J's halves swapped without the sign
+        "meyer.py",
+        "gram.append((*col[g:], *[-t for t in col[:g]]))",
+        "gram.append((*col[g:], *col[:g]))",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "cayley-one-scale",  # |d_A| for both scales
+        "meyer.py",
+        "col = [db * x + da * y for x, y in zip(u, w)]",
+        "col = [da * x + da * y for x, y in zip(u, w)]",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "defect-keeps-a-singular-composite",  # no fall-back when A1 A2 - I or A2 A3 - I is singular
+        "meyer.py",
+        "        if (solved := _solve(x, y)) is None:\n",
+        "        if (solved := _solve(x, y)) is None and len(found) < 3:\n",
+        (MEYER + "test_cocycle_defect_counts_its_eliminations_on_each_path",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "cayley-unbounded",
+        "meyer.py",
+        "    return _bounded(_signature(_symmetric(tuple(gram))), len(na))",
+        "    return _signature(_symmetric(tuple(gram)))",
+        (MEYER + "test_cocycle_defect_checks_each_value_against_the_bound",),
     ),
     # the group layer: the one power loop and the powers of SL2Word.evaluate,
     # the symplectic check, sl2_word's normal form and direct_sum's coordinates

@@ -22,7 +22,7 @@ from meyersig import (
     sl2_word,
     transvection,
 )
-from meyersig.exactnum import _echelon, _kernel, parse_rational
+from meyersig.exactnum import _echelon, _kernel, _solve, parse_rational
 
 
 def diag(*entries) -> tuple[tuple[int, ...], ...]:
@@ -238,6 +238,34 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
         assert _kernel([[row[c] for c in keep] for row in m], len(below)) == (
             list(range(len(below))), [tuple(v[c] for c in keep) for v in vectors]
         ), start
+
+
+def test_solve_is_the_determinant_times_the_inverse():
+    # (|det X|, the columns of |det X| X^-1 Y), or None for a singular X:
+    # one X in five has a column zeroed, and one a row repeated
+    r = random.Random(3031)
+    singular = 0
+    for n in range(1, 7):
+        for k in range(15):
+            x, y = random_matrix(r, n, n), random_matrix(r, n, r.randint(1, 2 * n))
+            if k % 5 == 0:
+                c = r.randrange(n)
+                x = [[0 if j == c else v for j, v in enumerate(row)] for row in x]
+            elif k % 5 == 1 and n > 1:
+                i = r.randrange(1, n)
+                x[i] = list(x[i - 1])
+            det = oracle.determinant(x)
+            solved = _solve(x, y)
+            if det == 0:
+                assert solved is None, (x, y)
+                singular += 1
+                continue
+            d, columns = solved
+            assert d == abs(det)
+            assert oracle.transpose(columns) == [
+                [d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)
+            ]
+    assert singular == 35  # of 90
 
 
 @st.composite

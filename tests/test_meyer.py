@@ -2,6 +2,7 @@ import ast
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -218,7 +219,9 @@ def test_cocycle_defect_random(seeded):
 
 
 def _defect_triples(r: random.Random) -> list:
-    """Three seeded triples per genus 1-6, each with the degenerate triples built from it."""
+    """Three seeded triples per genus 1-6, each with the degenerate triples
+    built from it, then three of products of 2g + 4 transvections per genus
+    1-3, whose A - I are mostly invertible, as the Cayley path needs."""
     triples = []
     for g in range(1, 7):
         eye = SymplecticElement.identity(g)
@@ -226,50 +229,125 @@ def _defect_triples(r: random.Random) -> list:
             a, b, c = (random_transvection_product(r, g, r.randint(1, 5)) for _ in range(3))
             triples += [(a, b, c), (a, a, b), (a, a.inverse(), c), (eye, a, b), (a, b, b.inverse()),
                         (a, eye, a), (b.inverse(), b, b)]
+    for g in range(1, 4):
+        triples += [tuple(random_transvection_product(r, g, 2 * g + 4) for _ in range(3))
+                    for _ in range(3)]
     return triples
 
 
+def _record_cores(monkeypatch) -> list:
+    """(core, value) for each tau the defect evaluates, through ``_tau`` (the
+    kernel path) or ``_cayley`` (the Cayley path)."""
+    seen = []
+    tau_core, cayley_core = meyer._tau, meyer._cayley
+
+    def kernel(*args):
+        value, pivots = tau_core(*args)
+        seen.append(("kernel", value))
+        return value, pivots
+
+    def cayley(*args):
+        seen.append(("cayley", cayley_core(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(meyer, "_tau", kernel)
+    monkeypatch.setattr(meyer, "_cayley", cayley)
+    return seen
+
+
+def _path(seen: list) -> str:
+    """The one core the four recorded values came from."""
+    cores = {core for core, _ in seen}
+    assert len(seen) == 4 and len(cores) == 1, seen
+    return cores.pop()
+
+
+def _resolvent(a: SymplecticElement):
+    return exactnum._solve(meyer._minus_one(a), symplectic._identity(2 * a.g))
+
+
+HYPERBOLIC = SymplecticElement([[2, 1], [1, 1]])  # A - I and A^2 - I invertible: traces 3 and 7
+
+
+def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
+    # when A - I and B - I are invertible, W = R^2g and Meyer's form is
+    # -(I + R_A + R_B)^t J, R_X = (X - I)^-1; rank(A - I) is at most the
+    # number of transvections in A, so g = 3 needs six or more; a singular
+    # A - I has no resolvent
+    for a in (SymplecticElement.identity(2), TWIST, direct_sum(HYPERBOLIC, TWIST)):
+        assert _resolvent(a) is None
+    r = random.Random(3030)
+    invertible, values = Counter(), set()
+    for g, length in ((1, 3), (1, 6), (2, 5), (2, 8), (3, 6), (3, 10)):
+        for _ in range(12):
+            a, b = (random_transvection_product(r, g, length) for _ in range(2))
+            ra, rb = _resolvent(a), _resolvent(b)
+            if ra is None or rb is None:
+                assert 0 < min(oracle.rank(meyer._minus_one(x)) for x in (a, b)) < 2 * g
+                continue
+            assert meyer._cayley(ra, rb) == tau(a, b) == meyer._cayley(rb, ra)
+            assert meyer._cayley(ra, _resolvent(a.inverse())) == 0
+            invertible[g] += 1
+            values.add(tau(a, b))
+    assert invertible == {1: 23, 2: 24, 3: 24}  # of 24 pairs per genus
+    assert len(values) >= 3  # a sample of zeros would check nothing
+
+
 def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
-    # the defect evaluates, through tau's core, the four values tau computes
-    # one pair at a time, in the order tau(a1, a2), whose elimination gives
-    # P1, tau(a3, a2), whose gives Q3, tau(a1 a2, a3) and tau(a2 a3, a1); by
-    # tau's symmetry these are the values of the four pairs as named
+    # the defect evaluates the four values tau computes one pair at a time,
+    # all through one core: on the kernel path through tau's, in the order
+    # tau(a1, a2), whose elimination gives P1, tau(a3, a2), whose gives Q3,
+    # tau(a1 a2, a3) and tau(a2 a3, a1); on the Cayley path through
+    # _cayley, in the order named; by tau's symmetry the values agree
     triples = _defect_triples(random.Random(1818))
-    core, seen = meyer._tau, []
-    monkeypatch.setattr(meyer, "_tau", lambda *args: seen.append(core(*args)) or seen[-1])
-    nonzero = 0
-    for a1, a2, a3 in triples:
+    seen = _record_cores(monkeypatch)
+    nonzero, paths = 0, Counter()
+    for a1, a2, a3 in triples + [(HYPERBOLIC,) * 3, (HYPERBOLIC, HYPERBOLIC.inverse(), HYPERBOLIC)]:
         evaluated = [tau(x, y) for x, y in ((a1, a2), (a3, a2), (a1 * a2, a3), (a2 * a3, a1))]
         named = [tau(x, y) for x, y in ((a1, a2), (a2, a3), (a1 * a2, a3), (a1, a2 * a3))]
         seen.clear()
         assert tau_cocycle_defect(a1, a2, a3) == 0
-        assert [value for value, _ in seen] == evaluated == named
+        assert [value for _, value in seen] == evaluated == named
+        paths[_path(seen), a1.g] += 1
         nonzero += any(named)
-    assert nonzero == 50  # of 126 triples
+    assert nonzero == 55  # of 137 triples
+    # the Cayley path at g <= 3 wherever every A - I is invertible, the
+    # kernel path elsewhere: the last two triples take one each
+    assert paths == {("cayley", 1): 7, ("cayley", 2): 4, ("cayley", 3): 3, ("kernel", 1): 19,
+                     ("kernel", 2): 20, ("kernel", 3): 21, ("kernel", 4): 21, ("kernel", 5): 21,
+                     ("kernel", 6): 21}
 
 
 def test_cocycle_defect_forms_are_tau_form_of_its_four_pairs(monkeypatch):
-    # the Grams the defect builds, with the right sides of (a1 a2, a3) and
-    # (a2 a3, a1) at columns read off earlier eliminations and their rows
-    # multiplied on the left by A2 and A3, are tau_form's Grams of the four
-    # oriented pairs, entry for entry; g = 5 is on no workload
+    # on the kernel path, the Grams the defect builds, with the right sides
+    # of (a1 a2, a3) and (a2 a3, a1) at columns read off earlier
+    # eliminations and their rows multiplied on the left by A2 and A3, are
+    # tau_form's Grams of the four oriented pairs, entry for entry; the
+    # Cayley path builds none; g = 5 is on no workload
     triples = _defect_triples(random.Random(2718))
     core, seen = meyer._form, []
     monkeypatch.setattr(meyer, "_form", lambda *args: seen.append(core(*args)) or seen[-1])
-    narrowed = 0
+    narrowed, cayley = 0, 0
     for a1, a2, a3 in triples:
         pairs = [(a1, a2), (a3, a2), (a1 * a2, a3), (a2 * a3, a1)]
         expected = [tau_form(x, y) for x, y in pairs]
         seen.clear()
         assert tau_cocycle_defect(a1, a2, a3) == 0
+        if not seen:
+            cayley += 1
+            continue
         assert [form for form, _ in seen] == expected
         narrowed += oracle.rank(meyer._minus_one(a1)) < 2 * a1.g
-    assert narrowed == 105  # of 126 triples, where (A1 - I)_P1 has fewer columns than A1 - I
+    assert cayley == 11  # of 135 triples
+    assert narrowed == 105  # of 124 on the kernel path, where (A1 - I)_P1 has fewer columns than A1 - I
 
 
-def test_cocycle_defect_runs_five_eliminations(monkeypatch):
-    # the pivot pass on A2 - I and the four joint eliminations: those of
-    # tau(a1, a2) and tau(a3, a2) give the pivot columns of A1 - I and A3 - I
+def test_cocycle_defect_counts_its_eliminations_on_each_path(monkeypatch):
+    # the pivot pass on A2 - I, then on the Cayley path the five solves of
+    # X - I for X = A1, A2, A3, A1 A2 and A2 A3, and on the kernel path the
+    # four joint eliminations: those of tau(a1, a2) and tau(a3, a2) give the
+    # pivot columns of A1 - I and A3 - I; a singular solve falls back to the
+    # kernel path after the solves before it
     r = random.Random(6)
     echelon, calls = exactnum._echelon, []
 
@@ -279,14 +357,24 @@ def test_cocycle_defect_runs_five_eliminations(monkeypatch):
 
     monkeypatch.setattr(exactnum, "_echelon", counted)
     monkeypatch.setattr(meyer, "_echelon", counted)
-    for g in (1, 2, 4, 6):
+    seen = _record_cores(monkeypatch)
+    counts = []
+    for g in (1, 1, 2, 2, 4, 6):
         a, b, c = (random_transvection_product(r, g, 5) for _ in range(3))
         calls.clear()
+        seen.clear()
         assert tau_cocycle_defect(a, b, c) == 0
-        assert len(calls) == 5, g
+        counts.append((g, _path(seen), len(calls)))
         calls.clear()
         tau(a, b)
         assert len(calls) == 2, g
+    # A1 A2 = I: three solves, the fourth singular, then the kernel path
+    calls.clear()
+    seen.clear()
+    assert tau_cocycle_defect(HYPERBOLIC, HYPERBOLIC.inverse(), HYPERBOLIC) == 0
+    counts.append((1, _path(seen), len(calls)))
+    assert counts == [(1, "cayley", 6), (1, "cayley", 6), (2, "cayley", 6), (2, "cayley", 6),
+                      (4, "kernel", 5), (6, "kernel", 5), (1, "kernel", 9)]
 
 
 def test_cocycle_defect_multiplies_no_elements(monkeypatch):
@@ -314,10 +402,14 @@ def test_tau_refuses_elements_of_different_genera(fn):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_cocycle_defect_checks_each_value_against_the_bound(monkeypatch, g):
+    # I - I is the zero matrix (the kernel path); every A - I of the triple
+    # (A, A, A) of g hyperbolic blocks is invertible (the Cayley path)
     monkeypatch.setattr(meyer, "_signature", lambda form: 4 * g + 1)
-    eye = SymplecticElement.identity(g)
-    with pytest.raises(ContractViolation):
-        tau_cocycle_defect(eye, eye, eye)
+    for a, core in ((SymplecticElement.identity(g), "_tau"),
+                    (HYPERBOLIC if g == 1 else direct_sum(HYPERBOLIC, HYPERBOLIC), "_cayley")):
+        with pytest.raises(ContractViolation) as raised:
+            tau_cocycle_defect(a, a, a)
+        assert [entry.name for entry in raised.traceback][-2:] == [core, "_bounded"]
 
 
 def test_tau_is_symmetric():
