@@ -43,6 +43,7 @@ from meyersig import (  # noqa: E402
     tau,
     tau_form,
 )
+from meyersig.exactnum import _solve  # noqa: E402
 
 BIG = 2**1100
 
@@ -103,16 +104,40 @@ def tau_family() -> Iterator[str]:
                 yield f"{x.mat} {y.mat} {tau(x, y)} {tau(y, x)} {len(tau_form(x, y))}"
 
 
+def solve_family() -> Iterator[str]:
+    """``exactnum._solve``, |d| and the rows of |d| X^-1 Y or ``None``, on
+    seeded square X at n = 1-12 with entries of 3 to 200 bits and both signs
+    of det, one X in five singular (its last row a combination of the
+    others), each against Y = I and a seeded Y of 1 to n + 2 columns."""
+    r = random.Random(20285)
+    for n in range(1, 13):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(10):
+            bits = (3, 16, 64, 200)[k % 4]
+            x = [[r.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+            if k % 5 == 4:
+                factors = [r.randint(-3, 3) for _ in range(n - 1)]
+                x[-1] = [sum(f * row[j] for f, row in zip(factors, x)) for j in range(n)]
+            m = r.randint(1, n + 2)
+            seeded = [[r.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(n)]
+            for y in (eye, seeded):
+                solved = _solve(x, y)
+                if solved is not None:
+                    solved = (solved[0], [list(row) for row in zip(*solved[1])])
+                yield f"{x} {y} {solved}"
+
+
 FAMILIES = {
     "phi1-word": phi1_word_family,
     "sl2-word": sl2_word_family,
     "power": power_family,
     "tau": tau_family,
+    "solve": solve_family,
 }
 
-# the lines of each family's Tier-1 slice: tau's reach g = 2, the others take
-# tens of milliseconds each
-SLICE = {"phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400}
+# the lines of each family's Tier-1 slice: tau's reach g = 2, solve's n = 4,
+# the others take tens of milliseconds each
+SLICE = {"phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80}
 
 
 def digest(family: str, lines: int | None = None) -> str:
