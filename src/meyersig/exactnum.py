@@ -18,8 +18,8 @@ The module holds:
   from a given one on and the pivot columns before it), by
   back-substitution on the one forward elimination (``_echelon``), whose
   steps also give the pivot columns,
-* exact solves X^-1 Y of a square X as |det X| X^-1 Y, an integer matrix
-  (``_solve``), by the same elimination and back-substitution, for the
+* exact solves X^-1 Y of a square X as the rows of |det X| X^-1 Y, an
+  integer matrix (``_solve``), by a Gauss-Jordan pass of its own, for the
   resolvents (A - I)^-1 of the cocycle defect's Cayley path,
 * Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
   of vectors (x | y) (``gram_restrict``),
@@ -31,17 +31,19 @@ library, take rows of ``int``s and refuse any other entry with
 ``MatrixFormatError``; they return int rows. ``tau`` calls the cores
 (``_echelon``, ``_kernel``, ``_gram``, ``_signature``), and the cocycle
 defect ``_solve`` too, on rows built from validated elements, so nothing
-is read twice. Every elimination is Bareiss's fraction-free one, with one
-step: cross-multiply by the new pivot, then divide exactly by the previous
-one. ``_echelon`` eliminates forward only, and ``_kernel`` and ``_solve``
-solve its echelon rows back to front (``_back``), dividing exactly by each
-pivot (see ``_kernel``); the signature's symmetric
-elimination pivots on the diagonal and, where the live diagonal is zero,
-adds one basis vector to another, a unimodular congruence that moves no
-signature (Sylvester's law of inertia). Neither rational nor floating-point
-arithmetic enters any computation path, signatures are integers decided by
-the signs of exact pivots, and every downstream value is reproducible bit
-for bit.
+is read twice. Every elimination is Bareiss's fraction-free one (Math.
+Comp. 22, 1968), with one step: cross-multiply by the new pivot, then
+divide exactly by the previous one. There is one forward elimination,
+``_echelon``, for kernels and pivot columns, and ``_kernel`` solves its
+echelon rows back to front (``_back``), dividing exactly by each pivot.
+``_solve`` has a Gauss-Jordan pass of its own, which applies the step to
+the rows above each pivot as well as below it and so needs no
+back-substitution. The signature's symmetric elimination pivots on the
+diagonal and, where the live diagonal is zero, adds one basis vector to
+another, a unimodular congruence that moves no signature (Sylvester's
+law of inertia). Neither rational nor floating-point arithmetic enters
+any computation path, signatures are integers decided by the signs of
+exact pivots, and every downstream value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[in
 def _back(steps: list[tuple[int, int, list[int]]], v: list[int]) -> list[int]:
     """``v``, given at the free columns, completed at the pivot columns by
     back-substitution on ``_echelon``'s steps: from the last step up,
-    v[c] = -(top . v[c+1:]) / p, so that v is in the kernel."""
+    v[c] = -(top . v[c+1:]) / p, so that v is in the kernel. ``_kernel``
+    is its one caller."""
     for c, p, top in reversed(steps):
         v[c] = -sum(map(mul, top, v[c + 1 :])) // p
     return v
@@ -246,27 +249,38 @@ def _back(steps: list[tuple[int, int, list[int]]], v: list[int]) -> list[int]:
 def _solve(
     x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]] | None:
-    """(|d|, the columns of |d| X^-1 Y) for the n x n int rows X and the
-    int rows Y, n of them, with d = +-det X the last pivot; ``None`` when
-    some column of X is not a pivot, that is when X is singular.
+    """(|d|, the rows of |d| X^-1 Y) for the n x n int rows X and the int
+    rows Y, n of them, with d = +-det X the last pivot; ``None`` at the first
+    column of X without a pivot, that is when X is singular.
 
-    ``_echelon`` on [X | Y], then ``_kernel``'s back-substitution without
-    ``_primitive``: the kernel vector of the free column n + j that carries
-    -|d| there is (|d| X^-1 Y e_j | -|d| e_j), and its first n entries are
-    column j. They are |d| times reduced-echelon entries, so integers, as
-    in ``_kernel``; ``meyer`` reads the resolvents |d| (A - I)^-1 off them.
+    Fraction-free Gauss-Jordan on [X | Y]: each step takes the first row not
+    yet pivoted on that is nonzero in column c and replaces every other row
+    r, those above it as well as those below, by (p*r - r[c]*top) / prev,
+    the step of ``_echelon`` (exact by Sylvester's identity). A row pivoted
+    on keeps p in its own column, so after n steps the rows, in the order of
+    their pivot columns, are [d I | d X^-1 Y]; X's columns are dropped as
+    they are eliminated. The rows are negated if d < 0; ``meyer`` reads the
+    resolvents |d| (A - I)^-1 off them.
     """
     n = len(x)
-    steps = _echelon([[*u, *w] for u, w in zip(x, y)])
-    if len(steps) < n or steps[n - 1][0] >= n:
-        return None
-    d, width = abs(steps[-1][1]), n + len(y[0])
-    cols = []
-    for j in range(n, width):
-        v = [0] * width
-        v[j] = -d
-        cols.append(_back(steps, v)[:n])
-    return d, cols
+    rows = [[*u, *w] for u, w in zip(x, y)]
+    prev = 1
+    for c in range(n):
+        for piv in range(c, n):
+            if rows[piv][0]:
+                break
+        else:
+            return None
+        top = rows.pop(piv)
+        p = top.pop(0)
+        for i, row in enumerate(rows):
+            f = row.pop(0)
+            rows[i] = [(p * u - f * w) // prev for u, w in zip(row, top)]
+        rows.insert(c, top)
+        prev = p
+    if prev < 0:
+        rows = [[-u for u in row] for row in rows]
+    return abs(prev), rows
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

@@ -18,9 +18,10 @@ y = R_A2 w and x = -(A1^{-1} - I)^{-1} w = (I + R_A1) w, so the pairing is
 -w^t (I + R_A1 + R_A2)^t J w'; 2 (I + R_A1 + R_A2) is the sum of the Cayley
 transforms (A + I)(A - I)^{-1} of A1 and A2. ``tau_cocycle_defect``
 evaluates its four values this way (the Cayley path) when all five A - I
-it needs, for A1, A2, A3, A1 A2 and A2 A3, are invertible; ``tau`` and
-``tau_form`` always use the kernel above, as one pair alone gains nothing
-from the resolvents.
+it needs, for A1, A2, A3, A1 A2 and A2 A3, are invertible, reading each
+Gram off the rows of a Gauss-Jordan solve; ``tau`` and ``tau_form`` always
+use the kernel above, as one pair alone gains nothing from the
+resolvents.
 
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
@@ -152,32 +153,34 @@ def _tau(left: Rows, right: Side, block: Rows) -> tuple[int, list[int]]:
     return _bounded(_signature(form), len(left)), pivots
 
 
-Resolvent = tuple[int, list[list[int]]]  # (|d|, the columns of N = |d| (A - I)^-1)
+Resolvent = tuple[int, list[list[int]]]  # (|d|, the rows of N = |d| (A - I)^-1)
 
 
 def _cayley(a: Resolvent, b: Resolvent) -> int:
     """tau(A, B) from the resolvents of A and B, when A - I and B - I are
-    invertible: the signature of -(|d_A d_B| I + |d_B| N_A + |d_A| N_B)^t J,
+    invertible: the signature of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B,
     |d_A d_B| times Meyer's form on W = R^2g (see ``tau_cocycle_defect``).
-    Row i of -S^t J is column i of S with its halves swapped, the new lower
-    one negated."""
+    -S^t J is symmetric, so it equals its transpose J S: S's lower half,
+    then its upper half negated, with no transpose taken."""
     (da, na), (db, nb) = a, b
     k, g = da * db, len(na) // 2
-    gram = []
+    s = []
     for i, (u, w) in enumerate(zip(na, nb)):
-        col = [db * x + da * y for x, y in zip(u, w)]
-        col[i] += k
-        gram.append((*col[g:], *[-t for t in col[:g]]))
-    return _bounded(_signature(_symmetric(tuple(gram))), len(na))
+        row = [db * x + da * y for x, y in zip(u, w)]
+        row[i] += k
+        s.append(row)
+    gram = (*map(tuple, s[g:]), *(tuple(-t for t in row) for row in s[:g]))
+    return _bounded(_signature(_symmetric(gram)), len(na))
 
 
 def _resolvents(
     a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement, minus: Sequence[Rows]
 ) -> list[Resolvent] | None:
-    """The resolvents of A1, A2, A3, A1 A2 and A2 A3, from ``minus``, the rows
-    of the first three A - I, or ``None`` at the first singular A - I. Those
-    of the products solve A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
-    A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1."""
+    """The resolvents, as rows, of A1, A2, A3, A1 A2 and A2 A3, from
+    ``minus``, the rows of the first three A - I, or ``None`` at the first
+    singular A - I. Those of the products solve A2 - A1^-1 = A1^-1 (A1 A2 - I)
+    against A1^-1 and A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1; each of
+    the five is one ``_solve``, a Gauss-Jordan pass on [X | Y]."""
     eye = _identity(len(a1.mat))
     inv1, inv2 = (_inverse_minus(a.mat, 0) for a in (a1, a2))
     systems = [*((m, eye) for m in minus), (_minus(a2.mat, inv1), inv1), (_minus(a3.mat, inv2), inv2)]
@@ -221,15 +224,18 @@ def tau_cocycle_defect(
 
     No two elements are multiplied. The pivot pass on A2 - I runs first and
     gives Q2. When |Q2| = 2g, the Cayley path (see the module docstring)
-    takes the resolvents N_X = |d_X| (X - I)^-1, integer matrices, of
-    X = A1, A2, A3, A1 A2 and A2 A3 from five ``_solve``s, those of the
-    products as A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
+    takes the rows of the resolvents N_X = |d_X| (X - I)^-1, integer
+    matrices, of X = A1, A2, A3, A1 A2 and A2 A3 from five ``_solve``s, each
+    one Gauss-Jordan pass, those of the products as
+    A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
     A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1. Each value tau(A, B) is
-    then the signature of -(|d_A d_B| I + |d_B| N_A + |d_A| N_B)^t J
-    (``_cayley``), |d_A d_B| > 0 times Meyer's form on W = R^2g; N_A1, N_A2
-    and N_A3 each serve two of the four pairs. A singular solve sends the
-    defect to the kernel path, as does |Q2| < 2g, which rank(A2 - I) < 2g
-    forces: a product of k < 2g transvections always takes the kernel path.
+    then the signature of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B
+    (``_cayley``), which is -S^t J, |d_A d_B| > 0 times Meyer's form on
+    W = R^2g; N_A1, N_A2 and N_A3 each serve two of the four pairs. Besides
+    the five solves, this path runs one forward elimination, the pivot
+    pass. A singular solve sends the defect to the kernel path, as does
+    |Q2| < 2g, which rank(A2 - I) < 2g forces: a product of k < 2g
+    transvections always takes the kernel path.
 
     On the kernel path five forward eliminations run, and no 2g x 2g
     product is built: the pivot pass, and four joint ones through

@@ -148,8 +148,9 @@ MUTANTS = (
     Mutant(
         "kernel-skip-zero-rows",
         "exactnum.py",
-        "            f = row.pop(0)\n",
-        "            f = row.pop(0)\n            if f == 0:\n                continue\n",
+        "            f = row.pop(0)\n            rows[i] = [(p * x - f * y)",
+        "            f = row.pop(0)\n            if f == 0:\n                continue\n"
+        "            rows[i] = [(p * x - f * y)",
         (EXACT + "test_kernel_of_tau_matrices_is_the_rref_kernel",),
     ),
     Mutant(
@@ -261,41 +262,66 @@ MUTANTS = (
     ),
     # the Cayley path of the defect: the solve, the form and its checks
     Mutant(
-        "solve-accepts-a-singular-x",  # a pivot in Y's columns read as one of X's
+        "solve-accepts-a-singular-x",  # a column without a pivot skipped, not refused
         "exactnum.py",
-        "if len(steps) < n or steps[n - 1][0] >= n:",
-        "if len(steps) < n:",
+        "        else:\n            return None\n",
+        "        else:\n            continue\n",
         (EXACT + "test_solve_is_the_determinant_times_the_inverse",),
     ),
     Mutant(
         "solve-unsigned-seed",  # -|d| X^-1 Y
         "exactnum.py",
-        "        v[j] = -d\n",
-        "        v[j] = d\n",
+        "    if prev < 0:\n",
+        "    if prev > 0:\n",
         (EXACT + "test_solve_is_the_determinant_times_the_inverse",
          MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible"),
     ),
     Mutant(
+        "solve-unsigned-rows",  # d X^-1 Y: a negative last pivot kept in the rows
+        "exactnum.py",
+        "    if prev < 0:\n        rows = [[-u for u in row] for row in rows]\n",
+        "",
+        (EXACT + "test_solve_is_the_determinant_times_the_inverse",
+         EXACT + "test_solve_matches_the_oracle_on_big_entries"),
+    ),
+    Mutant(
+        "solve-forward-only",  # the rows above the pivot left as they are
+        "exactnum.py",
+        "        for i, row in enumerate(rows):\n            f = row.pop(0)\n            rows[i] = [(p * u",
+        "        for i, row in enumerate(rows[c:], c):\n            f = row.pop(0)\n"
+        "            rows[i] = [(p * u",
+        (EXACT + "test_solve_is_the_determinant_times_the_inverse",
+         EXACT + "test_solve_matches_the_oracle_on_big_entries"),
+    ),
+    Mutant(
         "cayley-drops-identity",  # -(R_A + R_B)^t J
         "meyer.py",
-        "        col[i] += k\n",
-        "        col[i] += 0\n",
+        "        row[i] += k\n",
+        "        row[i] += 0\n",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
     Mutant(
         "cayley-unsigned-swap",  # J's halves swapped without the sign
         "meyer.py",
-        "gram.append((*col[g:], *[-t for t in col[:g]]))",
-        "gram.append((*col[g:], *col[:g]))",
+        "*(tuple(-t for t in row) for row in s[:g]))",
+        "*map(tuple, s[:g]))",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "cayley-rows-without-j",  # S's rows as the Gram
+        "meyer.py",
+        "gram = (*map(tuple, s[g:]), *(tuple(-t for t in row) for row in s[:g]))",
+        "gram = tuple(map(tuple, s))",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
     Mutant(
         "cayley-one-scale",  # |d_A| for both scales
         "meyer.py",
-        "col = [db * x + da * y for x, y in zip(u, w)]",
-        "col = [da * x + da * y for x, y in zip(u, w)]",
+        "row = [db * x + da * y for x, y in zip(u, w)]",
+        "row = [da * x + da * y for x, y in zip(u, w)]",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
@@ -310,8 +336,8 @@ MUTANTS = (
     Mutant(
         "cayley-unbounded",
         "meyer.py",
-        "    return _bounded(_signature(_symmetric(tuple(gram))), len(na))",
-        "    return _signature(_symmetric(tuple(gram)))",
+        "    return _bounded(_signature(_symmetric(gram)), len(na))",
+        "    return _signature(_symmetric(gram))",
         (MEYER + "test_cocycle_defect_checks_each_value_against_the_bound",),
     ),
     # the group layer: the one power loop and the powers of SL2Word.evaluate,

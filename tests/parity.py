@@ -121,10 +121,7 @@ def solve_family() -> Iterator[str]:
             m = r.randint(1, n + 2)
             seeded = [[r.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(n)]
             for y in (eye, seeded):
-                solved = _solve(x, y)
-                if solved is not None:
-                    solved = (solved[0], [list(row) for row in zip(*solved[1])])
-                yield f"{x} {y} {solved}"
+                yield f"{x} {y} {_solve(x, y)}"
 
 
 FAMILIES = {

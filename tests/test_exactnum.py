@@ -241,7 +241,7 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
 
 
 def test_solve_is_the_determinant_times_the_inverse():
-    # (|det X|, the columns of |det X| X^-1 Y), or None for a singular X:
+    # (|det X|, the rows of |det X| X^-1 Y), or None for a singular X:
     # one X in five has a column zeroed, and one a row repeated
     r = random.Random(3031)
     singular = 0
@@ -260,12 +260,45 @@ def test_solve_is_the_determinant_times_the_inverse():
                 assert solved is None, (x, y)
                 singular += 1
                 continue
-            d, columns = solved
+            d, rows = solved
             assert d == abs(det)
-            assert oracle.transpose(columns) == [
-                [d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)
-            ]
+            assert rows == [[d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)]
     assert singular == 35  # of 90
+
+
+@st.composite
+def solve_system(draw):
+    """A square X up to 5 x 5 and a Y of 1 to 6 columns, with entries of up
+    to 3, 40 or 300 bits; X may have one row replaced by a combination of
+    the others, which makes it singular, and may have its first row negated,
+    which flips the sign of det X."""
+    n = draw(st.integers(1, 5))
+    bound = 2 ** draw(st.sampled_from([3, 40, 300]))
+    entry = st.integers(-bound, bound)
+    x = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = draw(st.integers(1, 6))
+    y = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        factors = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        factors[i] = 0
+        x[i] = [sum(f * row[j] for f, row in zip(factors, x)) for j in range(n)]
+    if draw(st.booleans()):
+        x[0] = [-v for v in x[0]]
+    return x, y
+
+
+@given(system=solve_system())
+def test_solve_matches_the_oracle_on_big_entries(system):
+    # None on exactly the singular X; otherwise |det X| and the rows of
+    # |det X| X^-1 Y, whatever the sign of det X
+    x, y = system
+    det, solved = oracle.determinant(x), _solve(x, y)
+    assert (solved is None) == (det == 0)
+    if solved is not None:
+        d, rows = solved
+        assert d == abs(det)
+        assert rows == [[d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)]
 
 
 @st.composite

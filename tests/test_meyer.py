@@ -221,7 +221,8 @@ def test_cocycle_defect_random(seeded):
 def _defect_triples(r: random.Random) -> list:
     """Three seeded triples per genus 1-6, each with the degenerate triples
     built from it, then three of products of 2g + 4 transvections per genus
-    1-3, whose A - I are mostly invertible, as the Cayley path needs."""
+    1-3 and one at genus 4, whose A - I are mostly invertible, as the Cayley
+    path needs."""
     triples = []
     for g in range(1, 7):
         eye = SymplecticElement.identity(g)
@@ -232,6 +233,7 @@ def _defect_triples(r: random.Random) -> list:
     for g in range(1, 4):
         triples += [tuple(random_transvection_product(r, g, 2 * g + 4) for _ in range(3))
                     for _ in range(3)]
+    triples.append(tuple(random_transvection_product(r, 4, 12) for _ in range(3)))
     return triples
 
 
@@ -278,8 +280,10 @@ def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
         assert _resolvent(a) is None
     r = random.Random(3030)
     invertible, values = Counter(), set()
-    for g, length in ((1, 3), (1, 6), (2, 5), (2, 8), (3, 6), (3, 10)):
-        for _ in range(12):
+    cases = [(1, 3, 12), (1, 6, 12), (2, 5, 12), (2, 8, 12), (3, 6, 12), (3, 10, 12),
+             (4, 12, 2), (6, 16, 2)]
+    for g, length, pairs in cases:
+        for _ in range(pairs):
             a, b = (random_transvection_product(r, g, length) for _ in range(2))
             ra, rb = _resolvent(a), _resolvent(b)
             if ra is None or rb is None:
@@ -289,7 +293,7 @@ def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
             assert meyer._cayley(ra, _resolvent(a.inverse())) == 0
             invertible[g] += 1
             values.add(tau(a, b))
-    assert invertible == {1: 23, 2: 24, 3: 24}  # of 24 pairs per genus
+    assert invertible == {1: 23, 2: 24, 3: 24, 4: 2, 6: 2}  # of 24 pairs per genus, 2 at g = 4 and 6
     assert len(values) >= 3  # a sample of zeros would check nothing
 
 
@@ -310,10 +314,11 @@ def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
         assert [value for _, value in seen] == evaluated == named
         paths[_path(seen), a1.g] += 1
         nonzero += any(named)
-    assert nonzero == 55  # of 137 triples
-    # the Cayley path at g <= 3 wherever every A - I is invertible, the
+    assert nonzero == 56  # of 138 triples
+    # the Cayley path at g <= 4 wherever every A - I is invertible, the
     # kernel path elsewhere: the last two triples take one each
-    assert paths == {("cayley", 1): 7, ("cayley", 2): 4, ("cayley", 3): 3, ("kernel", 1): 19,
+    assert paths == {("cayley", 1): 7, ("cayley", 2): 4, ("cayley", 3): 3, ("cayley", 4): 1,
+                     ("kernel", 1): 19,
                      ("kernel", 2): 20, ("kernel", 3): 21, ("kernel", 4): 21, ("kernel", 5): 21,
                      ("kernel", 6): 21}
 
@@ -338,25 +343,31 @@ def test_cocycle_defect_forms_are_tau_form_of_its_four_pairs(monkeypatch):
             continue
         assert [form for form, _ in seen] == expected
         narrowed += oracle.rank(meyer._minus_one(a1)) < 2 * a1.g
-    assert cayley == 11  # of 135 triples
+    assert cayley == 12  # of 136 triples
     assert narrowed == 105  # of 124 on the kernel path, where (A1 - I)_P1 has fewer columns than A1 - I
 
 
 def test_cocycle_defect_counts_its_eliminations_on_each_path(monkeypatch):
     # the pivot pass on A2 - I, then on the Cayley path the five solves of
-    # X - I for X = A1, A2, A3, A1 A2 and A2 A3, and on the kernel path the
-    # four joint eliminations: those of tau(a1, a2) and tau(a3, a2) give the
-    # pivot columns of A1 - I and A3 - I; a singular solve falls back to the
+    # X - I for X = A1, A2, A3, A1 A2 and A2 A3, each its own Gauss-Jordan
+    # pass and no _echelon, and on the kernel path the four joint
+    # eliminations: those of tau(a1, a2) and tau(a3, a2) give the pivot
+    # columns of A1 - I and A3 - I; a singular solve falls back to the
     # kernel path after the solves before it
     r = random.Random(6)
-    echelon, calls = exactnum._echelon, []
+    echelon, solve, calls = exactnum._echelon, exactnum._solve, Counter()
 
-    def counted(rows):
-        calls.append(len(rows))
+    def counted_echelon(rows):
+        calls["echelon"] += 1
         return echelon(rows)
 
-    monkeypatch.setattr(exactnum, "_echelon", counted)
-    monkeypatch.setattr(meyer, "_echelon", counted)
+    def counted_solve(x, y):
+        calls["solve"] += 1
+        return solve(x, y)
+
+    monkeypatch.setattr(exactnum, "_echelon", counted_echelon)
+    monkeypatch.setattr(meyer, "_echelon", counted_echelon)
+    monkeypatch.setattr(meyer, "_solve", counted_solve)
     seen = _record_cores(monkeypatch)
     counts = []
     for g in (1, 1, 2, 2, 4, 6):
@@ -364,17 +375,18 @@ def test_cocycle_defect_counts_its_eliminations_on_each_path(monkeypatch):
         calls.clear()
         seen.clear()
         assert tau_cocycle_defect(a, b, c) == 0
-        counts.append((g, _path(seen), len(calls)))
+        counts.append((g, _path(seen), calls["echelon"], calls["solve"]))
         calls.clear()
         tau(a, b)
-        assert len(calls) == 2, g
+        assert calls == {"echelon": 2}, g
     # A1 A2 = I: three solves, the fourth singular, then the kernel path
     calls.clear()
     seen.clear()
     assert tau_cocycle_defect(HYPERBOLIC, HYPERBOLIC.inverse(), HYPERBOLIC) == 0
-    counts.append((1, _path(seen), len(calls)))
-    assert counts == [(1, "cayley", 6), (1, "cayley", 6), (2, "cayley", 6), (2, "cayley", 6),
-                      (4, "kernel", 5), (6, "kernel", 5), (1, "kernel", 9)]
+    counts.append((1, _path(seen), calls["echelon"], calls["solve"]))
+    assert counts == [(1, "cayley", 1, 5), (1, "cayley", 1, 5), (2, "cayley", 1, 5),
+                      (2, "cayley", 1, 5), (4, "kernel", 5, 0), (6, "kernel", 5, 0),
+                      (1, "kernel", 5, 4)]
 
 
 def test_cocycle_defect_multiplies_no_elements(monkeypatch):
