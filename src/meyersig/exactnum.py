@@ -257,10 +257,10 @@ def _solve(
     yet pivoted on that is nonzero in column c and replaces every other row
     r, those above it as well as those below, by (p*r - r[c]*top) / prev,
     the step of ``_echelon`` (exact by Sylvester's identity). A row pivoted
-    on keeps p in its own column, so after n steps the rows, in the order of
-    their pivot columns, are [d I | d X^-1 Y]; X's columns are dropped as
-    they are eliminated. The rows are negated if d < 0; ``meyer`` reads the
-    resolvents |d| (A - I)^-1 off them.
+    on holds the latest pivot in its own column, so after n steps the rows,
+    in the order of their pivot columns, are [d I | d X^-1 Y]; X's columns
+    are dropped as they are eliminated. The rows are negated if d < 0;
+    ``meyer`` reads the resolvents |d| (A - I)^-1 off them.
     """
     n = len(x)
     rows = [[*u, *w] for u, w in zip(x, y)]

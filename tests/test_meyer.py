@@ -274,8 +274,8 @@ HYPERBOLIC = SymplecticElement([[2, 1], [1, 1]])  # A - I and A^2 - I invertible
 def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
     # when A - I and B - I are invertible, W = R^2g and Meyer's form is
     # -(I + R_A + R_B)^t J, R_X = (X - I)^-1; rank(A - I) is at most the
-    # number of transvections in A, so g = 3 needs six or more; a singular
-    # A - I has no resolvent
+    # number of transvections in A, so g = 3 needs six or more, and g = 4
+    # and 6 draw 2g + 4; a singular A - I has no resolvent
     for a in (SymplecticElement.identity(2), TWIST, direct_sum(HYPERBOLIC, TWIST)):
         assert _resolvent(a) is None
     r = random.Random(3030)
@@ -318,9 +318,8 @@ def test_cocycle_defect_shares_the_four_tau_values(monkeypatch):
     # the Cayley path at g <= 4 wherever every A - I is invertible, the
     # kernel path elsewhere: the last two triples take one each
     assert paths == {("cayley", 1): 7, ("cayley", 2): 4, ("cayley", 3): 3, ("cayley", 4): 1,
-                     ("kernel", 1): 19,
-                     ("kernel", 2): 20, ("kernel", 3): 21, ("kernel", 4): 21, ("kernel", 5): 21,
-                     ("kernel", 6): 21}
+                     ("kernel", 1): 19, ("kernel", 2): 20, ("kernel", 3): 21, ("kernel", 4): 21,
+                     ("kernel", 5): 21, ("kernel", 6): 21}
 
 
 def test_cocycle_defect_forms_are_tau_form_of_its_four_pairs(monkeypatch):
