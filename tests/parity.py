@@ -37,6 +37,7 @@ if __name__ == "__main__":  # under pytest, the package comes from the test path
 from meyersig import (  # noqa: E402
     SL2Word,
     SymplecticElement,
+    phi1,
     phi1_word,
     random_transvection_product,
     sl2_word,
@@ -82,6 +83,52 @@ def sl2_word_family() -> Iterator[str]:
         yield f"{word} {SL2Word(tuple(word)).evaluate().mat}"
 
 
+def _word_matrix(word: list[tuple[str, int]]) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of the product of the word, multiplied as ints:
+    S^e as e mod 4 factors S, T^e as the one factor [[1, e], [0, 1]]."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, e in word:
+        if gen == "S":
+            for _ in range(e % 4):
+                a, b, c, d = b, -a, d, -c
+        else:
+            b, d = a * e + b, c * e + d
+    return a, b, c, d
+
+
+def _fibonacci(n: int) -> tuple[int, int, int, int]:
+    """[[F(n+1), F(n)], [F(n), F(n-1)]], of determinant (-1)^n."""
+    f_prev, f = 0, 1
+    for _ in range(n - 1):
+        f_prev, f = f, f + f_prev
+    return f + f_prev, f, f, f_prev
+
+
+def phi1_family() -> Iterator[str]:
+    """``phi1`` on every SL(2,Z) matrix with entries in [-6, 6], the
+    Fibonacci matrices of even n <= 320, seeded words of up to 6 syllables
+    with exponents of +-2, of at most 6 and of up to 10^6 in absolute value,
+    and [[1, 0], [-n, 1]] for n = 1..10^4, whose reduction takes n steps."""
+    span = range(-6, 7)
+    small = [m for m in itertools.product(span, repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
+    r = random.Random(20286)
+    words = [
+        [
+            (r.choice("ST"), r.choice((r.choice((-2, 2)), r.randint(-6, 6), r.randint(-(10**6), 10**6))))
+            for _ in range(r.randint(0, 6))
+        ]
+        for _ in range(1500)
+    ]
+    matrices = [
+        *small,
+        *(_fibonacci(n) for n in range(2, 321, 2)),
+        *map(_word_matrix, words),
+        *((1, 0, -n, 1) for n in range(1, 10**4 + 1)),
+    ]
+    for a, b, c, d in matrices:
+        yield f"{(a, b, c, d)} {phi1([[a, b], [c, d]])}"
+
+
 def power_family() -> Iterator[str]:
     """``x ** e`` for e in -5..5 on seeded elements at g = 1-6."""
     r = random.Random(20283)
@@ -125,6 +172,7 @@ def solve_family() -> Iterator[str]:
 
 
 FAMILIES = {
+    "phi1": phi1_family,
     "phi1-word": phi1_word_family,
     "sl2-word": sl2_word_family,
     "power": power_family,
@@ -133,8 +181,9 @@ FAMILIES = {
 }
 
 # the lines of each family's Tier-1 slice: tau's reach g = 2, solve's n = 4,
-# the others take tens of milliseconds each
-SLICE = {"phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80}
+# phi1's the small matrices, the Fibonacci ones and 300 words; the others
+# take tens of milliseconds each
+SLICE = {"phi1": 832, "phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80}
 
 
 def digest(family: str, lines: int | None = None) -> str:
