@@ -12,6 +12,7 @@ and byte-stable for fixed inputs.
 Exit codes: 0 success, 2 input error, 3 contract violation. A numeral the
 grammar refuses (read through an argparse ``type``) raises ``InvalidInput``
 out of ``parse_args``: one ``error:`` line and exit 2, as for a bad file.
+A ``MemoryError`` ends the same way, as a backstop behind the library.
 Every call loads ``meyersig.exactnum``: the numeral grammar and the argument
 checks, and with them tau's linear algebra. Beyond it, each handler imports
 only the layer it runs, ``json`` loads only for --json output or a ledger
@@ -240,5 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInput, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InvalidInput) else EXIT_CONTRACT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
     print(out)
     return EXIT_OK

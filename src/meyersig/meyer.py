@@ -31,10 +31,10 @@ the relators S^4 and (ST)^6 and solves the two results for phi(S) and phi(T).
 ``phi1`` itself evaluates the closed form -Phi/3 + eps, with Rademacher's
 integer function Phi (Atiyah 1987, "The logarithm of the Dedekind
 eta-function"; Kirby-Melvin 1994, "Dedekind sums, mu-invariants and the
-signature cocycle") folded in ints inside the Euclidean reduction of its
-argument, so it evaluates no tau; ``phi1_base``, cached once per process,
-also checks the closed form against the solved generator values, so every
-number stays traceable to the cocycle.
+signature cocycle") folded in ints on the first column of its argument's
+Euclidean reduction (derived in ``symplectic``), so it evaluates no tau;
+``phi1_base``, cached once per process, also checks the closed form against
+the solved generator values, so every number stays traceable to the cocycle.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ from .symplectic import (
     _inverse_minus,
     _matmul,
     _power,
-    _sl2_reduce,
+    _rademacher,
+    _sl2_entries,
     _syllable,
     gen_S,
     gen_T,
@@ -355,11 +356,11 @@ def _sign(x: int) -> int:
 
 
 def _phi1_closed_form(m: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
-    """-Phi(A)/3 + eps(A) for A = [[a, b], [c, d]] read by ``_sl2_reduce``;
+    """-Phi(A)/3 + eps(A) for A = [[a, b], [c, d]] read by ``_sl2_entries``;
     eps = sign(c(a + d - 2)) for c != 0 and sign(b(d + 1)) for c = 0."""
-    (a, b, c, d), _, _, rademacher = _sl2_reduce(m)
+    a, b, c, d = _sl2_entries(m)
     eps = _sign(c * (a + d - 2)) if c else _sign(b * (d + 1))
-    return Fraction(3 * eps - rademacher, 3)
+    return Fraction(3 * eps - _rademacher(a, b, c, d), 3)
 
 
 def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
@@ -370,8 +371,9 @@ def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
     not 2x2 of determinant 1 raises ``NotUnimodular``.
 
     phi1(A) = -Phi(A)/3 + eps(A), with Rademacher's integer function Phi
-    folded in ints inside the Euclidean reduction of A (``_sl2_reduce``); no
-    word is normalized and no tau is evaluated. Each call then reads
+    folded in ints on the first column of A (``symplectic._rademacher``), in
+    O(log |c|) steps; no quotient is kept, no word is built and no tau is
+    evaluated. Each call then reads
     ``phi1_base()``, whose one solve per process checks the closed form
     against the generator values and raises ``InconsistentRelations`` if they
     differ; ``phi1_word(sl2_word(A))`` is the derivation it agrees with.

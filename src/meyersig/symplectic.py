@@ -8,6 +8,32 @@ sign of the signature cocycle globally.
 A transvection here is x -> x + (x^t J v) v. For v = e_1 at genus 1 this is
 [[1, -1], [0, 1]], the homology image of the *inverse* of a right-handed
 Dehn twist; the twist itself is its inverse.
+
+The Euclidean reduction of A = [[a, b], [c, d]] in SL(2,Z) strips T^q S from
+the left while c != 0, q = a // c: S^-1 T^-q [[a, b], [c, d]] = [[c, d],
+[-r, q d - b]], r = a mod c, so the first column (a, c) goes to (c, -r) on
+its own. Then A = T^q_1 S ... T^q_k S S^s T^b', s = 0 or 2. After the first
+step the first column has opposite signs and |c| < |a|, so every later
+q <= -2, and |c| falls by at least 1 per step: at most |c| steps, exactly n
+for [[1, 0], [-n, 1]] (q = -1, -2, ..., -2). X_j = T^q_1 S ... T^q_j S has
+lower row (c_j, -c_(j-1)), c_j = q_j c_(j-1) - c_(j-2) from c_0 = 0, c_1 = 1,
+and the c_j alternate in sign and grow.
+
+The tail. A = +-X_k T^b' (S^2 = -I), so (c, d) = +-(c_k, c_k b' - c_(k-1))
+and d/c = b' - c_(k-1)/c_k with c_(k-1)/c_k in (-1, 0]: b' = d // c. For
+c = 0 there is no step and A = +-T^(+-b): b' = a b.
+
+Rademacher's Phi (``meyer``'s closed form) follows from Phi(T^n) = n,
+Phi(S^m) = 0 and Phi(XY) = Phi(X) + Phi(Y) - 3 sign(c_X c_Y c_XY): T^q adds q
+and the S ending X_j adds -3 sign(c_(j-1) c_j), 0 for j = 1 and +3 after, so
+Phi(A) = -3 + sum_j (q_j + 3) + b' for c != 0 and a b for c = 0.
+
+Runs of -2. A step with q = -2 takes (a, c), of opposite signs with |c| <
+|a| <= 2|c|, to (c, -(a + 2c)): e = |a| - |c| stays fixed and |c| falls by
+e, so the run goes on while |c| >= e. One divmod(|c|, e) gives its length k,
+each step adding 1 to Phi, and the |c| it leaves; the next q is <= -3.
+Negating the column keeps every later quotient, divmod(-a, -c) = (q, -r),
+so the fold may resume after the run from either sign of the column.
 """
 
 from __future__ import annotations
@@ -228,61 +254,65 @@ class SL2Word(Record):
         return "".join(self.letters())
 
 
-def _sl2_reduce(
-    a: SymplecticElement | Iterable[Iterable[int]],
-) -> tuple[tuple[int, int, int, int], list[int], tuple[int, int], int]:
-    """Read a 2x2 matrix A of determinant 1 from int rows (``_int_matrix``), or
-    raise ``NotUnimodular``; return its entries (a, b, c, d), the quotients
-    q_1..q_k and tail (s, b') of one Euclidean reduction A = T^q_1 S ...
-    T^q_k S S^s T^b' (s is 0 or 2), and Rademacher's integer function Phi(A).
-
-    Each step takes q, r = divmod(a, c) of the remainder's first column. Its
-    |c| falls by at least 1 per step, so there are at most |c| steps: few for
-    large quotients, but n for [[1, 0], [-n, 1]] (q = -1, -2, ..., -2).
-
-    Phi is folded from Phi(T^n) = n, Phi(S^k) = 0 and Phi(XY) = Phi(X) +
-    Phi(Y) - 3 sign(c_X c_Y c_XY), c the lower-left entry. With X_k the product
-    of the first k steps, T^q adds q and S adds -3 sign(c_(k-1) c_k): 0 for
-    k = 1, as c_0 = 0. After the first step the remainder's first column has
-    opposite signs and |c| < |a|, so every later q <= -2, and c_k = q_k c_(k-1)
-    - c_(k-2) from c_0 = 0, c_1 = 1 alternates in sign and grows: every later
-    S adds +3.
-    """
+def _sl2_entries(a: SymplecticElement | Iterable[Iterable[int]]) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of a 2x2 matrix of determinant 1 read from
+    int rows (``_int_matrix``), or ``NotUnimodular``."""
     mat = a.mat if isinstance(a, SymplecticElement) else _int_matrix(a)
     if len(mat) != 2 or any(len(row) != 2 for row in mat):
         raise NotUnimodular("need a 2x2 matrix")
     (aa, bb), (cc, dd) = mat
     if aa * dd - bb * cc != 1:
         raise NotUnimodular("determinant must be 1")
-    entries = (aa, bb, cc, dd)
+    return aa, bb, cc, dd
 
+
+def _sl2_reduce(
+    a: SymplecticElement | Iterable[Iterable[int]],
+) -> tuple[list[int], tuple[int, int]]:
+    """The quotients q_1..q_k and the tail (s, b') of the Euclidean reduction
+    A = T^q_1 S ... T^q_k S S^s T^b' of A, read by ``_sl2_entries`` (see the
+    module docstring). One step per quotient, so up to |c| of them."""
+    aa, bb, cc, dd = _sl2_entries(a)
+    tail = dd // cc if cc else aa * bb
     quotients: list[int] = []
-    phi = -3 if cc else 0  # the first S adds no correction
-    # invariant: input = T^q_1 S ... T^q_j S [[aa, bb], [cc, dd]], and for
-    # j >= 1 phi = Phi(T^q_1 S ... T^q_j S)
     while cc:
         q, r = divmod(aa, cc)
         quotients.append(q)
-        phi += q + 3
-        # S^-1 T^-q [[aa, bb], [cc, dd]] = [[cc, dd], [-r, q dd - bb]]
-        aa, bb, cc, dd = cc, dd, -r, q * dd - bb
-    if aa != 1:  # aa == dd == -1, the remainder is -T^-bb = S^2 T^-bb
-        bb = -bb
-    return entries, quotients, (1 - aa, bb), phi + bb
+        aa, cc = cc, -r
+    return quotients, (1 - aa, tail)  # aa is 1, or -1 when the remainder is -T^-b
+
+
+def _rademacher(a: int, b: int, c: int, d: int) -> int:
+    """Rademacher's Phi of [[a, b], [c, d]] in SL(2,Z), folded on the first
+    column alone, each run of quotients -2 in one divmod (see the module
+    docstring): O(log |c|) steps, and no quotient is kept."""
+    if not c:
+        return a * b
+    aa, cc, phi = a, c, -3  # the first S adds no correction
+    while cc:
+        q, r = divmod(aa, cc)
+        if q == -2:  # a run; e is |aa| - |cc| with the sign of cc
+            e = -aa - cc
+            k, r = divmod(cc, e)
+            phi += k
+            aa, cc = -r - e, r
+        else:
+            phi += q + 3
+            aa, cc = cc, -r
+    return phi + d // c
 
 
 def sl2_word(a: SymplecticElement | Iterable[Iterable[int]]) -> SL2Word:
     """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
 
     The word is T^q S for each quotient q of the Euclidean reduction
-    (``_sl2_reduce``), then S^2 for -I and T^b. The reduction's invariant, that
-    only the first quotient can be 0 and every later one is <= -2, makes this
-    the normal form as it is built: T^0 is dropped, a last S merges with the
-    S^2 into S^3, and no two adjacent syllables share a generator. It has at
-    most 2|c| + 2 syllables, and its length ``len()`` sums their exponents:
-    [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
+    (``_sl2_reduce``), then S^2 for -I and T^b'. As every quotient after the
+    first is <= -2, this is the normal form as it is built: T^0 is dropped, a
+    last S merges with the S^2 into S^3, and no two adjacent syllables share
+    a generator. It has at most 2|c| + 2 syllables, and its length ``len()``
+    sums their exponents: [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
     """
-    _, quotients, (s, b), _ = _sl2_reduce(a)
+    quotients, (s, b) = _sl2_reduce(a)
     syllables = [(gen, e) for q in quotients for gen, e in (("T", q), ("S", 1)) if e]
     if s and syllables:  # the last syllable is S, and S S^2 = S^3
         syllables[-1] = ("S", 3)

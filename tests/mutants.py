@@ -49,7 +49,7 @@ CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_con
 RECORDS = "tests/test_records.py::test_validation_raises_the_documented_error"
 
 MUTANTS = (
-    # the Euclidean reduction behind phi1 and sl2_word
+    # the Euclidean reduction behind sl2_word and the Rademacher fold behind phi1
     Mutant(
         "reduce-flip-s-correction",
         "symplectic.py",
@@ -67,23 +67,65 @@ MUTANTS = (
     Mutant(
         "reduce-unnegated-remainder",
         "symplectic.py",
-        "aa, bb, cc, dd = cc, dd, -r, q * dd - bb",
-        "aa, bb, cc, dd = cc, dd, r, q * dd - bb",
+        "quotients.append(q)\n        aa, cc = cc, -r",
+        "quotients.append(q)\n        aa, cc = cc, r",
         (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
     Mutant(
-        "reduce-drop-tail-negation",
+        "reduce-drop-tail-negation",  # -T^-b read as S^2 T^b
         "symplectic.py",
-        "        bb = -bb\n    return entries",
-        "        pass\n    return entries",
+        "tail = dd // cc if cc else aa * bb",
+        "tail = dd // cc if cc else bb",
         (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
     Mutant(
         "reduce-drop-tail-from-phi",
         "symplectic.py",
-        "(1 - aa, bb), phi + bb",
-        "(1 - aa, bb), phi",
+        "return phi + d // c",
+        "return phi",
         (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "reduce-tail-by-ceiling",
+        "symplectic.py",
+        "tail = dd // cc if cc",
+        "tail = -(-dd // cc) if cc",
+        (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
+    ),
+    Mutant(
+        "rademacher-tail-by-ceiling",
+        "symplectic.py",
+        "return phi + d // c",
+        "return phi - (-d // c)",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "rademacher-unsigned-tail-at-c0",  # a b read as b when c = 0
+        "symplectic.py",
+        "return a * b",
+        "return b",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "rademacher-unnegated-remainder",
+        "symplectic.py",
+        "phi += q + 3\n            aa, cc = cc, -r",
+        "phi += q + 3\n            aa, cc = cc, r",
+        (REFERENCE, MEYER + "test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci"),
+    ),
+    Mutant(
+        "rademacher-run-length-minus-one",
+        "symplectic.py",
+        "phi += k\n",
+        "phi += k - 1\n",
+        (REFERENCE, MEYER + "test_rademacher_folds_a_run_of_minus_two_in_one_step"),
+    ),
+    Mutant(
+        "rademacher-run-resumes-with-one-sign",  # the column after a run not of opposite signs
+        "symplectic.py",
+        "aa, cc = -r - e, r",
+        "aa, cc = r + e, r",
+        (REFERENCE, MEYER + "test_rademacher_fold_matches_the_dedekind_sum_on_big_entries"),
     ),
     # phi1's generator values: solved, checked and tied to the closed form in phi1_base
     Mutant(

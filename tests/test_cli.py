@@ -3,6 +3,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,23 @@ def test_matrix_files_hold_integers(capsys, twist_file, tmp_path, command):
     integral = tmp_path / "integral.txt"
     integral.write_text("2 2\n2/2 -3/3\n0/7 +4/4\n")
     assert run(str(integral)) == run(twist_file)
+
+
+def test_phi1_of_a_long_run_of_minus_two_is_read_at_once(capsys, tmp_path):
+    # [[1, 0], [-10^8, 1]] = S T^(10^8) S^-1: 10^8 quotients -2, folded in one step
+    path = tmp_path / "lower.txt"
+    path.write_text("2 2\n1 0\n-100000000 1\n")
+    start = time.perf_counter()
+    assert run_cli(capsys, "phi1", "--matrix", str(path)) == (0, "-99999997/3\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_memory_error_prints_one_error_line(capsys, twist_file, monkeypatch):
+    def exhausted(a):
+        raise MemoryError
+
+    monkeypatch.setattr(meyer, "phi1", exhausted)
+    assert run_cli(capsys, "phi1", "--matrix", twist_file) == (2, "", "error: out of memory\n")
 
 
 def test_missing_file_is_input_error(capsys):

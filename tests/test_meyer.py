@@ -794,7 +794,7 @@ def _reduces_like_the_reference(matrix):
     (a, b), (c, d) = matrix
     syllables, rademacher = oracle.sl2_reduction(a, b, c, d)
     assert sl2_word(matrix).syllables == syllables, matrix
-    assert symplectic._sl2_reduce(matrix)[-1] == rademacher, matrix
+    assert symplectic._rademacher(a, b, c, d) == rademacher, matrix
 
 
 # Any word with small exponents, and words with exponents up to 10^6 in the
@@ -819,9 +819,38 @@ def test_sl2_reduction_matches_the_reference_on_words(word):
 def test_sl2_reduction_takes_up_to_abs_c_steps():
     # |c| falls by at least 1 per step; [[1, 0], [-n, 1]] = S T^n S^-1 takes n
     for n in (1, 2, 3, 10, 10_000):
-        _, quotients, _, rademacher = symplectic._sl2_reduce([[1, 0], [-n, 1]])
+        quotients, _ = symplectic._sl2_reduce([[1, 0], [-n, 1]])
         assert quotients == [-1] + [-2] * (n - 1)
-        assert rademacher == n - 3  # 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
+        assert symplectic._rademacher(1, 0, -n, 1) == n - 3  # 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
+
+
+def test_rademacher_folds_a_run_of_minus_two_in_one_step(monkeypatch):
+    # the same n - 1 quotients -2, at sizes no step-at-a-time loop could take;
+    # phi1 reads no quotient list
+    def refuse(*args, **kwargs):
+        pytest.fail("phi1 ran the reduction that keeps the quotients")
+
+    monkeypatch.setattr(symplectic, "_sl2_reduce", refuse)
+    for n in (10**9, 10**100):
+        assert symplectic._rademacher(1, 0, -n, 1) == n - 3
+        assert phi1([[1, 0], [-n, 1]]) == Fr(-(n - 3), 3) == phi1_closed_form(1, 0, -n, 1)
+
+
+# Entries of a few hundred bits: words with exponents up to 2^100, and words
+# built around S^s T^n S^-s = [[1, 0], [-s n, 1]], whose reduction holds a run
+# of up to 2^64 quotients -2
+huge_words = st.lists(st.tuples(st.sampled_from("ST"), st.integers(-(2**100), 2**100)), max_size=8)
+run_words = st.lists(
+    st.tuples(st.integers(-(2**40), 2**40), st.sampled_from((1, -1)), st.integers(2, 2**64)),
+    min_size=1,
+    max_size=6,
+).map(lambda parts: [syl for e, s, n in parts for syl in (("T", e), ("S", s), ("T", n), ("S", -s))])
+
+
+@given(word=huge_words | run_words)
+def test_rademacher_fold_matches_the_dedekind_sum_on_big_entries(word):
+    a, b, c, d = _word_product(word)
+    assert phi1([[a, b], [c, d]]) == phi1_closed_form(a, b, c, d)
 
 
 def test_sl2_reduction_matches_the_reference_on_explicit_inputs():
