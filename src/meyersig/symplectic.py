@@ -279,7 +279,7 @@ def _sl2_reduce(
         q, r = divmod(aa, cc)
         quotients.append(q)
         aa, cc = cc, -r
-    return quotients, (1 - aa, tail)  # aa is 1, or -1 when the remainder is -T^-b
+    return quotients, (1 - aa, tail)  # aa = -1: the remainder is -T^b' = S^2 T^b'
 
 
 def _rademacher(a: int, b: int, c: int, d: int) -> int:

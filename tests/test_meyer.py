@@ -821,7 +821,8 @@ def test_sl2_reduction_takes_up_to_abs_c_steps():
     for n in (1, 2, 3, 10, 10_000):
         quotients, _ = symplectic._sl2_reduce([[1, 0], [-n, 1]])
         assert quotients == [-1] + [-2] * (n - 1)
-        assert symplectic._rademacher(1, 0, -n, 1) == n - 3  # 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
+        # Phi = 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
+        assert symplectic._rademacher(1, 0, -n, 1) == n - 3
 
 
 def test_rademacher_folds_a_run_of_minus_two_in_one_step(monkeypatch):
