@@ -162,11 +162,13 @@ def _int_matrix(data: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """``gram`` itself, or ``AsymmetricGram`` if it is not square and symmetric."""
+    """``gram`` itself, or ``AsymmetricGram`` if it is not square and symmetric.
+    Rows must be tuples: once the first row is n long, ``gram`` is compared
+    with its transpose ``tuple(zip(*gram))``."""
     n = len(gram)
     if gram and len(gram[0]) != n:
         raise AsymmetricGram(f"Gram matrix must be square, got {n}x{len(gram[0])}")
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+    if gram != tuple(zip(*gram)):
         raise AsymmetricGram("Gram matrix is not symmetric")
     return gram
 
@@ -335,7 +337,8 @@ def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
 
     Symmetric Bareiss elimination with the step of ``_kernel``. An index
     is live until it is pivoted on; the pivot is the first live nonzero
-    diagonal entry p = g[k][k], and each other live row r becomes
+    diagonal entry p = g[k][k], found by a plain loop over the live indices,
+    and each other live row r becomes
     (p*r - r[k]*(pivot row)) / prev, prev being the pivot before (1 at first).
     Invariant: each live g[i][j] is the minor of the pivots so far bordered
     by row i and column j, so the division is exact and p / prev, the pivot of
@@ -348,8 +351,10 @@ def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
     live = list(range(len(g)))
     sig, prev = 0, 1
     while live:
-        k = next((i for i in live if g[i][i]), None)
-        if k is None:
+        for k in live:
+            if g[k][k]:
+                break
+        else:
             pair = next(((i, j) for i in live for j in live if g[i][j]), None)
             if pair is None:
                 break

@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
@@ -170,7 +170,7 @@ def _cayley(a: Resolvent, b: Resolvent) -> int:
         row = [db * x + da * y for x, y in zip(u, w)]
         row[i] += k
         s.append(row)
-    gram = (*map(tuple, s[g:]), *(tuple(-t for t in row) for row in s[:g]))
+    gram = (*map(tuple, s[g:]), *(tuple(map(neg, row)) for row in s[:g]))
     return _bounded(_signature(_symmetric(gram)), len(na))
 
 

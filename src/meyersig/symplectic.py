@@ -256,11 +256,13 @@ class SL2Word(Record):
 
 def _sl2_entries(a: SymplecticElement | Iterable[Iterable[int]]) -> tuple[int, int, int, int]:
     """The entries (a, b, c, d) of a 2x2 matrix of determinant 1 read from
-    int rows (``_int_matrix``), or ``NotUnimodular``."""
+    int rows (``_int_matrix``), or ``NotUnimodular``. The shape is checked by
+    unpacking the rows into two pairs: any other shape fails the unpack."""
     mat = a.mat if isinstance(a, SymplecticElement) else _int_matrix(a)
-    if len(mat) != 2 or any(len(row) != 2 for row in mat):
-        raise NotUnimodular("need a 2x2 matrix")
-    (aa, bb), (cc, dd) = mat
+    try:
+        (aa, bb), (cc, dd) = mat
+    except ValueError:
+        raise NotUnimodular("need a 2x2 matrix") from None
     if aa * dd - bb * cc != 1:
         raise NotUnimodular("determinant must be 1")
     return aa, bb, cc, dd

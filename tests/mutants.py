@@ -7,7 +7,8 @@ Run from the repository root:
 
 For each mutant the script copies ``src/`` to a temporary directory,
 replaces the one occurrence of ``old`` by ``new`` in ``file`` there, and
-runs the mutant's test ids with ``pytest -x`` against that copy. A mutant
+runs the mutant's test ids with ``pytest -x`` against that copy, printing
+each outcome with its wall time and, last, the counts and the total. A mutant
 is caught when pytest exits 1, a failed test; an exit of 0 (the mutant
 survived) or any other (INTERNALERROR, a usage or collection error) fails
 the run, and the script exits 1. ``test_mutants.py`` checks in Tier-1 that
@@ -22,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -247,6 +249,21 @@ MUTANTS = (
         (EXACT + "test_gram_restrict_rejects_asymmetric_result",),
     ),
     Mutant(
+        "symmetric-against-itself",  # the transpose check passes every square Gram
+        "exactnum.py",
+        "    if gram != tuple(zip(*gram)):",
+        "    if gram != gram:",
+        (EXACT + "test_gram_restrict_rejects_asymmetric_result",
+         EXACT + "test_signature_rejects_asymmetric"),
+    ),
+    Mutant(
+        "signature-first-live-pivot",  # pivots on a zero diagonal entry too
+        "exactnum.py",
+        "            if g[k][k]:\n                break",
+        "            if True:\n                break",
+        (EXACT + "test_signature_against_root_counting_oracle",),
+    ),
+    Mutant(
         "signature-stop-at-zero-diagonal",
         "exactnum.py",
         "            if pair is None:\n                break",
@@ -346,7 +363,7 @@ MUTANTS = (
     Mutant(
         "cayley-unsigned-swap",  # J's halves swapped without the sign
         "meyer.py",
-        "*(tuple(-t for t in row) for row in s[:g]))",
+        "*(tuple(map(neg, row)) for row in s[:g]))",
         "*map(tuple, s[:g]))",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
@@ -354,7 +371,7 @@ MUTANTS = (
     Mutant(
         "cayley-rows-without-j",  # S's rows as the Gram
         "meyer.py",
-        "gram = (*map(tuple, s[g:]), *(tuple(-t for t in row) for row in s[:g]))",
+        "gram = (*map(tuple, s[g:]), *(tuple(map(neg, row)) for row in s[:g]))",
         "gram = tuple(map(tuple, s))",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
@@ -428,6 +445,14 @@ MUTANTS = (
         ("tests/test_symplectic.py::test_direct_sum_is_the_interleaved_block_sum",),
     ),
     # elements and readers
+    Mutant(
+        "sl2-entries-unpack-catches-type-error",  # a wrong shape ends in a bare ValueError
+        "symplectic.py",
+        "    except ValueError:\n        raise NotUnimodular(\"need a 2x2 matrix\")",
+        "    except TypeError:\n        raise NotUnimodular(\"need a 2x2 matrix\")",
+        (MEYER + "test_phi1_rejects_what_is_not_in_sl2z",
+         "tests/test_symplectic.py::test_word_rejects_non_unimodular"),
+    ),
     Mutant(
         "transvections-unbounded-length",  # -3 factors is the identity
         "symplectic.py",
@@ -606,12 +631,13 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    failed = 0
+    failed, start = 0, time.perf_counter()
     for mutant in [known[n] for n in names] if names else MUTANTS:
+        began = time.perf_counter()
         outcome = run(mutant)
         failed += outcome != "caught"
-        print(f"{mutant.name}: {outcome}", flush=True)
-    print(f"{len(names or MUTANTS) - failed} caught, {failed} not")
+        print(f"{mutant.name}: {outcome} ({time.perf_counter() - began:.1f} s)", flush=True)
+    print(f"{len(names or MUTANTS) - failed} caught, {failed} not, in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 
 

@@ -53,6 +53,11 @@ def test_phi1_rejects_bad_matrix(capsys, tmp_path):
     assert run_cli(capsys, "phi1", "--matrix", str(wide)) == (
         2, "", "error: need an even square matrix of size >= 2, got 2x4\n"
     )
+    odd = tmp_path / "odd.txt"
+    odd.write_text("2 3\n1 0 0\n0 1 0\n")
+    assert run_cli(capsys, "phi1", "--matrix", str(odd)) == (
+        2, "", "error: need an even square matrix of size >= 2, got 2x3\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["phi1", "tau"])

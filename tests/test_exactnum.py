@@ -374,6 +374,11 @@ def test_signature_rejects_asymmetric():
         signature_symmetric([[0, 1], [2, 0]])
     with pytest.raises(AsymmetricGram):
         signature_symmetric([[1, 2, 3], [2, 1, 1]])
+    # square, and asymmetric only at (0, 2) / (2, 0), then only at (2, 3) / (3, 2)
+    with pytest.raises(AsymmetricGram, match=r"^Gram matrix is not symmetric$"):
+        signature_symmetric([[1, 2, 5], [2, 1, 1], [4, 1, 1]])
+    with pytest.raises(AsymmetricGram, match=r"^Gram matrix is not symmetric$"):
+        signature_symmetric([[1, 0, 2, 3], [0, 1, 4, 5], [2, 4, 1, 6], [3, 5, 7, 1]])
 
 
 def test_signature_invariant_under_congruence():

@@ -915,17 +915,24 @@ def test_phi1_base_refuses_relations_the_cocycle_contradicts(
 
 
 @pytest.mark.parametrize(
-    "matrix, error",
+    "matrix, error, message",
     [
-        (SymplecticElement.identity(2), NotUnimodular),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], NotUnimodular),
-        ([[0, 1], [1, 0]], NotUnimodular),
+        (SymplecticElement.identity(2), NotUnimodular, "need a 2x2 matrix"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], NotUnimodular, "need a 2x2 matrix"),
+        # every other shape fails the unpack into two pairs, never as a bare ValueError
+        ([], NotUnimodular, "need a 2x2 matrix"),
+        ([[1, 0]], NotUnimodular, "need a 2x2 matrix"),
+        ([[1], [0]], NotUnimodular, "need a 2x2 matrix"),
+        ([[1, 0, 0], [0, 1, 0]], NotUnimodular, "need a 2x2 matrix"),
+        ([[1, 0], [0, 1], [0, 0]], NotUnimodular, "need a 2x2 matrix"),
+        ([[0, 1], [1, 0]], NotUnimodular, "determinant must be 1"),
         # entries are read as ints, so a Fraction is refused before any determinant
-        ([[1, Fr(1, 2)], [0, 1]], MatrixFormatError),
+        ([[1, Fr(1, 2)], [0, 1]], MatrixFormatError, "entries must be ints, got Fraction"),
     ],
-    ids=["genus2", "3x3", "det-1", "non-integral"],
+    ids=["genus2", "3x3", "empty", "1x2", "2x1", "2x3", "3x2", "det-1", "non-integral"],
 )
-def test_phi1_rejects_what_is_not_in_sl2z(matrix, error):
+def test_phi1_rejects_what_is_not_in_sl2z(matrix, error, message):
     with pytest.raises(error) as info:
         phi1(matrix)
     assert type(info.value) is error
+    assert str(info.value) == message

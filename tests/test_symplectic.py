@@ -384,8 +384,13 @@ def test_string_rows_are_refused(read, data):
 def test_word_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         sl2_word([[2, 0], [0, 1]])
-    with pytest.raises(NotUnimodular):
-        sl2_word([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # every shape but 2x2 fails the unpack into two pairs, never as a bare ValueError
+    shapes = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [], [[1, 0]], [[1], [0]],
+              [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]]
+    for mat in shapes:
+        with pytest.raises(NotUnimodular, match=r"^need a 2x2 matrix$") as info:
+            sl2_word(mat)
+        assert type(info.value) is NotUnimodular
 
 
 def test_word_letters_and_parsing():
