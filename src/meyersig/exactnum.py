@@ -337,9 +337,10 @@ def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
 
     Symmetric Bareiss elimination with the step of ``_kernel``. An index
     is live until it is pivoted on; the pivot is the first live nonzero
-    diagonal entry p = g[k][k], found by a plain loop over the live indices,
-    and each other live row r becomes
-    (p*r - r[k]*(pivot row)) / prev, prev being the pivot before (1 at first).
+    diagonal entry p = g[k][k], found by a ``for`` loop over the live
+    indices (its ``else`` takes a zero live diagonal), and each other live
+    row r becomes (p*r - r[k]*(pivot row)) / prev, prev being the pivot
+    before (1 at first).
     Invariant: each live g[i][j] is the minor of the pivots so far bordered
     by row i and column j, so the division is exact and p / prev, the pivot of
     the Schur complement, has the sign of p*prev. If the live diagonal is zero
