@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .errors import ContractViolation, InvalidInput
-from .exactnum import parse_integer, parse_matrix, parse_rational
+from .exactnum import _too_large, parse_integer, parse_matrix, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -50,19 +49,10 @@ def _line(pairs: list) -> str:
     return " ".join(_text(v) if k is None else f"{k}={_text(v)}" for k, v in pairs)
 
 
-def _too_large() -> InvalidInput:
-    return InvalidInput(
-        f"result too large to print (over {sys.get_int_max_str_digits()} digits)"
-    )
-
-
 def _render(result, as_json: bool) -> str:
     """The one place a result becomes output: a record, or a tuple of records
-    (a JSON list, a text line each).
-
-    An integer past the interpreter's digit limit has no string form; the
-    inputs asked for a result too large to print, so that is an input error.
-    """
+    (a JSON list, a text line each). An integer with no string form raises
+    ``exactnum._too_large``'s input error."""
     try:
         if as_json:
             import json  # only --json output and a ledger file read or write JSON
@@ -109,11 +99,6 @@ def cmd_veronese(args) -> list:
     from . import varieties
     degrees = varieties.parse_degrees(args.degrees)
     spec = varieties.CISpec(args.m, degrees, args.n, args.d)
-    # deg D_X is a multiple of d^(n-2): refuse before computing a power whose
-    # decimal form alone is past the digit limit (0 means no limit)
-    limit = sys.get_int_max_str_digits()
-    if limit and spec.d > 1 and spec.n - 2 >= limit / math.log10(spec.d):
-        raise _too_large()
     return _fields(varieties.veronese_ci_lasso(spec), "alpha beta deg_DX phi")
 
 

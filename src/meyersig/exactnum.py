@@ -1,55 +1,53 @@
-"""Exact numerals and the integer linear algebra behind ``tau``.
+"""Exact numerals, the checks of the library's arguments, and the integer
+linear algebra behind ``tau``.
 
-The module holds:
+Every elimination here is Bareiss's fraction-free one (Math. Comp. 22,
+1968) on int rows, with one step: for the pivot p in column c of the row
+``top``, and prev the pivot before it (1 at first), a row r becomes
+(p*r - r[c]*top) / prev. By Sylvester's identity the division is exact, and
+every entry stays a minor of the input. Neither rational nor floating-point
+arithmetic enters any computation path, so every value is reproducible bit
+for bit.
 
-* numeral parsing: one grammar for integers (``parse_integer``) and one for
-  rationals (``parse_rational``), each refusing with ``MatrixFormatError``,
-  and the matrix text format (``parse_matrix``), which gives int rows,
-* the checks of the library's arguments, each raising ``InvalidInput`` that
-  names the argument: ``_int_arg`` for an ``int``, whose lower-bound message
-  ("n must be >= 2, got 1") is the library's one, ``_rational_arg`` for an
-  ``int`` or a ``Fraction``, ``_numeral_arg`` for those or a numeral string,
-  read as a ``Fraction``, and ``_kind_arg`` for an argument of one type, a
-  record or a ``str`` ("spec must be a CISpec, got int"),
-* the one reader of matrix arguments (``_int_matrix``): a matrix is a tuple
-  of ``int`` tuples, and nothing else is read as one,
-* right kernel bases of integer matrices, as primitive integer vectors
-  (``kernel_basis``, or ``_kernel`` for the vectors of the free columns
-  from a given one on and the pivot columns before it), by
-  back-substitution on the one forward elimination (``_echelon``), whose
-  steps also give the pivot columns,
-* exact solves X^-1 Y of a square X as the rows of |det X| X^-1 Y, an
-  integer matrix (``_solve``), by a Gauss-Jordan pass of its own, for the
-  resolvents (A - I)^-1 of the cocycle defect's Cayley path,
-* Gram matrices of the cocycle pairing (x + y)^t S y' restricted to a list
-  of vectors (x | y) (``gram_restrict``),
-* signatures of symmetric integer forms by symmetric Bareiss elimination
-  (``signature_symmetric``).
+* Forward elimination (``_echelon``), the one behind kernels and pivot
+  columns. The pivot row is the first row not yet pivoted on that is
+  nonzero in column c, and the step runs on the other rows not yet pivoted
+  on; a column without such a row is free. So the pivot columns are the
+  columns that are not combinations of the columns before them, and the
+  last pivot is a nonzero rank x rank minor.
+* Back-substitution (``_kernel``). The kernel vector of a free column f
+  carries |d| at f, d the last pivot, 0 at the other free columns, and from
+  the last step up v[c] = -(top . v[c+1:]) / p. Each v[c] is |d| times an
+  entry of the reduced echelon form, a minor of the input by Cramer's rule,
+  so the division is exact (and v is 0 at the pivots after f); v divided by
+  its content is the positive multiple, with coprime entries, of the
+  reduced-echelon vector that carries 1 at f. It depends only on the input.
+* Gauss-Jordan (``_solve``). The step runs on the rows above each pivot as
+  well as below it. A row pivoted on holds the latest pivot in its own
+  column, so after n steps on [X | Y] the rows, in the order of their pivot
+  columns, are [d I | d X^-1 Y], d = +-det X, and no back-substitution is
+  needed.
+* Symmetric elimination (``_signature``). An index is live until it is
+  pivoted on, the pivot is the first live nonzero diagonal entry, and the
+  step runs on the other live rows and columns. Invariant: each live
+  g[i][j] is the minor of the pivots so far bordered by row i and
+  column j, so p / prev, the pivot of the Schur complement, has the sign of
+  p*prev. Where the live diagonal is zero but some live g[i][j] is not, the
+  unimodular congruence b_i <- b_i + b_j (row j added to row i, column j to
+  column i) makes g[i][i] = 2 g[i][j] and keeps the invariant; a zero live
+  block is the radical and counts nothing. No congruence moves a signature
+  (Sylvester's law of inertia).
 
-The three linear-algebra helpers, like every matrix argument of the
-library, take rows of ``int``s and refuse any other entry with
-``MatrixFormatError``; they return int rows. ``tau`` calls the cores
-(``_echelon``, ``_kernel``, ``_gram``, ``_signature``), and the cocycle
-defect ``_solve`` too, on rows built from validated elements, so nothing
-is read twice. Every elimination is Bareiss's fraction-free one (Math.
-Comp. 22, 1968), with one step: cross-multiply by the new pivot, then
-divide exactly by the previous one. There is one forward elimination,
-``_echelon``, for kernels and pivot columns, and ``_kernel`` solves its
-echelon rows back to front (``_back``), dividing exactly by each pivot.
-``_solve`` has a Gauss-Jordan pass of its own, which applies the step to
-the rows above each pivot as well as below it and so needs no
-back-substitution. The signature's symmetric elimination pivots on the
-diagonal and, where the live diagonal is zero, adds one basis vector to
-another, a unimodular congruence that moves no signature (Sylvester's
-law of inertia). Neither rational nor floating-point arithmetic enters
-any computation path, signatures are integers decided by the signs of
-exact pivots, and every downstream value is reproducible bit for bit.
+The public helpers read their matrices through ``_int_matrix``, the one
+reader, and return int rows; ``meyer`` calls the cores on rows built from
+validated elements, so nothing is read twice.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
@@ -114,6 +112,11 @@ def _shown(x) -> str:
         return f"<{type(x).__name__} too long to print>"
 
 
+def _too_large() -> InvalidInput:
+    """The input error for a result with no decimal form, past the digit limit."""
+    return InvalidInput(f"result too large to print (over {sys.get_int_max_str_digits()} digits)")
+
+
 def parse_rational(token: str) -> Fraction:
     """Parse an optional sign, ASCII digits and an optional "/q" denominator.
 
@@ -174,18 +177,10 @@ def _symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]
 
 
 def _echelon(rows: list[list[int]]) -> list[tuple[int, int, list[int]]]:
-    """Forward-only Bareiss elimination of the int rows ``rows`` (consumed):
-    one ``(c, p, top)`` per pivot step, with c the pivot column, p the pivot
-    and ``top`` the pivot row's entries after column c. The pivot columns are
-    the columns that are not combinations of the columns before them.
-
-    With ``prev`` the pivot before p (1 at first), each step takes the first
-    row not yet pivoted on that is nonzero in column c and replaces every
-    other such row r by (p*r - r[c]*top) / prev; by Sylvester's identity the
-    division is exact, and entries stay minors of the input (the last pivot
-    a nonzero rank x rank one). Those rows hold only the columns not yet
-    eliminated.
-    """
+    """The forward elimination (module docstring) of the int rows ``rows``
+    (consumed): one ``(c, p, top)`` per pivot step, with c the pivot column,
+    p the pivot and ``top`` the pivot row's entries after column c. The rows
+    not yet pivoted on hold only the columns not yet eliminated."""
     steps: list[tuple[int, int, list[int]]] = []
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
@@ -211,19 +206,9 @@ def _echelon(rows: list[list[int]]) -> list[tuple[int, int, list[int]]]:
 def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """The pivot columns below ``start`` and the kernel vectors of the int
     rows ``rows`` (consumed) whose free column is ``start`` or later, as
-    primitive integer vectors. Such a vector is zero at the free columns
-    below ``start``, so deleting some of them from ``rows`` only deletes
-    its zeros there.
-
-    ``_echelon`` followed by back-substitution. The vector of a free column
-    f is the positive multiple, with coprime integer entries, of the
-    reduced-echelon vector that carries 1 at f, 0 at the other free columns
-    and the negated reduced-echelon entries at the pivots: |d| at f, d the
-    last pivot, then from the last step up v[c] = -(top . v[c+1:]) / p. Each
-    v[c] is |d| times a reduced-echelon entry, a minor of the input by
-    Cramer's rule, so the division is exact (and 0 at the pivots after f);
-    then v is divided by its content. It depends only on the input.
-    """
+    primitive integer vectors, by ``_echelon`` and back-substitution (module
+    docstring). Such a vector is zero at the free columns below ``start``,
+    so deleting some of them from ``rows`` only deletes its zeros there."""
     cols = len(rows[0]) if rows else 0
     steps = _echelon(rows)
     d = abs(steps[-1][1]) if steps else 1
@@ -234,36 +219,20 @@ def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[in
             continue
         v = [0] * cols
         v[f] = d
-        basis.append(tuple(_primitive(_back(steps, v))))
+        for c, p, top in reversed(steps):
+            v[c] = -sum(map(mul, top, v[c + 1 :])) // p
+        basis.append(tuple(_primitive(v)))
     return [c for c, _, _ in steps if c < start], basis
-
-
-def _back(steps: list[tuple[int, int, list[int]]], v: list[int]) -> list[int]:
-    """``v``, given at the free columns, completed at the pivot columns by
-    back-substitution on ``_echelon``'s steps: from the last step up,
-    v[c] = -(top . v[c+1:]) / p, so that v is in the kernel. ``_kernel``
-    is its one caller."""
-    for c, p, top in reversed(steps):
-        v[c] = -sum(map(mul, top, v[c + 1 :])) // p
-    return v
 
 
 def _solve(
     x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]] | None:
     """(|d|, the rows of |d| X^-1 Y) for the n x n int rows X and the int
-    rows Y, n of them, with d = +-det X the last pivot; ``None`` at the first
-    column of X without a pivot, that is when X is singular.
-
-    Fraction-free Gauss-Jordan on [X | Y]: each step takes the first row not
-    yet pivoted on that is nonzero in column c and replaces every other row
-    r, those above it as well as those below, by (p*r - r[c]*top) / prev,
-    the step of ``_echelon`` (exact by Sylvester's identity). A row pivoted
-    on holds the latest pivot in its own column, so after n steps the rows,
-    in the order of their pivot columns, are [d I | d X^-1 Y]; X's columns
-    are dropped as they are eliminated. The rows are negated if d < 0;
-    ``meyer`` reads the resolvents |d| (A - I)^-1 off them.
-    """
+    rows Y, n of them, with d = +-det X the last pivot, by Gauss-Jordan on
+    [X | Y] (module docstring), X's columns dropped as they are eliminated;
+    ``None`` at the first column of X without a pivot, that is when X is
+    singular. ``meyer`` reads the resolvents |d| (A - I)^-1 off the rows."""
     n = len(x)
     rows = [[*u, *w] for u, w in zip(x, y)]
     prev = 1
@@ -291,7 +260,7 @@ def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     There is one basis vector per free column f of the reduced row echelon
     form: the positive multiple, with coprime integer entries, of the vector
     that carries 1 at f and the negated reduced-echelon entries at the pivot
-    positions (see ``_kernel``). The output depends only on M.
+    positions (``_kernel``). The output depends only on M.
     """
     rows = _int_matrix(m)
     return _kernel([list(row) for row in rows], 0)[1]
@@ -333,21 +302,10 @@ def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
 
 
 def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
-    """The signature of int rows checked symmetric; ``tau`` passes ``tau_form``'s.
-
-    Symmetric Bareiss elimination with the step of ``_kernel``. An index
-    is live until it is pivoted on; the pivot is the first live nonzero
-    diagonal entry p = g[k][k], found by a ``for`` loop over the live
-    indices (its ``else`` takes a zero live diagonal), and each other live
-    row r becomes (p*r - r[k]*(pivot row)) / prev, prev being the pivot
-    before (1 at first).
-    Invariant: each live g[i][j] is the minor of the pivots so far bordered
-    by row i and column j, so the division is exact and p / prev, the pivot of
-    the Schur complement, has the sign of p*prev. If the live diagonal is zero
-    but some live g[i][j] is not, the unimodular congruence b_i <- b_i + b_j
-    (row j added to row i, column j to column i) makes g[i][i] = 2 g[i][j] and
-    keeps the invariant; a zero live block is the radical and counts nothing.
-    """
+    """The signature of int rows checked symmetric, by the symmetric
+    elimination (module docstring); ``tau`` passes ``tau_form``'s. The
+    ``for`` loop over the live indices finds the pivot, and its ``else``
+    takes a zero live diagonal."""
     g = [list(row) for row in gram]
     live = list(range(len(g)))
     sig, prev = 0, 1

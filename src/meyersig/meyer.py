@@ -1,40 +1,70 @@
 """The signature 2-cocycle on Sp(2g,Z) and its cobounding function on SL(2,Z).
 
-``tau`` evaluates the cocycle on a pair (A1, A2) as the signature of an
-explicit symmetric bilinear form: the pairing
+Meyer's form. ``tau`` evaluates the cocycle on a pair (A1, A2) as the
+signature of the pairing
 
     <(x, y), (x', y')> = (x + y)^t J (I - A2) y'
 
-restricted to the solution space of (A1^{-1} - I) x + (A2 - I) y = 0 inside
-R^{2g} + R^{2g}. Its radical holds the solutions (x | 0) and (0 | y), so it
-descends to W = Im(A1^{-1} - I) meet Im(A2 - I), Wall's non-additivity form
-(Meyer 1973; Wall 1969), and ``tau_form`` builds its Gram on a basis of W.
-Everything is exact; the basis choice cannot affect the result, by
-Sylvester's law of inertia.
+on the solutions of (A1^-1 - I) x + (A2 - I) y = 0 in R^2g + R^2g. Its
+radical holds the solutions (x | 0) and (0 | y), so it descends through
+(x | y) -> u = (A2 - I) y to W = Im(A1^-1 - I) meet Im(A2 - I), Wall's
+non-additivity form (Meyer 1973; Wall 1969). Everything is exact, and by
+Sylvester's law of inertia the basis of W cannot affect the result. tau is
+symmetric, tau(A1, A2) = tau(A2, A1) (Meyer 1973, "Die Signatur von
+Flächenbündeln").
 
-When A1 - I and A2 - I are both invertible, W = R^{2g} and the form has a
-closed form in the resolvents R_A = (A - I)^{-1}. With w = (A2 - I) y,
-y = R_A2 w and x = -(A1^{-1} - I)^{-1} w = (I + R_A1) w, so the pairing is
--w^t (I + R_A1 + R_A2)^t J w'; 2 (I + R_A1 + R_A2) is the sum of the Cayley
-transforms (A + I)(A - I)^{-1} of A1 and A2. ``tau_cocycle_defect``
-evaluates its four values this way (the Cayley path) when all five A - I
-it needs, for A1, A2, A3, A1 A2 and A2 A3, are invertible, reading each
-Gram off the rows of a Gauss-Jordan solve; ``tau`` and ``tau_form`` always
-use the kernel above, as one pair alone gains nothing from the
-resolvents.
+The kernel path. With Q the pivot columns of A2 - I, at which its columns
+are a basis of its image, a basis of W is the kernel of
+[(A1^-1 - I) | (A2 - I)_Q] less its vectors (x | 0), which are never built:
+the vectors of the free columns in the second half have nonzero x and
+independent u. So G[i][j] = (x_i + y_i)^t J (I - A2) y_j, with y scattered
+from Q onto 2g coordinates and J (I - A2) y = (-u[g:], u[:g]). An
+invertible factor E on the left keeps the kernel, ker(E M) = ker M, and
+every linear relation among the columns, so eliminating
+[E (A1^-1 - I) | E (A2 - I)_Q] finds the same vectors and pivot columns,
+while the images u still come from (A2 - I)_Q without E.
+``tau_cocycle_defect`` evaluates its four values this way in five forward
+eliminations and multiplies no two elements. A pivot pass on A2 - I gives Q2. tau(a1, a2)
+and tau(a3, a2) eliminate [A1^-1 - I | (A2 - I)_Q2] and
+[A3^-1 - I | (A2 - I)_Q2]; their first-block pivot columns P1 and Q3 are
+those of A1 - I and A3 - I, as A^-1 - I = -A^-1 (A - I). Then
+tau(a1 a2, a3) eliminates A2 [(A1 A2)^-1 - I | (A3 - I)_Q3] =
+[A1^-1 - A2 | A2 (A3 - I)_Q3] and tau(a2 a3, a1) eliminates
+A3 [(A2 A3)^-1 - I | (A1 - I)_P1] = [A2^-1 - A3 | A3 (A1 - I)_P1]: each
+left block a difference of rows already built, each right block a
+2g x |Q| product. The four Grams are ``tau_form`` of (a1, a2), (a3, a2),
+(a1 a2, a3) and (a2 a3, a1).
+
+The Cayley path. When A1 - I and A2 - I are both invertible, W = R^2g and
+the form has a closed form in the resolvents R_A = (A - I)^-1. With
+w = (A2 - I) y, y = R_A2 w and x = -(A1^-1 - I)^-1 w = (I + R_A1) w, so the
+pairing is -w^t (I + R_A1 + R_A2)^t J w'; 2 (I + R_A1 + R_A2) is the sum of
+the Cayley transforms (A + I)(A - I)^-1 of A1 and A2. In integers, with
+N_A = |d_A| (A - I)^-1 and d_A = +-det(A - I), tau(A, B) is the signature
+of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B, which is the symmetric
+-S^t J, |d_A d_B| > 0 times the form. The defect takes this path when the
+pivot pass finds |Q2| = 2g and all five A - I it needs, for A1, A2, A3,
+A1 A2 and A2 A3, are invertible. The products' resolvents solve
+A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
+A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1, and N_A1, N_A2 and N_A3 each
+serve two of the four pairs. A singular solve sends the defect to the
+kernel path, as does |Q2| < 2g, which a product of fewer than 2g
+transvections always has. ``tau`` and ``tau_form`` always take the kernel
+path, as one pair alone gains nothing from the resolvents.
 
 ``phi1`` is the unique rational 1-cochain on SL(2,Z) whose coboundary
 phi(x) - phi(xy) + phi(y) equals tau at genus 1. Its values on the
-generators are *solved* rather than hard-coded: ``phi1_word`` derives its
-value on any word by folding tau along it, and ``phi1_base`` folds it along
-the relators S^4 and (ST)^6 and solves the two results for phi(S) and phi(T).
-``phi1`` itself evaluates the closed form -Phi/3 + eps, with Rademacher's
-integer function Phi (Atiyah 1987, "The logarithm of the Dedekind
-eta-function"; Kirby-Melvin 1994, "Dedekind sums, mu-invariants and the
-signature cocycle") folded in ints on the first column of its argument's
-Euclidean reduction (derived in ``symplectic``), so it evaluates no tau;
-``phi1_base``, cached once per process, also checks the closed form against
-the solved generator values, so every number stays traceable to the cocycle.
+generators are solved, not hard-coded. Expanding phi along a relator
+w = g_1...g_k gives 0 = sum_i phi(g_i) - sum_i tau(g_1..g_i, g_{i+1}), the
+tau sum being -phi1_word(w) on the zero base, so ``phi1_base`` folds
+``phi1_word`` along S^4 and (ST)^6 and solves the triangular system for
+phi(S) and phi(T). It checks them on an independent coincidence of words,
+(ST)^3 = S^2 = -I, on S^4 folded by squaring (the cocycle identity at
+(S^2, S, S)), and last against the closed form -Phi/3 + eps that ``phi1``
+evaluates, with Rademacher's integer function Phi (Atiyah 1987, "The
+logarithm of the Dedekind eta-function"; Kirby-Melvin 1994, "Dedekind sums,
+mu-invariants and the signature cocycle") folded in ints on the first column
+(derived in ``symplectic``). So every value stays traceable to the cocycle.
 """
 
 from __future__ import annotations
@@ -120,13 +150,11 @@ def _sides(a1: SymplecticElement, a2: SymplecticElement) -> tuple[Rows, Side, Ro
 
 
 def _form(left: Rows, right: Side, block: Rows) -> tuple[IntMatrix, list[int]]:
-    """``tau_form``, and the pivot columns of A1^-1 - I, from ``right``, the
-    columns Q and the rows of (A2 - I)_Q given by ``_right``, and from
-    ``left`` and ``block``, the rows of E (A1^-1 - I) and E (A2 - I)_Q for
-    an invertible E that the caller picks (I for ``tau``). [left | block]
-    is eliminated: E changes neither its kernel, ker(E M) = ker M, nor the
-    vectors and pivot columns ``_kernel`` finds, which depend only on that
-    kernel. The images (A2 - I) y come from ``right``, without E."""
+    """``tau_form``, and the pivot columns of A1^-1 - I, by the kernel path
+    (module docstring): from ``right``, the columns Q and the rows of
+    (A2 - I)_Q given by ``_right``, and from ``left`` and ``block``, the rows
+    of E (A1^-1 - I) and E (A2 - I)_Q for an invertible E that the caller
+    picks (I for ``tau``)."""
     (q, rq), n = right, len(left)
     g = n // 2
     pivots, vectors = _kernel([[*a, *b] for a, b in zip(left, block)], n)
@@ -159,10 +187,9 @@ Resolvent = tuple[int, list[list[int]]]  # (|d|, the rows of N = |d| (A - I)^-1)
 
 def _cayley(a: Resolvent, b: Resolvent) -> int:
     """tau(A, B) from the resolvents of A and B, when A - I and B - I are
-    invertible: the signature of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B,
-    |d_A d_B| times Meyer's form on W = R^2g (see ``tau_cocycle_defect``).
-    -S^t J is symmetric, so it equals its transpose J S: S's lower half,
-    then its upper half negated, with no transpose taken."""
+    invertible, by the Cayley path (module docstring). The Gram J S is read
+    off S's rows, its lower half, then its upper half negated, with no
+    transpose taken."""
     (da, na), (db, nb) = a, b
     k, g = da * db, len(na) // 2
     s = []
@@ -177,11 +204,10 @@ def _cayley(a: Resolvent, b: Resolvent) -> int:
 def _resolvents(
     a1: SymplecticElement, a2: SymplecticElement, a3: SymplecticElement, minus: Sequence[Rows]
 ) -> list[Resolvent] | None:
-    """The resolvents, as rows, of A1, A2, A3, A1 A2 and A2 A3, from
-    ``minus``, the rows of the first three A - I, or ``None`` at the first
-    singular A - I. Those of the products solve A2 - A1^-1 = A1^-1 (A1 A2 - I)
-    against A1^-1 and A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1; each of
-    the five is one ``_solve``, a Gauss-Jordan pass on [X | Y]."""
+    """The resolvents, as rows, of A1, A2, A3, A1 A2 and A2 A3, each one
+    ``_solve`` (the Cayley path, in the module docstring), from ``minus``,
+    the rows of the first three A - I; ``None`` at the first singular
+    A - I."""
     eye = _identity(len(a1.mat))
     inv1, inv2 = (_inverse_minus(a.mat, 0) for a in (a1, a2))
     systems = [*((m, eye) for m in minus), (_minus(a2.mat, inv1), inv1), (_minus(a3.mat, inv2), inv2)]
@@ -195,25 +221,18 @@ def _resolvents(
 
 def tau_form(a1: SymplecticElement, a2: SymplecticElement) -> IntMatrix:
     """The Gram matrix, as int rows, of a symmetric form whose signature is
-    tau(a1, a2): Meyer's pairing on a basis of W, so it is dim W square.
-
-    The form descends to W through (x | y) -> u = (A2 - I) y. With Q the
-    pivot columns of A2 - I, the basis is the kernel of [(A1^-1 - I) |
-    (A2 - I)_Q] less its vectors (x | 0), which are never built: every x is
-    nonzero and the u are independent. G[i][j] = (x_i + y_i)^t J (I - A2) y_j,
-    y scattered from Q onto 2g coordinates, J (I - A2) y = (-u[g:], u[:g]).
-    """
+    tau(a1, a2): Meyer's pairing on a basis of W, so it is dim W square, by
+    the kernel path (module docstring)."""
     _elements(a1, a2)
     return _form(*_sides(a1, a2))[0]
 
 
 def tau(a1: SymplecticElement, a2: SymplecticElement) -> int:
-    """Value of the signature cocycle on a pair of same-genus elements.
-
-    tau is symmetric, tau(a1, a2) = tau(a2, a1) (Meyer 1973, "Die Signatur
-    von Flächenbündeln"), and ``tau_cocycle_defect`` evaluates two of its
-    pairs in the other order.
-    """
+    """Value of the signature cocycle on a pair of same-genus elements: the
+    signature of Meyer's form, by the kernel path (module docstring). An
+    argument that is not a ``SymplecticElement`` raises ``InvalidInput``,
+    elements of different genera ``GenusMismatch``, and |tau| > 4g
+    ``ContractViolation``."""
     _elements(a1, a2)
     return _tau(*_sides(a1, a2))[0]
 
@@ -223,35 +242,9 @@ def tau_cocycle_defect(
 ) -> int:
     """tau(a1,a2) + tau(a1*a2,a3) - tau(a2,a3) - tau(a1,a2*a3); always 0.
 
-    No two elements are multiplied. The pivot pass on A2 - I runs first and
-    gives Q2. When |Q2| = 2g, the Cayley path (see the module docstring)
-    takes the rows of the resolvents N_X = |d_X| (X - I)^-1, integer
-    matrices, of X = A1, A2, A3, A1 A2 and A2 A3 from five ``_solve``s, each
-    one Gauss-Jordan pass, those of the products as
-    A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
-    A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1. Each value tau(A, B) is
-    then the signature of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B
-    (``_cayley``), which is -S^t J, |d_A d_B| > 0 times Meyer's form on
-    W = R^2g; N_A1, N_A2 and N_A3 each serve two of the four pairs. Besides
-    the five solves, this path runs one forward elimination, the pivot
-    pass. A singular solve sends the defect to the kernel path, as does
-    |Q2| < 2g, which rank(A2 - I) < 2g forces: a product of k < 2g
-    transvections always takes the kernel path.
-
-    On the kernel path five forward eliminations run, and no 2g x 2g
-    product is built: the pivot pass, and four joint ones through
-    ``_form``, two of them on the pair in the other order, as tau is
-    symmetric. tau(a1, a2) eliminates [A1^-1 - I | (A2 - I)_Q2], and its
-    first-block pivots are P1, the pivot columns of A1^-1 - I; tau(a3, a2)
-    eliminates [A3^-1 - I | (A2 - I)_Q2] and gives Q3. An invertible factor
-    on the left keeps every linear relation among the columns, so P1 and Q3
-    are the pivot columns of A1 - I and A3 - I (A^-1 - I = -A^-1 (A - I)).
-    The same factor keeps the kernel, so tau(a1 a2, a3) eliminates
-    A2 [(A1 A2)^-1 - I | (A3 - I)_Q3] = [A1^-1 - A2 | A2 (A3 - I)_Q3], and
-    tau(a2 a3, a1) eliminates A3 [(A2 A3)^-1 - I | (A1 - I)_P1] =
-    [A2^-1 - A3 | A3 (A1 - I)_P1]: each left block a difference of rows
-    built here, each right block a 2g x |Q| product. Their Grams are
-    ``tau_form`` of (a1, a2), (a3, a2), (a1 a2, a3) and (a2 a3, a1).
+    It multiplies no two elements. It takes the Cayley path when all five
+    A - I are invertible and the kernel path otherwise (module docstring);
+    either way each of its four values is checked as ``tau`` checks its own.
     """
     _elements(a1, a2, a3)
     m1, m2, m3 = map(_minus_one, (a1, a2, a3))
@@ -281,17 +274,10 @@ class PhiBase(Record):
 @functools.cache
 def phi1_base() -> PhiBase:
     """Solve for phi(S), phi(T) from the relations S^4 = I and (ST)^6 = I,
-    check the solution, and tie ``phi1``'s closed form to it.
-
-    Expanding phi along a relator w = g_1...g_k gives 0 = sum_i phi(g_i) -
-    sum_i tau(g_1..g_i, g_{i+1}), the tau sum being -phi1_word(w) on the zero
-    base: a triangular linear system in (phi(S), phi(T)). The solution is
-    checked on an independent coincidence of words, (ST)^3 = S^2 = -I, and on
-    S^4 folded by squaring (the cocycle identity at (S^2, S, S)); last, the
-    closed form must give the solved values on S and T. A failure means the
-    cocycle or the closed form is broken and raises ``InconsistentRelations``.
-    The solve is deterministic, so it runs once per process.
-    """
+    check the solution and tie ``phi1``'s closed form to it (module
+    docstring). A failure means the cocycle or the closed form is broken and
+    raises ``InconsistentRelations``. The solve is deterministic, so it runs
+    once per process."""
     identity, st = SymplecticElement.identity(1), [("S", 1), ("T", 1)]
     if gen_S() ** 4 != identity or (gen_S() * gen_T()) ** 6 != identity:
         raise InconsistentRelations("S^4 = (ST)^6 = I does not hold")
@@ -364,19 +350,15 @@ def _phi1_closed_form(m: SymplecticElement | Iterable[Iterable[int]]) -> Fractio
 
 
 def phi1(a: SymplecticElement | Iterable[Iterable[int]]) -> Fraction:
-    """The cobounding function on SL(2,Z), in closed form.
+    """The cobounding function on SL(2,Z), in closed form: -Phi(A)/3 + eps(A)
+    (module docstring), in O(log |c|) steps, with no word built and no tau
+    evaluated; it agrees with ``phi1_word(sl2_word(A))``, the derivation.
 
     A is a ``SymplecticElement`` of genus 1 or int rows; any other entry, a
     ``Fraction`` included, raises ``MatrixFormatError``, and a matrix that is
-    not 2x2 of determinant 1 raises ``NotUnimodular``.
-
-    phi1(A) = -Phi(A)/3 + eps(A), with Rademacher's integer function Phi
-    folded in ints on the first column of A (``symplectic._rademacher``), in
-    O(log |c|) steps; no quotient is kept, no word is built and no tau is
-    evaluated. Each call then reads
-    ``phi1_base()``, whose one solve per process checks the closed form
-    against the generator values and raises ``InconsistentRelations`` if they
-    differ; ``phi1_word(sl2_word(A))`` is the derivation it agrees with.
+    not 2x2 of determinant 1 raises ``NotUnimodular``. Each call reads
+    ``phi1_base()``, which raises ``InconsistentRelations`` if the closed
+    form and the solved generator values differ.
 
     phi1 is a class function, vanishes on the identity, and satisfies
     phi1(A^{-1}) = -phi1(A).

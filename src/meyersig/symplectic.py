@@ -235,12 +235,6 @@ class SL2Word(Record):
             if e == 0:
                 raise MatrixFormatError("exponent must be nonzero")
 
-    def evaluate(self) -> SymplecticElement:
-        """The product of the syllables left to right, each ``gen_S() ** e`` or
-        ``gen_T() ** e``; the identity for no syllable."""
-        powers = ((gen_S() if gen == "S" else gen_T()) ** e for gen, e in self.syllables)
-        return functools.reduce(mul, powers, SymplecticElement.identity(1))
-
     def letters(self):
         for gen, e in self.syllables:
             char = gen if e > 0 else gen.lower()
@@ -268,22 +262,6 @@ def _sl2_entries(a: SymplecticElement | Iterable[Iterable[int]]) -> tuple[int, i
     return aa, bb, cc, dd
 
 
-def _sl2_reduce(
-    a: SymplecticElement | Iterable[Iterable[int]],
-) -> tuple[list[int], tuple[int, int]]:
-    """The quotients q_1..q_k and the tail (s, b') of the Euclidean reduction
-    A = T^q_1 S ... T^q_k S S^s T^b' of A, read by ``_sl2_entries`` (see the
-    module docstring). One step per quotient, so up to |c| of them."""
-    aa, bb, cc, dd = _sl2_entries(a)
-    tail = dd // cc if cc else aa * bb
-    quotients: list[int] = []
-    while cc:
-        q, r = divmod(aa, cc)
-        quotients.append(q)
-        aa, cc = cc, -r
-    return quotients, (1 - aa, tail)  # aa = -1: the remainder is -T^b' = S^2 T^b'
-
-
 def _rademacher(a: int, b: int, c: int, d: int) -> int:
     """Rademacher's Phi of [[a, b], [c, d]] in SL(2,Z), folded on the first
     column alone, each run of quotients -2 in one divmod (see the module
@@ -305,23 +283,30 @@ def _rademacher(a: int, b: int, c: int, d: int) -> int:
 
 
 def sl2_word(a: SymplecticElement | Iterable[Iterable[int]]) -> SL2Word:
-    """Decompose a 2x2 integer matrix of determinant 1 into S, T syllables.
-
-    The word is T^q S for each quotient q of the Euclidean reduction
-    (``_sl2_reduce``), then S^2 for -I and T^b'. As every quotient after the
-    first is <= -2, this is the normal form as it is built: T^0 is dropped, a
-    last S merges with the S^2 into S^3, and no two adjacent syllables share
-    a generator. It has at most 2|c| + 2 syllables, and its length ``len()``
+    """Decompose a 2x2 integer matrix of determinant 1, read by
+    ``_sl2_entries``, into S, T syllables: T^q S for each quotient q of the
+    Euclidean reduction (module docstring), one step each, so up to |c| of
+    them, then S^2 for -I and T^b'. As every quotient after the first is
+    <= -2, this is the normal form as it is built: T^0 is dropped, a last S
+    merges with the S^2 into S^3, and no two adjacent syllables share a
+    generator. It has at most 2|c| + 2 syllables, and its length ``len()``
     sums their exponents: [[1, 10**9], [0, 1]] is the one syllable T^(10^9).
     """
-    quotients, (s, b) = _sl2_reduce(a)
-    syllables = [(gen, e) for q in quotients for gen, e in (("T", q), ("S", 1)) if e]
-    if s and syllables:  # the last syllable is S, and S S^2 = S^3
+    aa, bb, cc, dd = _sl2_entries(a)
+    tail = dd // cc if cc else aa * bb
+    syllables: list[tuple[str, int]] = []
+    while cc:
+        q, r = divmod(aa, cc)
+        if q:
+            syllables.append(("T", q))
+        syllables.append(("S", 1))
+        aa, cc = cc, -r
+    if aa < 0 and syllables:  # -T^b' = S^2 T^b' after a last S: S S^2 = S^3
         syllables[-1] = ("S", 3)
-    elif s:
+    elif aa < 0:
         syllables.append(("S", 2))
-    if b:
-        syllables.append(("T", b))
+    if tail:
+        syllables.append(("T", tail))
     return SL2Word(tuple(syllables))
 
 

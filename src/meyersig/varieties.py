@@ -22,8 +22,9 @@ its invariants.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb, prod
+from math import comb, log10, prod
 
 from ._record import Record
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     NonPositiveDegDX,
     UnknownName,
 )
-from .exactnum import _int_arg, _kind_arg, _numeral_arg, _rational_arg, _shown, parse_integer
+from .exactnum import _int_arg, _kind_arg, _numeral_arg, _rational_arg, _shown, _too_large, parse_integer
 
 
 class SurfaceInvariants(Record):
@@ -157,10 +158,15 @@ def veronese_ci_lasso(spec: CISpec) -> LassoReport:
 
     alpha = (m + n + 1 - sum n_i^2 - (n+1) d^2) / 3 and beta is the companion
     closed form; phi = alpha / beta and
-    deg D_X = prod(n_i) * d^(n-2) * beta.
+    deg D_X = prod(n_i) * d^(n-2) * beta. A d^(n-2) whose decimal form alone
+    is past the interpreter's digit limit (0: no limit) raises
+    ``InvalidInput`` before it is computed.
     """
     s1, s2, e2 = _sym_sums(_kind_arg(spec, CISpec, "spec").degrees)
     m, n, d = spec.m, spec.n, spec.d
+    limit = sys.get_int_max_str_digits()
+    if limit and d > 1 and n - 2 >= limit / log10(d):
+        raise _too_large()
     alpha = Fraction(m + n + 1 - s2 - (n + 1) * d * d, 3)
     beta = (
         comb(m + n + 1, 2)

@@ -4,7 +4,8 @@ Matrices are sequences of rows; every result is a list of lists (or a list)
 of ``Fraction``s, which compare equal to the ``int``s the library returns.
 Signatures are read off sympy's characteristic polynomial by Descartes' rule
 of signs. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
-SL(2,Z) matrix, folded one syllable at a time. The module imports nothing
+SL(2,Z) matrix, folded one syllable at a time, and ``word_product`` the
+product of such a word, multiplied as ints. The module imports nothing
 from ``meyersig``, so a test that checks the library against it does not
 check the library against itself.
 """
@@ -133,8 +134,30 @@ def descartes_signature(gram) -> int:
     return _sign_changes(coeffs) - _sign_changes(mirrored)
 
 
-def _sign(x: int) -> int:
+def sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def word_product(word) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of the product, left to right, of a word of
+    (generator, exponent) syllables, multiplied as ints: S^e as e mod 4
+    factors S = [[0, -1], [1, 0]], T^e as the one factor [[1, e], [0, 1]]."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, e in word:
+        if gen == "S":
+            for _ in range(e % 4):
+                a, b, c, d = b, -a, d, -c
+        else:
+            b, d = a * e + b, c * e + d
+    return a, b, c, d
+
+
+def fibonacci_matrix(n: int) -> list[list[int]]:
+    """[[F(n+1), F(n)], [F(n), F(n-1)]], of determinant (-1)^n."""
+    f_prev, f = 0, 1  # F(0), F(1)
+    for _ in range(n - 1):
+        f_prev, f = f, f + f_prev
+    return [[f + f_prev, f], [f, f_prev]]
 
 
 def _merge_syllables(raw) -> tuple[tuple[str, int], ...]:
@@ -171,7 +194,7 @@ def sl2_reduction(a: int, b: int, c: int, d: int) -> tuple[tuple[tuple[str, int]
             y += x * q
             a, b = a - q * c, b - q * d
         raw.append(("S", 1))
-        phi -= 3 * _sign(x * y)
+        phi -= 3 * sign(x * y)
         x, y = y, -x
         a, b, c, d = c, d, -a, -b  # S^-1 [[a, b], [c, d]]
     if a != 1:  # a == d == -1: -T^-b = S^2 T^-b

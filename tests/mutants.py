@@ -69,8 +69,8 @@ MUTANTS = (
     Mutant(
         "reduce-unnegated-remainder",
         "symplectic.py",
-        "quotients.append(q)\n        aa, cc = cc, -r",
-        "quotients.append(q)\n        aa, cc = cc, r",
+        'syllables.append(("S", 1))\n        aa, cc = cc, -r',
+        'syllables.append(("S", 1))\n        aa, cc = cc, r',
         (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
     Mutant(
@@ -399,8 +399,8 @@ MUTANTS = (
         "    return _signature(_symmetric(gram))",
         (MEYER + "test_cocycle_defect_checks_each_value_against_the_bound",),
     ),
-    # the group layer: the one power loop and the powers of SL2Word.evaluate,
-    # the symplectic check, sl2_word's normal form and direct_sum's coordinates
+    # the group layer: the one power loop and an element's power, the
+    # symplectic check, sl2_word's normal form and direct_sum's coordinates
     Mutant(
         "power-loop-double-shift",
         "symplectic.py",
@@ -409,19 +409,11 @@ MUTANTS = (
         ("tests/test_symplectic.py::test_power_is_the_repeated_product",),
     ),
     Mutant(
-        "evaluate-unsigned-exponent",  # T^-n evaluated as T^n
+        "power-unsigned-exponent",  # T^-n as T^n
         "symplectic.py",
-        "gen_T()) ** e for",
-        "gen_T()) ** abs(e) for",
+        "_power(self if e > 0 else self.inverse(), abs(e)",
+        "_power(self if e > 0 else self, abs(e)",
         ("tests/test_symplectic.py::test_word_evaluates_huge_powers_to_their_closed_forms",),
-    ),
-    Mutant(
-        "evaluate-every-power-of-s",  # S^e for T^e
-        "symplectic.py",
-        '(gen_S() if gen == "S" else gen_T())',
-        "gen_S()",
-        ("tests/test_symplectic.py::test_word_evaluates_huge_powers_to_their_closed_forms",
-         MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
     Mutant(
         "symplectic-check-without-J",  # A A^t = I: orthogonal, not symplectic
@@ -433,7 +425,7 @@ MUTANTS = (
     Mutant(
         "sl2-word-unmerged-tail",  # S then S^2, not S^3
         "symplectic.py",
-        "    if s and syllables:  # the last syllable is S, and S S^2 = S^3\n",
+        "    if aa < 0 and syllables:  # -T^b' = S^2 T^b' after a last S: S S^2 = S^3\n",
         "    if False:\n",
         (REFERENCE, MEYER + "test_sl2_word_is_in_normal_form_and_evaluates_back"),
     ),
@@ -490,6 +482,13 @@ MUTANTS = (
         (EXACT + "test_parse_matrix_rejects_garbage",),
     ),
     # refusals of outside numbers: the bound, the digit limit, the CLI's one error line
+    Mutant(
+        "veronese-power-bound-too-high",  # d**(n-2) computed past the digit limit
+        "varieties.py",
+        "if limit and d > 1 and n - 2 >= limit / log10(d):",
+        "if limit and d > 1 and n - 2 > 1000 * limit / log10(d):",
+        ("tests/test_cli.py::test_veronese_rejects_unprintable_powers_before_computing",),
+    ),
     Mutant(
         "bound-refuses-its-low",  # ci's CISpec has n = 2 and d = 1, both at the bound
         "exactnum.py",

@@ -34,8 +34,8 @@ DIGESTS = Path(__file__).resolve().parent / "parity.json"
 if __name__ == "__main__":  # under pytest, the package comes from the test path
     sys.path.insert(0, str(ROOT / "src"))
 
+from linalg_oracle import fibonacci_matrix, word_product  # noqa: E402
 from meyersig import (  # noqa: E402
-    SL2Word,
     SymplecticElement,
     phi1,
     phi1_word,
@@ -71,37 +71,22 @@ def phi1_word_family() -> Iterator[str]:
         yield f"{word} {phi1_word(word)}"
 
 
+def _rows(word: list[tuple[str, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The product of the word as rows, ``((a, b), (c, d))``."""
+    a, b, c, d = word_product(word)
+    return (a, b), (c, d)
+
+
 def sl2_word_family() -> Iterator[str]:
-    """``sl2_word``'s syllables and their ``evaluate`` on every SL(2,Z) matrix
-    with entries in [-6, 6], and ``evaluate`` on seeded words."""
+    """``sl2_word``'s syllables and their product on every SL(2,Z) matrix
+    with entries in [-6, 6], and the product of seeded words."""
     span = range(-6, 7)
     for a, b, c, d in itertools.product(span, repeat=4):
         if a * d - b * c == 1:
             word = sl2_word([[a, b], [c, d]])
-            yield f"{(a, b, c, d)} {word.syllables} {word.evaluate().mat}"
+            yield f"{(a, b, c, d)} {word.syllables} {_rows(word.syllables)}"
     for word in _words(random.Random(20282), 1500, zeros=False) + [[s] for s in HUGE]:
-        yield f"{word} {SL2Word(tuple(word)).evaluate().mat}"
-
-
-def _word_matrix(word: list[tuple[str, int]]) -> tuple[int, int, int, int]:
-    """The entries (a, b, c, d) of the product of the word, multiplied as ints:
-    S^e as e mod 4 factors S, T^e as the one factor [[1, e], [0, 1]]."""
-    a, b, c, d = 1, 0, 0, 1
-    for gen, e in word:
-        if gen == "S":
-            for _ in range(e % 4):
-                a, b, c, d = b, -a, d, -c
-        else:
-            b, d = a * e + b, c * e + d
-    return a, b, c, d
-
-
-def _fibonacci(n: int) -> tuple[int, int, int, int]:
-    """[[F(n+1), F(n)], [F(n), F(n-1)]], of determinant (-1)^n."""
-    f_prev, f = 0, 1
-    for _ in range(n - 1):
-        f_prev, f = f, f + f_prev
-    return f + f_prev, f, f, f_prev
+        yield f"{word} {_rows(word)}"
 
 
 def phi1_family() -> Iterator[str]:
@@ -121,8 +106,8 @@ def phi1_family() -> Iterator[str]:
     ]
     matrices = [
         *small,
-        *(_fibonacci(n) for n in range(2, 321, 2)),
-        *map(_word_matrix, words),
+        *((a, b, c, d) for (a, b), (c, d) in map(fibonacci_matrix, range(2, 321, 2))),
+        *map(word_product, words),
         *((1, 0, -n, 1) for n in range(1, 10**4 + 1)),
     ]
     for a, b, c, d in matrices:

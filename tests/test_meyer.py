@@ -661,10 +661,6 @@ def test_lasso_power_rejects_nonpositive():
 # --- phi1 against the Dedekind-sum closed form ---------------------------------
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def dedekind_sum(h: int, k: int) -> Fr:
     """s(h, k) for coprime h and k > 0, by reciprocity in O(log k) steps:
     s(h, k) = s(h mod k, k) and, for 0 < h < k,
@@ -679,9 +675,9 @@ def phi1_closed_form(a: int, b: int, c: int, d: int) -> Fr:
     """Meyer's function through the Rademacher function
     Phi(A) = (a + d)/c - 12 sign(c) s(a, |c|) (Atiyah 1987; Kirby-Melvin 1994)."""
     if c == 0:
-        return -Fr(b, 3 * d) + _sign(b * (d + 1))
-    rademacher = Fr(a + d, c) - 12 * _sign(c) * dedekind_sum(a, abs(c))
-    return -rademacher / 3 + _sign(c * (a + d - 2))
+        return -Fr(b, 3 * d) + oracle.sign(b * (d + 1))
+    rademacher = Fr(a + d, c) - 12 * oracle.sign(c) * dedekind_sum(a, abs(c))
+    return -rademacher / 3 + oracle.sign(c * (a + d - 2))
 
 
 def test_dedekind_sums_by_reciprocity_match_the_definition():
@@ -697,22 +693,12 @@ def test_dedekind_sums_by_reciprocity_match_the_definition():
                 assert dedekind_sum(h, k) == by_definition(h, k)
 
 
-def _word_product(word) -> tuple[int, int, int, int]:
-    # S = [[0, -1], [1, 0]], T = [[1, 1], [0, 1]], multiplied as plain ints
-    a, b, c, d = 1, 0, 0, 1
-    for gen, e in word:
-        for _ in range(e % 4 if gen == "S" else 1):
-            (p, q), (r, s) = ((0, -1), (1, 0)) if gen == "S" else ((1, e), (0, 1))
-            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-    return a, b, c, d
-
-
 st_words = st.lists(st.tuples(st.sampled_from("ST"), st.integers(-6, 6)), max_size=10)
 
 
 @given(word=st_words)
 def test_phi1_matches_the_dedekind_sum_closed_form(word):
-    a, b, c, d = _word_product(word)
+    a, b, c, d = oracle.word_product(word)
     expected = phi1_closed_form(a, b, c, d)
     assert phi1_word(word) == expected
     assert phi1([[a, b], [c, d]]) == expected
@@ -721,26 +707,18 @@ def test_phi1_matches_the_dedekind_sum_closed_form(word):
 # --- public phi1: the closed form against the fold ------------------------------
 
 
-def fibonacci_matrix(n: int) -> list[list[int]]:
-    """[[F(n+1), F(n)], [F(n), F(n-1)]], of determinant (-1)^n."""
-    f_prev, f = 0, 1  # F(0), F(1)
-    for _ in range(n - 1):
-        f_prev, f = f, f + f_prev
-    return [[f + f_prev, f], [f, f_prev]]
-
-
 long_st_words = st.lists(st.tuples(st.sampled_from("ST"), st.integers(-50, 50)), max_size=40)
 
 
 @given(word=long_st_words)
 def test_phi1_agrees_with_the_fold_along_its_word(word):
-    a, b, c, d = _word_product(word)
+    a, b, c, d = oracle.word_product(word)
     matrix = [[a, b], [c, d]]
     assert phi1(matrix) == phi1_word(sl2_word(matrix))
 
 
 EXPLICIT = {
-    **{f"fib{n}": fibonacci_matrix(n) for n in (10, 40, 160, 320)},
+    **{f"fib{n}": oracle.fibonacci_matrix(n) for n in (10, 40, 160, 320)},
     **{f"T^{n}": [[1, n], [0, 1]] for n in (-7, 1, 5)},
     **{f"-T^{n}": [[-1, -n], [0, -1]] for n in (-7, 1, 5)},
     "-I": [[-1, 0], [0, -1]],
@@ -764,7 +742,7 @@ SMALL = range(-8, 9)
 SMALL_SL2 = [
     [[a, b], [c, d]] for a in SMALL for b in SMALL for c in SMALL for d in SMALL if a * d - b * c == 1
 ]
-ONE_PASS_INPUTS = SMALL_SL2 + [fibonacci_matrix(n) for n in range(2, 321, 2)]
+ONE_PASS_INPUTS = SMALL_SL2 + [oracle.fibonacci_matrix(n) for n in range(2, 321, 2)]
 
 
 def test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci():
@@ -780,7 +758,7 @@ def test_phi1_matches_the_closed_form_on_every_small_matrix_and_fibonacci():
 def test_sl2_word_is_in_normal_form_and_evaluates_back():
     for matrix in ONE_PASS_INPUTS:
         word = sl2_word(matrix)
-        assert word.evaluate() == SymplecticElement(matrix), matrix
+        assert oracle.word_product(word.syllables) == (*matrix[0], *matrix[1]), matrix
         syllables = word.syllables
         assert all(e != 0 for _, e in syllables), syllables
         assert all(g != h for (g, _), (h, _) in zip(syllables, syllables[1:])), syllables
@@ -812,26 +790,29 @@ reduced_words = st.builds(
 
 @given(word=st.lists(st.tuples(st.sampled_from("ST"), st.integers(-50, 50)), max_size=40) | reduced_words)
 def test_sl2_reduction_matches_the_reference_on_words(word):
-    a, b, c, d = _word_product(word)
+    a, b, c, d = oracle.word_product(word)
     _reduces_like_the_reference([[a, b], [c, d]])
 
 
 def test_sl2_reduction_takes_up_to_abs_c_steps():
-    # |c| falls by at least 1 per step; [[1, 0], [-n, 1]] = S T^n S^-1 takes n
+    # |c| falls by at least 1 per step; [[1, 0], [-n, 1]] = S T^n S^-1 takes n,
+    # each T^q S, then the tail T^(1 // -n) = T^-1
     for n in (1, 2, 3, 10, 10_000):
-        quotients, _ = symplectic._sl2_reduce([[1, 0], [-n, 1]])
-        assert quotients == [-1] + [-2] * (n - 1)
+        syllables = sl2_word([[1, 0], [-n, 1]]).syllables
+        assert sum(gen == "S" for gen, _ in syllables) == n
+        assert [e for gen, e in syllables[:-1] if gen == "T"] == [-1] + [-2] * (n - 1)
+        assert syllables[-1] == ("T", -1)
         # Phi = 2/(-n) + 12 s(1, n), s(1, n) = (n-1)(n-2)/(12n)
         assert symplectic._rademacher(1, 0, -n, 1) == n - 3
 
 
 def test_rademacher_folds_a_run_of_minus_two_in_one_step(monkeypatch):
     # the same n - 1 quotients -2, at sizes no step-at-a-time loop could take;
-    # phi1 reads no quotient list
+    # phi1 builds no word
     def refuse(*args, **kwargs):
-        pytest.fail("phi1 ran the reduction that keeps the quotients")
+        pytest.fail("phi1 ran the reduction that builds the word")
 
-    monkeypatch.setattr(symplectic, "_sl2_reduce", refuse)
+    monkeypatch.setattr(symplectic, "sl2_word", refuse)
     for n in (10**9, 10**100):
         assert symplectic._rademacher(1, 0, -n, 1) == n - 3
         assert phi1([[1, 0], [-n, 1]]) == Fr(-(n - 3), 3) == phi1_closed_form(1, 0, -n, 1)
@@ -850,12 +831,12 @@ run_words = st.lists(
 
 @given(word=huge_words | run_words)
 def test_rademacher_fold_matches_the_dedekind_sum_on_big_entries(word):
-    a, b, c, d = _word_product(word)
+    a, b, c, d = oracle.word_product(word)
     assert phi1([[a, b], [c, d]]) == phi1_closed_form(a, b, c, d)
 
 
 def test_sl2_reduction_matches_the_reference_on_explicit_inputs():
-    for matrix in [*EXPLICIT.values(), *ONE_PASS_INPUTS, *map(fibonacci_matrix, range(322, 401, 2))]:
+    for matrix in [*EXPLICIT.values(), *ONE_PASS_INPUTS, *map(oracle.fibonacci_matrix, range(322, 401, 2))]:
         _reduces_like_the_reference(matrix)
 
 
@@ -867,7 +848,7 @@ def test_phi1_evaluates_no_tau(monkeypatch):
 
     monkeypatch.setattr(meyer, "tau", refuse)
     monkeypatch.setattr(meyer, "_kernel", refuse)
-    matrix = fibonacci_matrix(160)
+    matrix = oracle.fibonacci_matrix(160)
     (a, b), (c, d) = matrix
     assert phi1(matrix) == phi1_closed_form(a, b, c, d)
 
