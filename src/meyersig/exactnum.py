@@ -133,12 +133,6 @@ def parse_rational(token: str) -> Fraction:
         raise MatrixFormatError("bad rational: too many digits") from exc
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """Row divided by the gcd of its entries (a zero row stays zero)."""
-    d = math.gcd(*row)
-    return [x // d for x in row] if d > 1 else row
-
-
 def _int_matrix(data: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The one reader of a matrix argument: its rows as tuples of ``int``s.
 
@@ -221,7 +215,9 @@ def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[in
         v[f] = d
         for c, p, top in reversed(steps):
             v[c] = -sum(map(mul, top, v[c + 1 :])) // p
-        basis.append(tuple(_primitive(v)))
+        g = math.gcd(*v)  # >= 1, as v[f] = d >= 1
+        # a list, not a generator: tuple() of one resizes as it grows (cocycle-sweep RSS +4 %)
+        basis.append(tuple([x // g for x in v]))
     return [c for c, _, _ in steps if c < start], basis
 
 

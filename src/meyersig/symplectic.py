@@ -144,9 +144,6 @@ class SymplecticElement(Record):
             return SymplecticElement.identity(self.g)
         return _power(self if e > 0 else self.inverse(), abs(e), SymplecticElement.__mul__)
 
-    def __repr__(self) -> str:
-        return f"SymplecticElement(g={self.g}, {self.mat!r})"
-
 
 def transvection(v: Sequence[int]) -> SymplecticElement:
     """The symplectic map x -> x + (x^t J v) v as a matrix.
@@ -235,17 +232,11 @@ class SL2Word(Record):
             if e == 0:
                 raise MatrixFormatError("exponent must be nonzero")
 
-    def letters(self):
-        for gen, e in self.syllables:
-            char = gen if e > 0 else gen.lower()
-            for _ in range(abs(e)):
-                yield char
-
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
 
     def __str__(self) -> str:
-        return "".join(self.letters())
+        return "".join((gen if e > 0 else gen.lower()) * abs(e) for gen, e in self.syllables)
 
 
 def _sl2_entries(a: SymplecticElement | Iterable[Iterable[int]]) -> tuple[int, int, int, int]:

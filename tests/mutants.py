@@ -220,6 +220,13 @@ MUTANTS = (
          EXACT + "test_kernel_core_builds_exactly_the_vectors_from_start_on"),
     ),
     Mutant(
+        "kernel-undivided-vectors",  # |d| times the primitive vector
+        "exactnum.py",
+        "basis.append(tuple([x // g for x in v]))",
+        "basis.append(tuple(v))",
+        (EXACT + "test_kernel_vectors_are_primitive_positive_multiples_of_rref_vectors",),
+    ),
+    Mutant(
         "tau-form-keep-a-zero-x-half",  # Q keeps the dependent columns, so (0 | y) vectors appear
         "meyer.py",
         "    q = [c for c, _, _ in _echelon([row[:] for row in m])]\n",
@@ -400,7 +407,8 @@ MUTANTS = (
         (MEYER + "test_cocycle_defect_checks_each_value_against_the_bound",),
     ),
     # the group layer: the one power loop and an element's power, the
-    # symplectic check, sl2_word's normal form and direct_sum's coordinates
+    # symplectic check, sl2_word's normal form, direct_sum's coordinates
+    # and a word's letters
     Mutant(
         "power-loop-double-shift",
         "symplectic.py",
@@ -435,6 +443,20 @@ MUTANTS = (
         "h * gs[t] + i",
         "h * gs[0] + i",
         ("tests/test_symplectic.py::test_direct_sum_is_the_interleaved_block_sum",),
+    ),
+    Mutant(
+        "word-str-keeps-case",  # inverses print as their generator
+        "symplectic.py",
+        "(gen if e > 0 else gen.lower()) * abs(e)",
+        "(gen if e > 0 else gen) * abs(e)",
+        ("tests/test_symplectic.py::test_word_letters_and_parsing",),
+    ),
+    Mutant(
+        "word-str-one-letter-per-syllable",  # T^3 prints as T
+        "symplectic.py",
+        "(gen if e > 0 else gen.lower()) * abs(e)",
+        "(gen if e > 0 else gen.lower())",
+        ("tests/test_symplectic.py::test_word_letters_and_parsing",),
     ),
     # elements and readers
     Mutant(

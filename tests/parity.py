@@ -93,7 +93,8 @@ def phi1_family() -> Iterator[str]:
     """``phi1`` on every SL(2,Z) matrix with entries in [-6, 6], the
     Fibonacci matrices of even n <= 320, seeded words of up to 6 syllables
     with exponents of +-2, of at most 6 and of up to 10^6 in absolute value,
-    and [[1, 0], [-n, 1]] for n = 1..10^4, whose reduction takes n steps."""
+    and [[1, 0], [-n, 1]] for n = 1..10^4, whose word ``sl2_word`` builds
+    in n steps and ``phi1`` folds in two (a run of -2 is one divmod)."""
     span = range(-6, 7)
     small = [m for m in itertools.product(span, repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
     r = random.Random(20286)

@@ -3,8 +3,9 @@
 Every record type is pinned here: its exact ``repr``, construction from
 positional, keyword and default arguments, equality and hashing,
 immutability, the errors its validation raises, and copy and pickle round
-trips, which must rebuild each value through its validating constructor.
-``SymplecticElement`` shares that base and is held to the same protocol.
+trips, which must rebuild each value through its validating constructor,
+and a ``repr`` that rebuilds it when evaluated. ``SymplecticElement`` shares
+that base and is held to the same protocol.
 """
 
 import ast
@@ -143,6 +144,13 @@ RECORDS = [
         SL2Word((("T", -1), ("S", 3))),
         "SL2Word(syllables=(('T', -1), ('S', 1)))",
     ),
+    (
+        SymplecticElement,
+        (((1, -1), (0, 1)),),
+        {"mat": ((1, -1), (0, 1))},
+        SymplecticElement(((1, 1), (0, 1))),
+        "SymplecticElement(mat=((1, -1), (0, 1)))",
+    ),
 ]
 RECORD_IDS = [case[0].__name__ for case in RECORDS]
 
@@ -151,6 +159,15 @@ RECORD_IDS = [case[0].__name__ for case in RECORDS]
 def test_repr(cls, args, kwargs, other, text):
     assert repr(cls(*args)) == text
     assert repr(cls(**kwargs)) == text
+
+
+NAMESPACE = {"Fraction": Fr, **{case[0].__name__: case[0] for case in RECORDS}}
+
+
+@pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
+def test_repr_rebuilds_the_value(cls, args, kwargs, other, text):
+    value = cls(*args)
+    assert eval(repr(value), NAMESPACE) == value
 
 
 @pytest.mark.parametrize("cls, args, kwargs, other, text", RECORDS, ids=RECORD_IDS)
@@ -486,10 +503,7 @@ def test_integer_arguments_must_be_ints(call):
     assert type(info.value) is InvalidInput
 
 
-IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [
-    SymplecticElement([[1, -1], [0, 1]]),
-    SymplecticElement.identity(2),
-]
+IMMUTABLES = [case[0](*case[1]) for case in RECORDS] + [SymplecticElement.identity(2)]
 ROUND_TRIPS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -522,7 +536,7 @@ def test_values_refuse_setting_and_deleting(value):
     assert value == twin
 
 
-PROTOCOL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+PROTOCOL = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__", "__reduce__"}
 
 
 def test_only_the_record_base_defines_the_value_protocol():
