@@ -27,6 +27,7 @@ import json
 import random
 import sys
 from collections.abc import Iterator
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,7 @@ if __name__ == "__main__":  # under pytest, the package comes from the test path
 
 from linalg_oracle import fibonacci_matrix, word_product  # noqa: E402
 from meyersig import (  # noqa: E402
+    MeyerSigError,
     SymplecticElement,
     phi1,
     phi1_word,
@@ -157,6 +159,43 @@ def solve_family() -> Iterator[str]:
                 yield f"{x} {y} {_solve(x, y)}"
 
 
+def constructor_family() -> Iterator[str]:
+    """``SymplecticElement`` on seeded matrices: accepted, or the type and
+    message of the error it raises. The inputs are odd, non-square, empty and
+    ragged shapes and non-int entries; every 2x2 matrix with entries in
+    [-2, 2] (det 1 is accepted, det -1 and the rest refused); and at g = 1-6
+    seeded products of transvections, each also with one entry moved by a
+    nonzero k in [-3, 3] and with two of its rows swapped, and seeded even
+    matrices with entries in [-2, 2]."""
+    cases = [
+        [], [[]], [[], []], [[1]], [[1, 0]], [[1], [0]],
+        *([[int(i == j) for j in range(n)] for i in range(n)] for n in (3, 5)),
+        [[1, 0, 0, 1], [0, 1, 0, 0]], [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0]],
+        [[1, 0], [0, 1, 0]], [[1, 0], [0, True]], [[1.0, 0], [0, 1]],
+        [[Fraction(1), 0], [0, 1]], [[1, 0], [0, "1"]], [[1, None], [0, 1]], ["10", "01"],
+    ]
+    cases += [[[a, b], [c, d]] for a, b, c, d in itertools.product(range(-2, 3), repeat=4)]
+    r = random.Random(20287)
+    for g in range(1, 7):
+        n = 2 * g
+        for _ in range(25):
+            m = [list(row) for row in random_transvection_product(r, g, r.randint(0, 5)).mat]
+            slipped = [row[:] for row in m]
+            slipped[r.randrange(n)][r.randrange(n)] += r.choice((-3, -2, -1, 1, 2, 3))
+            swapped = m[:]
+            i, k = r.sample(range(n), 2)
+            swapped[i], swapped[k] = swapped[k], swapped[i]
+            cases += [m, slipped, swapped]
+        cases += [[[r.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(25)]
+    for m in cases:
+        try:
+            SymplecticElement(m)
+            outcome = "accepted"
+        except MeyerSigError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        yield f"{m!r} {outcome}"
+
+
 FAMILIES = {
     "phi1": phi1_family,
     "phi1-word": phi1_word_family,
@@ -164,12 +203,17 @@ FAMILIES = {
     "power": power_family,
     "tau": tau_family,
     "solve": solve_family,
+    "constructor": constructor_family,
 }
 
 # the lines of each family's Tier-1 slice: tau's reach g = 2, solve's n = 4,
-# phi1's the small matrices, the Fibonacci ones and 300 words; the others
-# take tens of milliseconds each
-SLICE = {"phi1": 832, "phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80}
+# phi1's the small matrices, the Fibonacci ones and 300 words, constructor's
+# the shapes, the 2x2 matrices and g = 1-3; the others take tens of
+# milliseconds each
+SLICE = {
+    "phi1": 832, "phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80,
+    "constructor": 943,
+}
 
 
 def digest(family: str, lines: int | None = None) -> str:
