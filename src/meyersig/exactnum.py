@@ -287,7 +287,7 @@ def gram_restrict(
 
 def _gram(sums: list[list[int]], images: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """G[i][j] = sums[i] . images[j] (x_i + y_i and S y_j), checked symmetric."""
-    return _symmetric(tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums))
+    return _symmetric(tuple([tuple([sum(map(mul, u, img)) for img in images]) for u in sums]))
 
 
 def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:

@@ -55,7 +55,8 @@ def _identity(n: int) -> IntMatrix:
 
 def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    # lists, not generators: tuple() of a generator resizes as it grows (peak RSS)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _inverse_minus(m: IntMatrix, k: int) -> IntMatrix:
@@ -105,9 +106,17 @@ class SymplecticElement(Record):
         cols = len(rows[0]) if rows else 0
         if n < 2 or n % 2 != 0 or cols != n:
             raise NotSymplectic(f"need an even square matrix of size >= 2, got {n}x{cols}")
-        # A (J^-1 A^t J) = I iff A^t J A = J; at 2x2 it is det(A) I, refusing det != 1
-        if _matmul(rows, _inverse_minus(rows, 0)) != _identity(n):
-            raise NotSymplectic("matrix does not preserve the alternating form")
+        # A^t J A = J iff A J A^t = J, and A J A^t is alternating for any A,
+        # so it is enough that w(r_i, r_j) = r_i^t J r_j is [j = i + g] for the
+        # rows r_i, r_j of A, i < j: n(n-1)/2 dot products, each with the row's
+        # r_i^t J = (-r_i[g:], r_i[:g]). At 2x2 it is ad - bc = 1.
+        g = n // 2
+        for i in range(n - 1):
+            row = rows[i]
+            form = (*map(neg, row[g:]), *row[:g])
+            for j in range(i + 1, n):
+                if sum(map(mul, form, rows[j])) != (j == i + g):
+                    raise NotSymplectic("matrix does not preserve the alternating form")
         object.__setattr__(self, "mat", rows)
 
     @classmethod
@@ -166,7 +175,7 @@ def _transvect(m: IntMatrix, v: Sequence[int]) -> IntMatrix:
     rows = []
     for row in m:
         s = sum(map(mul, row, v))  # (Mv)_i
-        rows.append(tuple(x + s * y for x, y in zip(row, w)) if s else row)
+        rows.append(tuple([x + s * y for x, y in zip(row, w)]) if s else row)
     return tuple(rows)
 
 

@@ -3,7 +3,8 @@
 Matrices are sequences of rows; every result is a list of lists (or a list)
 of ``Fraction``s, which compare equal to the ``int``s the library returns.
 Signatures are read off sympy's characteristic polynomial by Descartes' rule
-of signs. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
+of signs; sympy is imported by the two functions that use it, not by the
+module. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
 SL(2,Z) matrix, folded one syllable at a time, and ``word_product`` the
 product of such a word, multiplied as ints. The module imports nothing
 from ``meyersig``, so a test that checks the library against it does not
@@ -11,8 +12,6 @@ check the library against itself.
 """
 
 from fractions import Fraction
-
-import sympy
 
 
 def _rows(m) -> list[list[Fraction]]:
@@ -110,6 +109,8 @@ def inverse(m) -> list[list[Fraction]]:
 
 def determinant(m) -> Fraction:
     """det m, by sympy."""
+    import sympy  # here, not at the top: the import costs half a second, and most tests need none
+
     return Fraction(int(sympy.Matrix(m).det()))
 
 
@@ -126,6 +127,8 @@ def descartes_signature(gram) -> int:
     It is exact here because a real symmetric matrix has only real
     eigenvalues; the zero eigenvalues are divided out first.
     """
+    import sympy
+
     coeffs = sympy.Matrix(gram).charpoly().all_coeffs()  # leading coefficient first
     while len(coeffs) > 1 and coeffs[-1] == 0:  # the zero eigenvalues
         coeffs.pop()

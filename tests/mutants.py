@@ -49,6 +49,8 @@ PARSED = "tests/test_cli.py::test_argparse_decisions_are_exact"
 BASE_REFUSES = MEYER + "test_phi1_base_refuses_relations_the_cocycle_contradicts"
 CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_contradict"
 RECORDS = "tests/test_records.py::test_validation_raises_the_documented_error"
+ACCEPTS = "tests/test_symplectic.py::test_constructor_accepts_exactly_the_matrices_that_preserve_J"
+ONE_PAIR = "tests/test_symplectic.py::test_constructor_refuses_a_matrix_wrong_at_one_row_pair"
 
 MUTANTS = (
     # the Euclidean reduction behind sl2_word and the Rademacher fold behind phi1
@@ -251,8 +253,8 @@ MUTANTS = (
     Mutant(
         "gram-unchecked",
         "exactnum.py",
-        "    return _symmetric(tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums))",
-        "    return tuple(tuple(sum(map(mul, u, img)) for img in images) for u in sums)",
+        "    return _symmetric(tuple([tuple([sum(map(mul, u, img)) for img in images]) for u in sums]))",
+        "    return tuple([tuple([sum(map(mul, u, img)) for img in images]) for u in sums])",
         (EXACT + "test_gram_restrict_rejects_asymmetric_result",),
     ),
     Mutant(
@@ -424,11 +426,32 @@ MUTANTS = (
         ("tests/test_symplectic.py::test_word_evaluates_huge_powers_to_their_closed_forms",),
     ),
     Mutant(
-        "symplectic-check-without-J",  # A A^t = I: orthogonal, not symplectic
+        "symplectic-check-without-J",  # r_i . r_j for r_i^t J r_j: A A^t, not A J A^t
         "symplectic.py",
-        "_matmul(rows, _inverse_minus(rows, 0))",
-        "_matmul(rows, tuple(zip(*rows)))",
-        ("tests/test_symplectic.py::test_constructor_accepts_exactly_the_matrices_that_preserve_J",),
+        "form = (*map(neg, row[g:]), *row[:g])",
+        "form = row",
+        (ACCEPTS,),
+    ),
+    Mutant(
+        "symplectic-check-unnegated-form",  # J's lower block +I: a symmetric form
+        "symplectic.py",
+        "form = (*map(neg, row[g:]), *row[:g])",
+        "form = (*row[g:], *row[:g])",
+        (ACCEPTS,),
+    ),
+    Mutant(
+        "symplectic-check-skips-adjacent-rows",  # w(r_i, r_(i+1)) never checked
+        "symplectic.py",
+        "range(i + 1, n)",
+        "range(i + 2, n)",
+        (ACCEPTS, ONE_PAIR),
+    ),
+    Mutant(
+        "symplectic-check-partner-off-by-one",  # w(r_i, r_(i+g-1)) = 1 asked for
+        "symplectic.py",
+        "j == i + g",
+        "j == i + g - 1",
+        (ACCEPTS,),
     ),
     Mutant(
         "sl2-word-unmerged-tail",  # S then S^2, not S^3

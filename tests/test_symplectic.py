@@ -37,10 +37,16 @@ def test_standard_J_antisymmetric(g):
     assert oracle.transpose(j) == oracle.neg(j)
 
 
+def _product(a, b):
+    """a b over the ints, entry by entry, as the definition of the product."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def _preserves_J(m) -> bool:
-    """A^t J A = J, the definition, from the oracle's J and products."""
-    j = oracle.standard_J(len(m) // 2)
-    return oracle.matmul(oracle.matmul(oracle.transpose(m), j), m) == j
+    """A^t J A = J, the definition, from the oracle's J and int products
+    (the oracle's ``Fraction`` ones took seconds at g = 4-6)."""
+    j = [[int(x) for x in row] for row in oracle.standard_J(len(m) // 2)]
+    return _product(_product(list(zip(*m)), j), m) == j
 
 
 def _near_symplectic(r: random.Random, g: int):
@@ -58,7 +64,7 @@ def _near_symplectic(r: random.Random, g: int):
 
 def test_constructor_accepts_exactly_the_matrices_that_preserve_J():
     r = random.Random(10)
-    matrices = [_near_symplectic(r, g) for g in (1, 2, 3) for _ in range(60)]
+    matrices = [_near_symplectic(r, g) for g in range(1, 7) for _ in range(60)]
     matrices += [
         [[r.randint(-2, 2) for _ in range(2 * g)] for _ in range(2 * g)]
         for g in (1, 2)
@@ -75,6 +81,32 @@ def test_constructor_accepts_exactly_the_matrices_that_preserve_J():
         assert accepted == _preserves_J(m), m
         decisions.add(accepted)
     assert decisions == {True, False}
+
+
+def _wrong_at(g: int, i: int, j: int, q):
+    """Rows that break the form at the one row pair (i, j), i < j: row i of I
+    plus the row that pairs with e_j alone, times the symplectic q, which
+    leaves A J A^t, and so the pairs that break it, as they were."""
+    n = 2 * g
+    e = [[int(k == l) for l in range(n)] for k in range(n)]
+    e[i] = [x + y for x, y in zip(e[i], e[(j + g) % n])]
+    return _product(e, q.mat)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_constructor_refuses_a_matrix_wrong_at_one_row_pair(g):
+    # e.g. [e0 + e3; e1; e2; e3] at g = 2 breaks w(r0, r1) alone; each pair in turn
+    r = random.Random(11 + g)
+    n, j_form = 2 * g, [[int(x) for x in row] for row in oracle.standard_J(g)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = _wrong_at(g, i, j, random_transvection_product(r, g, 4))
+            form = _product(_product(m, j_form), list(zip(*m)))
+            wrong = {(k, l) for k in range(n) for l in range(k + 1, n) if form[k][l] != j_form[k][l]}
+            assert wrong == {(i, j)}, m
+            assert not _preserves_J(m)
+            with pytest.raises(NotSymplectic, match="^matrix does not preserve the alternating form$"):
+                SymplecticElement(m)
 
 
 def test_constructor_rejects_non_symplectic():
