@@ -3,8 +3,7 @@
 Matrices are sequences of rows; every result is a list of lists (or a list)
 of ``Fraction``s, which compare equal to the ``int``s the library returns.
 Signatures are read off sympy's characteristic polynomial by Descartes' rule
-of signs; sympy is imported by the two functions that use it, not by the
-module. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
+of signs. ``sl2_reduction`` is the S, T word and Rademacher's Phi of an
 SL(2,Z) matrix, folded one syllable at a time, and ``word_product`` the
 product of such a word, multiplied as ints. The module imports nothing
 from ``meyersig``, so a test that checks the library against it does not

@@ -42,10 +42,14 @@ def _product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _int_J(g: int):
+    """The oracle's J in ints: its ``Fraction`` products took seconds at g = 4-6."""
+    return [[int(x) for x in row] for row in oracle.standard_J(g)]
+
+
 def _preserves_J(m) -> bool:
-    """A^t J A = J, the definition, from the oracle's J and int products
-    (the oracle's ``Fraction`` ones took seconds at g = 4-6)."""
-    j = [[int(x) for x in row] for row in oracle.standard_J(len(m) // 2)]
+    """A^t J A = J, the definition, from the oracle's J and int products."""
+    j = _int_J(len(m) // 2)
     return _product(_product(list(zip(*m)), j), m) == j
 
 
@@ -97,7 +101,7 @@ def _wrong_at(g: int, i: int, j: int, q):
 def test_constructor_refuses_a_matrix_wrong_at_one_row_pair(g):
     # e.g. [e0 + e3; e1; e2; e3] at g = 2 breaks w(r0, r1) alone; each pair in turn
     r = random.Random(11 + g)
-    n, j_form = 2 * g, [[int(x) for x in row] for row in oracle.standard_J(g)]
+    n, j_form = 2 * g, _int_J(g)
     for i in range(n):
         for j in range(i + 1, n):
             m = _wrong_at(g, i, j, random_transvection_product(r, g, 4))
