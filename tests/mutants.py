@@ -7,12 +7,14 @@ Run from the repository root:
 
 For each mutant the script copies ``src/`` to a temporary directory,
 replaces the one occurrence of ``old`` by ``new`` in ``file`` there, and
-runs the mutant's test ids with ``pytest -x`` against that copy, printing
-each outcome with its wall time and, last, the counts and the total. A mutant
-is caught when pytest exits 1, a failed test; an exit of 0 (the mutant
-survived) or any other (INTERNALERROR, a usage or collection error) fails
-the run, and the script exits 1. ``test_mutants.py`` checks in Tier-1 that
-every old text still occurs exactly once, so the list cannot rot silently.
+runs the mutant's test ids with ``pytest -x`` against that copy. Two
+mutants run at a time, each in its own copy and processes. The outcomes
+print in the list's order, each with its own wall time, and last the counts
+and the total. A mutant is caught when pytest exits 1, a failed test; an
+exit of 0 (the mutant survived) or any other (INTERNALERROR, a usage or
+collection error) fails the run, and the script exits 1. ``test_mutants.py``
+checks in Tier-1 that every old text still occurs exactly once, so the list
+cannot rot silently.
 The file is not named ``test_*.py``, so pytest does not collect it.
 """
 
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -641,7 +644,13 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> str:
+def run(mutant: Mutant) -> tuple[str, float]:
+    """The mutant's verdict and the seconds it took."""
+    began = time.perf_counter()
+    return verdict(mutant), time.perf_counter() - began
+
+
+def verdict(mutant: Mutant) -> str:
     """'caught', or why the mutant was not."""
     with tempfile.TemporaryDirectory(prefix="meyersig-mutant-") as tmp:
         src = Path(tmp) / "src"
@@ -676,12 +685,12 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
     failed, start = 0, time.perf_counter()
-    for mutant in [known[n] for n in names] if names else MUTANTS:
-        began = time.perf_counter()
-        outcome = run(mutant)
-        failed += outcome != "caught"
-        print(f"{mutant.name}: {outcome} ({time.perf_counter() - began:.1f} s)", flush=True)
-    print(f"{len(names or MUTANTS) - failed} caught, {failed} not, in {time.perf_counter() - start:.0f} s")
+    mutants = [known[n] for n in names] if names else MUTANTS
+    with ThreadPoolExecutor(2) as pool:
+        for mutant, (outcome, seconds) in zip(mutants, pool.map(run, mutants)):
+            failed += outcome != "caught"
+            print(f"{mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
+    print(f"{len(mutants) - failed} caught, {failed} not, in {time.perf_counter() - start:.0f} s")
     return 1 if failed else 0
 
 

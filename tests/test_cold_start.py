@@ -5,6 +5,8 @@ source tree on ``PYTHONPATH``: modules that ``site`` or an earlier test
 imported cannot hide a missing import or an import that came back. The
 in-process CLI tests in ``test_cli.py`` run after every module is loaded and
 so cannot catch a subcommand handler that forgot to import its layer.
+The last test checks the pytest process itself: it loads the plugins
+``pyproject.toml`` names and none found by scanning installed packages.
 """
 
 import ast
@@ -190,3 +192,9 @@ def test_readme_library_example_runs():
     (example,) = re.findall(r"```python\n(from fractions.*?)```", readme, re.S)
     assert "from meyersig import (" in example
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_pytest_loads_only_the_plugin_it_names(request):
+    plugins = request.config.pluginmanager
+    assert plugins.list_plugin_distinfo() == []
+    assert plugins.hasplugin("_hypothesis_pytestplugin")
