@@ -25,8 +25,9 @@ for bit.
 * Gauss-Jordan (``_solve``). The step runs on the rows above each pivot as
   well as below it. A row pivoted on holds the latest pivot in its own
   column, so after n steps on [X | Y] the rows, in the order of their pivot
-  columns, are [d I | d X^-1 Y], d = +-det X, and no back-substitution is
-  needed.
+  columns, are [d I | d X^-1 Y], d = +-det X the last pivot, and no
+  back-substitution is needed. d keeps its sign; ``meyer``'s Cayley
+  paragraph says how the sign enters tau.
 * Symmetric elimination (``_signature``). An index is live until it is
   pivoted on, the pivot is the first live nonzero diagonal entry, and the
   step runs on the other live rows and columns. Invariant: each live
@@ -224,11 +225,12 @@ def _kernel(rows: list[list[int]], start: int) -> tuple[list[int], list[tuple[in
 def _solve(
     x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]] | None:
-    """(|d|, the rows of |d| X^-1 Y) for the n x n int rows X and the int
-    rows Y, n of them, with d = +-det X the last pivot, by Gauss-Jordan on
-    [X | Y] (module docstring), X's columns dropped as they are eliminated;
-    ``None`` at the first column of X without a pivot, that is when X is
-    singular. ``meyer`` reads the resolvents |d| (A - I)^-1 off the rows."""
+    """(d, the rows of d X^-1 Y) for the n x n int rows X and the int rows
+    Y, n of them, with d = +-det X the last pivot, its sign kept, by
+    Gauss-Jordan on [X | Y] (module docstring), X's columns dropped as they
+    are eliminated; ``None`` at the first column of X without a pivot, that
+    is when X is singular. ``meyer`` reads the resolvents d (A - I)^-1 off
+    the rows, with the sign rule of its Cayley paragraph."""
     n = len(x)
     rows = [[*u, *w] for u, w in zip(x, y)]
     prev = 1
@@ -245,9 +247,7 @@ def _solve(
             rows[i] = [(p * u - f * w) // prev for u, w in zip(row, top)]
         rows.insert(c, top)
         prev = p
-    if prev < 0:
-        rows = [[-u for u in row] for row in rows]
-    return abs(prev), rows
+    return prev, rows
 
 
 def kernel_basis(m: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

@@ -39,12 +39,17 @@ The Cayley path. When A1 - I and A2 - I are both invertible, W = R^2g and
 the form has a closed form in the resolvents R_A = (A - I)^-1. With
 w = (A2 - I) y, y = R_A2 w and x = -(A1^-1 - I)^-1 w = (I + R_A1) w, so the
 pairing is -w^t (I + R_A1 + R_A2)^t J w'; 2 (I + R_A1 + R_A2) is the sum of
-the Cayley transforms (A + I)(A - I)^-1 of A1 and A2. In integers, with
-N_A = |d_A| (A - I)^-1 and d_A = +-det(A - I), tau(A, B) is the signature
-of J S, S = |d_A d_B| I + |d_B| N_A + |d_A| N_B, which is the symmetric
--S^t J, |d_A d_B| > 0 times the form. The defect takes this path when the
-pivot pass finds |Q2| = 2g and all five A - I it needs, for A1, A2, A3,
-A1 A2 and A2 A3, are invertible. The products' resolvents solve
+the Cayley transforms (A + I)(A - I)^-1 of A1 and A2. In integers, d_A is
+the last pivot of the fraction-free solve of A - I against I, d_A =
++-det(A - I) with its sign kept, and N_A = d_A (A - I)^-1. Then
+S = d_A d_B I + d_B N_A + d_A N_B = d_A d_B (I + R_A + R_B), and J S is the
+symmetric -S^t J, d_A d_B times the form. The sign rule: tau(A, B) is the
+signature of J S when d_A d_B > 0 and its negative when d_A d_B < 0. The
+rows of J S are S's lower half, then its upper half negated, so each is one
+pass over the rows of N_A and N_B, with the sign of J's half folded into the
+two scales. The defect takes this path when the pivot pass finds |Q2| = 2g
+and all five A - I it needs, for A1, A2, A3, A1 A2 and A2 A3, are
+invertible. The products' resolvents solve
 A2 - A1^-1 = A1^-1 (A1 A2 - I) against A1^-1 and
 A3 - A2^-1 = A2^-1 (A2 A3 - I) against A2^-1, and N_A1, N_A2 and N_A3 each
 serve two of the four pairs. A singular solve sends the defect to the
@@ -72,7 +77,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import mul, neg
+from operator import mul
 
 from ._record import Record
 from .errors import ContractViolation, GenusMismatch, InconsistentRelations, MatrixFormatError
@@ -182,23 +187,25 @@ def _tau(left: Rows, right: Side, block: Rows) -> tuple[int, list[int]]:
     return _bounded(_signature(form), len(left)), pivots
 
 
-Resolvent = tuple[int, list[list[int]]]  # (|d|, the rows of N = |d| (A - I)^-1)
+Resolvent = tuple[int, list[list[int]]]  # (d, the rows of d (A - I)^-1), d signed: module docstring
 
 
 def _cayley(a: Resolvent, b: Resolvent) -> int:
     """tau(A, B) from the resolvents of A and B, when A - I and B - I are
-    invertible, by the Cayley path (module docstring). The Gram J S is read
-    off S's rows, its lower half, then its upper half negated, with no
-    transpose taken."""
+    invertible, by the Cayley path and its sign rule (module docstring):
+    each row of J S is built once, the sign of J's half in the two scales."""
     (da, na), (db, nb) = a, b
-    k, g = da * db, len(na) // 2
-    s = []
-    for i, (u, w) in enumerate(zip(na, nb)):
-        row = [db * x + da * y for x, y in zip(u, w)]
-        row[i] += k
-        s.append(row)
-    gram = (*map(tuple, s[g:]), *(tuple(map(neg, row)) for row in s[:g]))
-    return _bounded(_signature(_symmetric(gram)), len(na))
+    k, n = da * db, len(na)
+    g = n // 2
+    gram = []
+    for half, sign in ((range(g, n), 1), (range(g), -1)):
+        sa, sb, sk = sign * db, sign * da, sign * k
+        for i in half:
+            row = [sa * x + sb * y for x, y in zip(na[i], nb[i])]
+            row[i] += sk
+            gram.append(tuple(row))
+    value = _signature(_symmetric(tuple(gram)))
+    return _bounded(value if k > 0 else -value, n)
 
 
 def _resolvents(

@@ -340,20 +340,13 @@ MUTANTS = (
         (EXACT + "test_solve_is_the_determinant_times_the_inverse",),
     ),
     Mutant(
-        "solve-unsigned-seed",  # -|d| X^-1 Y
+        "solve-returns-abs-pivot",  # |d| returned with the rows of d X^-1 Y
         "exactnum.py",
-        "    if prev < 0:\n",
-        "    if prev > 0:\n",
+        "    return prev, rows",
+        "    return abs(prev), rows",
         (EXACT + "test_solve_is_the_determinant_times_the_inverse",
+         EXACT + "test_solve_matches_the_oracle_on_big_entries",
          MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible"),
-    ),
-    Mutant(
-        "solve-unsigned-rows",  # d X^-1 Y: a negative last pivot kept in the rows
-        "exactnum.py",
-        "    if prev < 0:\n        rows = [[-u for u in row] for row in rows]\n",
-        "",
-        (EXACT + "test_solve_is_the_determinant_times_the_inverse",
-         EXACT + "test_solve_matches_the_oracle_on_big_entries"),
     ),
     Mutant(
         "solve-forward-only",  # the rows above the pivot left as they are
@@ -365,34 +358,50 @@ MUTANTS = (
          EXACT + "test_solve_matches_the_oracle_on_big_entries"),
     ),
     Mutant(
+        "identity-shifted-diagonal",  # the 1 of row i at column i + 1 (mod n)
+        "symplectic.py",
+        "zero[i + 1 :] for i in range(n)]",
+        "zero[i + 1 :] for i in (*range(1, n), 0)]",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
         "cayley-drops-identity",  # -(R_A + R_B)^t J
         "meyer.py",
-        "        row[i] += k\n",
-        "        row[i] += 0\n",
+        "            row[i] += sk\n",
+        "            row[i] += 0\n",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
     Mutant(
         "cayley-unsigned-swap",  # J's halves swapped without the sign
         "meyer.py",
-        "*(tuple(map(neg, row)) for row in s[:g]))",
-        "*map(tuple, s[:g]))",
+        "(range(g), -1)",
+        "(range(g), 1)",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
     Mutant(
         "cayley-rows-without-j",  # S's rows as the Gram
         "meyer.py",
-        "gram = (*map(tuple, s[g:]), *(tuple(map(neg, row)) for row in s[:g]))",
-        "gram = tuple(map(tuple, s))",
+        "for half, sign in ((range(g, n), 1), (range(g), -1)):",
+        "for half, sign in ((range(n), 1),):",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
     Mutant(
-        "cayley-one-scale",  # |d_A| for both scales
+        "cayley-one-scale",  # d_A for both scales
         "meyer.py",
-        "row = [db * x + da * y for x, y in zip(u, w)]",
-        "row = [da * x + da * y for x, y in zip(u, w)]",
+        "sa, sb, sk = sign * db, sign * da, sign * k",
+        "sa, sb, sk = sign * da, sign * da, sign * k",
+        (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
+         MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
+    ),
+    Mutant(
+        "cayley-drops-pivot-sign",  # the signature of J S returned unflipped when d_A d_B < 0
+        "meyer.py",
+        "value if k > 0 else -value",
+        "value",
         (MEYER + "test_cayley_form_is_tau_where_a_minus_i_is_invertible",
          MEYER + "test_cocycle_defect_shares_the_four_tau_values"),
     ),
@@ -407,8 +416,8 @@ MUTANTS = (
     Mutant(
         "cayley-unbounded",
         "meyer.py",
-        "    return _bounded(_signature(_symmetric(gram)), len(na))",
-        "    return _signature(_symmetric(gram))",
+        "    return _bounded(value if k > 0 else -value, n)",
+        "    return value if k > 0 else -value",
         (MEYER + "test_cocycle_defect_checks_each_value_against_the_bound",),
     ),
     # the group layer: the one power loop and an element's power, the

@@ -140,10 +140,11 @@ def tau_family() -> Iterator[str]:
 
 
 def solve_family() -> Iterator[str]:
-    """``exactnum._solve``, |d| and the rows of |d| X^-1 Y or ``None``, on
-    seeded square X at n = 1-12 with entries of 3 to 200 bits and both signs
-    of det, one X in five singular (its last row a combination of the
-    others), each against Y = I and a seeded Y of 1 to n + 2 columns."""
+    """``exactnum._solve``, the signed last pivot d = +-det X and the rows of
+    d X^-1 Y or ``None``, on seeded square X at n = 1-12 with entries of 3
+    to 200 bits and both signs of det, one X in five singular (its last row
+    a combination of the others), each against Y = I and a seeded Y of 1 to
+    n + 2 columns."""
     r = random.Random(20285)
     for n in range(1, 13):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -240,11 +241,25 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
         ), start
 
 
+def signed_pivot(x, det: int) -> int:
+    """The last pivot of Bareiss's elimination with row pivoting on the
+    invertible X: det X with the rows in the order the pivots take them, for
+    each column c the first row not yet taken whose minor on the rows taken
+    and the columns up to c is nonzero."""
+    order = []
+    for c in range(len(x)):
+        order.append(next(i for i in range(len(x)) if i not in order
+                          and oracle.rank([x[j][: c + 1] for j in [*order, i]]) == c + 1))
+    swaps = sum(i > j for k, i in enumerate(order) for j in order[k + 1 :])
+    return det * (-1) ** swaps
+
+
 def test_solve_is_the_determinant_times_the_inverse():
-    # (|det X|, the rows of |det X| X^-1 Y), or None for a singular X:
-    # one X in five has a column zeroed, and one a row repeated
+    # (d, the rows of d X^-1 Y) with d the signed last pivot, +-det X, or
+    # None for a singular X: one X in five has a column zeroed, and one a
+    # row repeated
     r = random.Random(3031)
-    singular = 0
+    singular, signs = 0, Counter()
     for n in range(1, 7):
         for k in range(15):
             x, y = random_matrix(r, n, n), random_matrix(r, n, r.randint(1, 2 * n))
@@ -261,9 +276,13 @@ def test_solve_is_the_determinant_times_the_inverse():
                 singular += 1
                 continue
             d, rows = solved
-            assert d == abs(det)
+            assert d == signed_pivot(x, det)
+            assert abs(d) == abs(det)
             assert rows == [[d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)]
+            signs[d > 0, d == det] += 1
     assert singular == 35  # of 90
+    # both signs of d, and d = -det X where the pivots take the rows in an odd order
+    assert signs == {(True, True): 21, (False, True): 27, (True, False): 3, (False, False): 4}
 
 
 @st.composite
@@ -290,14 +309,15 @@ def solve_system(draw):
 
 @given(system=solve_system())
 def test_solve_matches_the_oracle_on_big_entries(system):
-    # None on exactly the singular X; otherwise |det X| and the rows of
-    # |det X| X^-1 Y, whatever the sign of det X
+    # None on exactly the singular X; otherwise the signed last pivot d =
+    # +-det X and the rows of d X^-1 Y, whatever the sign of det X
     x, y = system
     det, solved = oracle.determinant(x), _solve(x, y)
     assert (solved is None) == (det == 0)
     if solved is not None:
         d, rows = solved
-        assert d == abs(det)
+        assert d == signed_pivot(x, det)
+        assert abs(d) == abs(det)
         assert rows == [[d * v for v in row] for row in oracle.matmul(oracle.inverse(x), y)]
 
 
