@@ -241,7 +241,7 @@ def test_kernel_core_builds_exactly_the_vectors_from_start_on(m):
         ), start
 
 
-def signed_pivot(x, det: int) -> int:
+def signed_pivot(x, det: Fr) -> Fr:
     """The last pivot of Bareiss's elimination with row pivoting on the
     invertible X: det X with the rows in the order the pivots take them, for
     each column c the first row not yet taken whose minor on the rows taken

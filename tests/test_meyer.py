@@ -275,9 +275,7 @@ def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
     # when A - I and B - I are invertible, W = R^2g and Meyer's form is
     # -(I + R_A + R_B)^t J, R_X = (X - I)^-1; rank(A - I) is at most the
     # number of transvections in A, so g = 3 needs six or more, and g = 4
-    # and 6 draw 2g + 4; a singular A - I has no resolvent. The signed
-    # pivots d_A d_B take both signs at g = 1 and 2, so the sign rule is
-    # exercised on both branches
+    # and 6 draw 2g + 4; a singular A - I has no resolvent
     for a in (SymplecticElement.identity(2), TWIST, direct_sum(HYPERBOLIC, TWIST)):
         assert _resolvent(a) is None
     r = random.Random(3030)
@@ -297,7 +295,7 @@ def test_cayley_form_is_tau_where_a_minus_i_is_invertible():
             values.add(tau(a, b))
             signs[g, ra[0] * rb[0] > 0] += 1
     assert invertible == {1: 23, 2: 24, 3: 24, 4: 2, 6: 2}  # of 24 pairs per genus, 2 at g = 4 and 6
-    # (g, d_A d_B > 0): both signs at g = 1 and 2
+    # (g, d_A d_B > 0): each branch of the sign rule runs at g = 1 and at g = 2
     assert signs == {(1, True): 14, (1, False): 9, (2, True): 6, (2, False): 18,
                      (3, True): 21, (3, False): 3, (4, True): 2, (6, False): 2}
     assert len(values) >= 3  # a sample of zeros would check nothing
