@@ -299,7 +299,8 @@ def signature_symmetric(gram: Iterable[Iterable[int]]) -> int:
 
 def _signature(gram: tuple[tuple[int, ...], ...]) -> int:
     """The signature of int rows checked symmetric, by the symmetric
-    elimination (module docstring); ``tau`` passes ``tau_form``'s. The
+    elimination (module docstring). It is passed ``signature_symmetric``'s
+    argument, ``tau_form``'s Gram for ``tau``, and ``meyer._cayley``'s J S. The
     ``for`` loop over the live indices finds the pivot, and its ``else``
     takes a zero live diagonal."""
     g = [list(row) for row in gram]

@@ -105,7 +105,10 @@ class LedgerEntry(Record):
     __slots__ = ("name", "phi", "nbhd_sign", "count")
 
     def _check(self):
-        _kind_arg(self.name, str, "name")
+        try:  # a lone surrogate is a str that no output can encode
+            _kind_arg(self.name, str, "name").encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidInput(f"germ name {self.name!r} cannot be encoded as UTF-8") from exc
         if self.phi is not None:
             _rational_arg(self.phi, "phi")
         _int_arg(self.nbhd_sign, "nbhd_sign")
@@ -180,7 +183,10 @@ def ledger_from_obj(obj) -> FibrationLedger:
                    "count": int } ] }
 
     "phi": null (or absent) marks the germ whose signature is to be solved;
-    "nbhd_sign" defaults to 0 and "count" to 1.
+    "nbhd_sign" defaults to 0 and "count" to 1. Here only the layout and the
+    "phi" numeral are checked; ``LedgerEntry`` checks the name (a ``str``
+    that encodes as UTF-8), "nbhd_sign" and "count", and ``FibrationLedger``
+    "total_sign".
     """
     if not isinstance(obj, dict):
         raise InvalidInput("ledger must be a JSON object")
@@ -195,16 +201,9 @@ def ledger_from_obj(obj) -> FibrationLedger:
     for item in raw_germs:
         if not isinstance(item, dict) or "name" not in item:
             raise InvalidInput(f"bad germ entry {_shown(item)}")
-        try:  # an int past the digit limit has no str, a lone surrogate no encoding
-            name = str(item["name"])
-            name.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise InvalidInput(f"germ name {name!r} cannot be encoded as UTF-8") from exc
-        except ValueError as exc:
-            raise InvalidInput(f"germ name {_shown(item['name'])} has no string form") from exc
         phi = item.get("phi")
         phi = None if phi is None else _numeral_arg(phi, "phi")
-        entries.append(LedgerEntry(name, phi, item.get("nbhd_sign", 0), item.get("count", 1)))
+        entries.append(LedgerEntry(item["name"], phi, item.get("nbhd_sign", 0), item.get("count", 1)))
     return FibrationLedger(total, tuple(entries))
 
 

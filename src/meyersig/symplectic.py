@@ -39,6 +39,7 @@ so the fold may resume after the run from either sign of the column.
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterable, Sequence
 from operator import mul, neg
 
@@ -134,8 +135,10 @@ class SymplecticElement(Record):
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        if _int_arg(g, "genus") < 1:
-            raise NotSymplectic(f"genus must be >= 1, got {_shown(g)}")
+        """The 2g x 2g identity, for 1 <= g and (2g)^2 <= ``sys.maxsize``: a
+        matrix with more entries than that could never be built."""
+        if _int_arg(g, "genus") < 1 or 4 * g * g > sys.maxsize:
+            raise NotSymplectic(f"genus must be >= 1 and (2g)^2 <= sys.maxsize, got {_shown(g)}")
         return cls._derived(_identity(2 * g))
 
     def __mul__(self, other: "SymplecticElement") -> "SymplecticElement":

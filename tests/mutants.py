@@ -585,14 +585,27 @@ MUTANTS = (
         (REFUSED,),
     ),
     Mutant(
-        "ledger-name-by-str",  # str of a 5000-digit int raises ValueError
-        "localsig.py",
-        "        except ValueError as exc:\n"
-        "            raise InvalidInput(f\"germ name {_shown(item['name'])} has no string form\") from exc\n",
+        "identity-unbounded",  # identity(2**70) a bare OverflowError
+        "symplectic.py",
+        " or 4 * g * g > sys.maxsize",
         "",
         (RECORDS,),
     ),
     # refusals of arguments of the wrong kind, through exactnum._kind_arg
+    Mutant(
+        "entry-name-any-type",  # a null name a bare AttributeError
+        "localsig.py",
+        '_kind_arg(self.name, str, "name").encode("utf-8")',
+        'self.name.encode("utf-8")',
+        (RECORDS, "tests/test_localsig.py::test_ledger_json_rejects_malformed"),
+    ),
+    Mutant(
+        "entry-name-skips-utf8",  # a lone surrogate reaches stdout
+        "localsig.py",
+        '_kind_arg(self.name, str, "name").encode("utf-8")',
+        '_kind_arg(self.name, str, "name")',
+        (RECORDS, "tests/test_cli.py::test_fibration_rejects_lone_surrogate_names"),
+    ),
     Mutant(
         "check-fibration-unchecked",  # a bare AttributeError on reading the germs
         "localsig.py",

@@ -299,13 +299,16 @@ def test_fibration_rejects_non_rational_phi(capsys, tmp_path):
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_fibration_rejects_lone_surrogate_names(capsys, tmp_path, mode):
     # "\ud800" is valid JSON but decodes to a lone surrogate, which stdout
-    # cannot encode; both output modes refuse it up front
+    # cannot encode; both output modes refuse it up front, as they refuse a
+    # name that is no JSON string (null is not solved as the germ "None")
     path = tmp_path / "fib.json"
-    path.write_text('{"total_sign": 0, "germs": [{"name": "\\ud800", "phi": null, "count": 1}]}')
-    code, out, err = run_cli(capsys, "fibration", "--ledger", str(path), "--solve", *mode)
-    assert code == 2
-    assert out == ""
-    assert "error" in err
+    for name, err in (
+        ('"\\ud800"', "germ name '\\ud800' cannot be encoded as UTF-8"),
+        ("null", "name must be a str, got NoneType"),
+    ):
+        path.write_text(f'{{"total_sign": 0, "germs": [{{"name": {name}, "phi": null}}]}}')
+        argv = ("fibration", "--ledger", str(path), "--solve", *mode)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 def test_fibration_bad_json_is_input_error(capsys, tmp_path):

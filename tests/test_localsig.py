@@ -353,6 +353,11 @@ def test_ledger_json_parsing_defaults_and_unknowns():
         pytest.param("[" * 100_000, id="deep nesting"),
         pytest.param('{"total_sign": 0, "germs": [{"name": "\\ud800"}]}', id="lone surrogate"),
         pytest.param(5, id="not text"),  # json raises TypeError
+        # a name is a JSON string, never coerced to one: null is not the germ "None"
+        pytest.param('{"total_sign": 0, "germs": [{"name": null}]}', id="null name"),
+        pytest.param('{"total_sign": 0, "germs": [{"name": 5}]}', id="number name"),
+        pytest.param('{"total_sign": 0, "germs": [{"name": true}]}', id="bool name"),
+        pytest.param('{"total_sign": 0, "germs": [{"name": ["R4/F_I"]}]}', id="list name"),
     ],
 )
 def test_ledger_json_rejects_malformed(text):

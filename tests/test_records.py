@@ -274,6 +274,10 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: ledger_from_obj({"total_sign": 0, "germs": [BIG]}), InvalidInput),
         (lambda: ledger_from_obj({"total_sign": 0, "germs": [{"name": BIG}]}), InvalidInput),
         (lambda: SymplecticElement.identity(-BIG), NotSymplectic),
+        # a 2g x 2g matrix with more than sys.maxsize entries, refused before it is built
+        (lambda: SymplecticElement.identity(BIG), NotSymplectic),
+        (lambda: SymplecticElement.identity(2**70), NotSymplectic),
+        (lambda: random_transvection_product(random.Random(0), BIG, 0), NotSymplectic),
         (lambda: generic_surface_lasso(SurfaceInvariants(0, -BIG, 1, 1)), NonPositiveDegDX),
         (lambda: LassoReport(-BIG, Fr(1)), NonPositiveDegDX),
         (lambda: SymplecticElement.identity(True), InvalidInput),
@@ -297,6 +301,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         (lambda: LassoReport(1, 1, 1, 1), None),
         (lambda: FiberGerm(None, 1, 0), InvalidInput),
         (lambda: LedgerEntry(None, None, 0, 1), InvalidInput),
+        (lambda: LedgerEntry("\ud800", None, 0, 1), InvalidInput),
         (lambda: PresetReport(1, 2, 3), InvalidInput),
         (lambda: PresetReport("x", SEGRE_REPORT, SEGRE_REPORT), InvalidInput),
         (lambda: FibrationReport("a", "b", "c"), InvalidInput),
@@ -365,6 +370,9 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "huge-ledger-germ",
         "huge-ledger-germ-name",
         "huge-identity-genus",
+        "identity-genus-past-maxsize",
+        "identity-genus-2-to-70",
+        "transvections-genus-past-maxsize",
         "huge-generic-discriminant",
         "huge-lasso-degree",
         "identity-bool-genus",
@@ -385,6 +393,7 @@ def test_missing_unknown_or_repeated_arguments_are_type_errors(cls, args, kwargs
         "lasso-beta-at-1",
         "fiber-germ-none-name",
         "entry-none-name",
+        "entry-lone-surrogate-name",
         "preset-ints",
         "preset-report-as-invariants",
         "fibration-report-strings",
