@@ -197,6 +197,178 @@ def constructor_family() -> Iterator[str]:
         yield f"{m!r} {outcome}"
 
 
+def _matrix_text(m) -> str:
+    return f"{len(m)} {len(m[0])}\n" + "".join(" ".join(map(str, row)) + "\n" for row in m)
+
+
+CLI_LEDGER = (
+    '{"total_sign": -146, "germs": [{"name": "R4/F_I", "phi": "-9/17", "nbhd_sign": 0, '
+    '"count": 277}, {"name": "R4/F_31", "phi": "28/17", "nbhd_sign": -1, "count": 1}]}'
+)
+CLI_FILES = {
+    "A.txt": "2 2\n1 -1\n0 1\n",
+    "det2.txt": "2 2\n2 0\n0 1\n",
+    "I4.txt": _matrix_text([[int(i == j) for j in range(4)] for i in range(4)]),
+    "half.txt": "2 2\n1 1/2\n0 1\n",
+    "wide.txt": "2 4\n1 0 0 0\n0 1 0 0\n",
+    "ledger.json": CLI_LEDGER,
+    "unsolved.json": CLI_LEDGER.replace('"28/17"', "null"),
+    "unknown.json": '{"total_sign": -146, "germs": [{"name": "R4/F_I", "phi": null, "count": 1}]}',
+    # the ledger the README shows, one germ's phi null
+    "fib.json": '{"total_sign": -146, "germs": [{"name": "R4/F_I", "phi": "-9/17", "nbhd_sign": 0, '
+    '"count": 277}, {"name": "R4/F_31", "phi": null, "nbhd_sign": -1, "count": 1}]}',
+    "bad.json": "{nope",
+    "big.json": '{"total_sign": ' + "1" * 5000 + ', "germs": []}',
+    "deep.json": "[" * 100_000,
+    "surrogate.json": '{"total_sign": 0, "germs": [{"name": "\\ud800", "phi": null}]}',
+    "null-name.json": '{"total_sign": 0, "germs": [{"name": null, "phi": null}]}',
+}
+TAU_ARGS = ["--a1", "A.txt", "--a2", "A.txt"]
+VERONESE_ARGS = ["--m", "0", "--degrees", "", "--n", "4", "--d", "2"]
+# each argv runs as it is and, marked True, with --json appended
+CLI_CASES = [
+    # the README examples and the fixed commands of the bench's cli-oneshot
+    (["tau", *TAU_ARGS], True),
+    (["phi1", "--matrix", "A.txt"], True),
+    (["ci", "--m", "1", "--degrees", "3"], True),
+    (["ci", "--m", "2", "--degrees", "2,3"], True),
+    (["veronese", *VERONESE_ARGS], True),
+    (["lasso-power", "--phi", "-9/17", "--n", "2"], True),
+    (["germ", "--name", "R4/F_31"], True),
+    (["germ", "--name", "NT5/F_I"], False),
+    (["fibration", "--ledger", "ledger.json"], True),
+    (["fibration", "--solve", "--ledger", "unsolved.json"], True),
+    (["fibration", "--ledger", "fib.json"], False),
+    (["fibration", "--ledger", "fib.json", "--solve"], True),
+    (["presets"], True),
+    # the same lines reordered, or with --name=value
+    (["tau", "--json", "--a2", "A.txt", "--a1", "A.txt"], False),
+    (["ci", "--degrees", "3", "--m", "1"], False),
+    (["germ", "--name=R4/F_31"], True),
+    (["ci", "--m=1", "--degrees=3"], False),
+    (["lasso-power", "--phi=-9/17", "--n=2"], False),
+    (["veronese", "--m", "0", "--degrees=", "--n", "4", "--d", "2"], False),
+    # exit 2: an input the library refuses
+    (["phi1", "--matrix", "missing.txt"], True),
+    (["phi1", "--matrix", "det2.txt"], False),
+    (["phi1", "--matrix", "half.txt"], False),
+    (["phi1", "--matrix", "wide.txt"], False),
+    (["phi1", "--matrix", "latin1.txt"], False),
+    (["tau", "--a1", "A.txt", "--a2", "I4.txt"], False),
+    (["germ", "--name", "R4/F_xyz"], True),
+    (["germ", "--name", ""], False),
+    (["germ", "--name", "presets"], False),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "2", "--d", "2"], False),
+    (["veronese", "--m", "1", "--degrees", "1", "--n", "4", "--d", "2"], False),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "4", "--d", "0"], False),
+    (["veronese", "--m", "0", "--degrees", "", "--n", "6000", "--d", "10"], True),
+    (["ci", "--m", "x", "--degrees", "3"], False),
+    (["ci", "--m", "1", "--degrees", "３"], False),
+    (["ci", "--m", "1", "--degrees", "1_0"], False),
+    (["ci", "--m", "0", "--degrees", ""], False),
+    (["ci", "--m", "2", "--degrees", ",".join(["9" * 3000] * 2)], True),
+    (["lasso-power", "--phi", "x", "--n", "2"], False),
+    (["lasso-power", "--phi", "1.5", "--n", "2"], False),
+    (["lasso-power", "--phi", "1/0", "--n", "2"], False),
+    (["lasso-power", "--phi", "1", "--n", "0"], False),
+    (["lasso-power", "--phi", "1", "--n", "9" * 5000], False),
+    (["lasso-power", "--phi", "x", "--n", "y"], False),
+    (["fibration", "--ledger", "bad.json"], False),
+    (["fibration", "--ledger", "big.json"], False),
+    (["fibration", "--ledger", "deep.json"], False),
+    (["fibration", "--ledger", "latin1.txt"], False),
+    (["fibration", "--ledger", "surrogate.json", "--solve"], True),
+    (["fibration", "--ledger", "null-name.json", "--solve"], False),
+    # exit 3: a contract the input breaks
+    (["fibration", "--solve", "--ledger", "ledger.json"], True),
+    (["fibration", "--ledger", "unknown.json"], False),
+    # help, and the errors argparse finds, in its own words
+    (["-h"], False),
+    (["--help"], False),
+    *(([name, "-h"], False) for name in ("tau", "phi1", "ci", "veronese", "lasso-power", "germ", "fibration", "presets")),
+    (["phi1", "--matrix", "A.txt", "-h"], False),
+    ([], False),
+    (["frobnicate"], False),
+    (["TAU", *TAU_ARGS], False),
+    (["tau", "--a1", "A.txt"], True),
+    (["germ"], False),
+    (["germ", "--name"], False),
+    (["lasso-power", "--phi", "--n", "2"], False),
+    (["germ", "-n", "R4/F_31"], False),
+    (["germ", "--name", "R4/F_31", "--nme", "x"], False),
+    # spellings read by argparse alone: abbreviations, a flag given a value,
+    # a repeated option, a value that starts with -, an option before the
+    # command, an extra token and --
+    (["presets", "--jso"], False),
+    (["germ", "--nam", "R4/F_31"], False),
+    (["ci", "--deg", "3", "--m", "1"], False),
+    (["lasso-power", "--p", "-9/17", "--n", "2"], False),
+    (["lasso-power", "--ph", "9/17", "--n", "2"], False),
+    (["presets", "--json=1"], False),
+    (["presets", "--json="], False),
+    (["fibration", "--ledger", "unsolved.json", "--solve=1"], False),
+    (["presets", "--json", "--json"], False),
+    (["germ", "--name", "R4/F_I", "--name", "R4/F_31"], False),
+    (["lasso-power", "--n", "2", "--phi", "1", "--n", "3"], False),
+    (["tau", *TAU_ARGS, "--a1", "I4.txt"], False),
+    (["fibration", "--solve", "--solve", "--ledger", "unsolved.json"], False),
+    (["ci", "--m", "-1", "--degrees", "3"], False),
+    (["lasso-power", "--phi", "1", "--n", "-2"], False),
+    (["veronese", "--m", "0", "--degrees", "-1", "--n", "4", "--d", "2"], False),
+    (["germ", "--name", "-x"], False),
+    (["germ", "--name", "-"], False),
+    (["--json", "presets"], False),
+    (["--json", "tau", *TAU_ARGS], False),
+    (["presets", "extra"], False),
+    (["phi1", "--matrix", "A.txt", "tau"], False),
+    (["ci", "--m", "1", "--degrees", "3", "--json", "x"], False),
+    (["germ", "--name", "R4/F_31", "--"], False),
+    (["germ", "--", "--name", "R4/F_31"], False),
+]
+
+
+def cli_family() -> Iterator[str]:
+    """``cli.main``'s exit code, stdout and stderr, run in process at an
+    80-column terminal in a temporary directory that holds the input files,
+    on ``CLI_CASES`` and on seeded ``phi1`` and ``tau`` inputs."""
+    import io
+    import os
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from meyersig.cli import main as cli_main
+
+    r = random.Random(20288)
+    seeded = {f"sl2_{i}.txt": random_transvection_product(r, 1, 6).mat for i in range(4)}
+    for i, g in enumerate((1, 2, 3)):
+        for side in ("a1", "a2"):
+            seeded[f"tau_{i}_{side}.txt"] = random_transvection_product(r, g, 5).mat
+    cases = [(argv + ["--json"] * as_json) for argv, both in CLI_CASES for as_json in (False, True)[: 1 + both]]
+    cases += [["phi1", "--matrix", f"sl2_{i}.txt"] for i in range(4)]
+    cases += [["tau", "--a1", f"tau_{i}_a1.txt", "--a2", f"tau_{i}_a2.txt"] for i in range(3)]
+    with tempfile.TemporaryDirectory(prefix="meyersig-parity-") as tmp:
+        for name, text in CLI_FILES.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        Path(tmp, "latin1.txt").write_bytes(b"\xff\xfe2 2\n1 0\n0 1\n")
+        for name, m in seeded.items():
+            Path(tmp, name).write_text(_matrix_text(m), encoding="utf-8")
+        for argv in cases:
+            cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(tmp)
+            os.environ["COLUMNS"] = "80"
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli_main(argv)
+            finally:
+                os.chdir(cwd)
+                if columns is None:
+                    del os.environ["COLUMNS"]
+                else:
+                    os.environ["COLUMNS"] = columns
+            yield f"{argv!r} {code} {out.getvalue()!r} {err.getvalue()!r}"
+
+
 FAMILIES = {
     "phi1": phi1_family,
     "phi1-word": phi1_word_family,
@@ -205,15 +377,16 @@ FAMILIES = {
     "tau": tau_family,
     "solve": solve_family,
     "constructor": constructor_family,
+    "cli": cli_family,
 }
 
 # the lines of each family's Tier-1 slice: tau's reach g = 2, solve's n = 4,
 # phi1's the small matrices, the Fibonacci ones and 300 words, constructor's
-# the shapes, the 2x2 matrices and g = 1-3; the others take tens of
-# milliseconds each
+# the shapes, the 2x2 matrices and g = 1-3, cli's every fixed argv; the
+# others take tens of milliseconds each
 SLICE = {
     "phi1": 832, "phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80,
-    "constructor": 943,
+    "constructor": 943, "cli": 115,
 }
 
 
