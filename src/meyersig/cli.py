@@ -10,20 +10,24 @@ rendered as "p/q", or "p" when the denominator is 1. Output is deterministic
 and byte-stable for fixed inputs.
 
 Exit codes: 0 success, 2 input error, 3 contract violation. A numeral the
-grammar refuses (read through an argparse ``type``) raises ``InvalidInput``
-out of ``parse_args``: one ``error:`` line and exit 2, as for a bad file.
+grammar refuses (read through its option's type) raises ``InvalidInput``
+out of the reader or ``parse_args``: one ``error:`` line and exit 2, as for a
+bad file.
 A ``MemoryError`` ends the same way, as a backstop behind the library.
 Every call loads ``meyersig.exactnum``: the numeral grammar and the argument
 checks, and with them tau's linear algebra. Beyond it, each handler imports
-only the layer it runs, ``json`` loads only for --json output or a ledger
-file, and argparse registers the options of the dispatched command alone.
+only the layer it runs, and ``json`` loads only for --json output or a ledger
+file. A line in canonical form is read straight off ``_COMMANDS`` (see
+``_read_canonical``); argparse loads only for any other line, so it alone
+prints help, usage and its errors, and it then registers the options of the
+dispatched command alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 from .errors import ContractViolation, InvalidInput
 from .exactnum import _too_large, parse_integer, parse_matrix, parse_rational
@@ -138,7 +142,8 @@ def cmd_presets(args) -> tuple:
 
 
 # name: (help, handler, options); an option (flag, help, type) takes a required
-# value read by type (None: a string), or is a flag with no value if type is bool
+# value read by type (None: a string), or is a flag with no value if type is
+# bool; _read_canonical and build_parser both read this table alone
 _COMMANDS = {
     "tau": ("signature cocycle of two symplectic matrices", cmd_tau, (
         ("--a1", "matrix file (format: 'rows cols' then entries)", None), ("--a2", "matrix file", None))),
@@ -161,12 +166,16 @@ _COMMANDS = {
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process for each ``command``.
-    Every command is a choice, so help, usage and an invalid choice read alike.
+    ``main`` builds it, and so imports argparse, only for a line that
+    ``_read_canonical`` refuses. Every command is a choice, so help, usage
+    and an invalid choice read alike.
     The factory given as ``parser_class`` builds the subparser of ``command``
     alone (``None``: none), with --json and its options, from whatever
     keywords ``add_parser`` passes on, and leaves the others ``None``. That
     relies on argparse calling only the dispatched command's parser: ``main``
     passes the command that argparse will dispatch on."""
+    import argparse  # help, usage and errors only: a canonical line needs none
+
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description=(
@@ -211,15 +220,58 @@ def _merge_rational_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``parse_args`` returns for a line in canonical form, read
+    off ``_COMMANDS``: the command first, then each of its options at most
+    once, as ``--name value`` or ``--name=value``, a flag bare, every required
+    option present, and no value token that starts with "-". Each value goes
+    through its option's type in argv order, so a numeral the grammar refuses
+    raises here as it would out of argparse. Any other line returns ``None``,
+    and so does a value that a type refuses with a ``ValueError`` or
+    ``TypeError``, which argparse words itself."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    kinds = {"--json": bool, **{flag: kind for flag, _, kind in options}}
+    given: dict[str, str | bool] = {}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag not in kinds or flag in given:
+            return None
+        if kinds[flag] is bool:  # a flag takes no value
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        given[flag] = value
+    if any(kind is not bool and flag not in given for flag, kind in kinds.items()):
+        return None
+    values = {flag: False for flag, kind in kinds.items() if kind is bool}
+    try:
+        for flag, value in given.items():
+            kind = kinds[flag]
+            values[flag] = value if kind in (None, bool) else kind(value)
+    except (TypeError, ValueError):
+        return None
+    dests = {flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], func=handler, **dests)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_rational_values(list(argv))
-    # argparse dispatches on the first token that names a command, as the
-    # top-level parser has no option that takes a value
-    parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
-    try:  # a numeral the grammar refuses leaves parse_args as InvalidInput
-        args = parser.parse_args(argv)
+    try:  # a numeral the grammar refuses leaves the reader or parse_args as InvalidInput
+        args = _read_canonical(argv)
+        if args is None:
+            # argparse dispatches on the first token that names a command, as
+            # the top-level parser has no option that takes a value
+            parser = build_parser(next((tok for tok in argv if tok in _COMMANDS), None))
+            args = parser.parse_args(argv)
         out = _render(args.func(args), args.json)
     except SystemExit as exc:  # argparse already wrote the usage message
         return int(exc.code) if exc.code else 0

@@ -579,9 +579,9 @@ MUTANTS = (
     Mutant(
         "parse-args-outside-try",  # a refused numeral escapes main
         "cli.py",
-        "    try:  # a numeral the grammar refuses leaves parse_args as InvalidInput\n"
-        "        args = parser.parse_args(argv)\n",
-        "    args = parser.parse_args(argv)\n    try:\n",
+        "    try:  # a numeral the grammar refuses leaves the reader or parse_args as InvalidInput\n"
+        "        args = _read_canonical(argv)\n",
+        "    args = _read_canonical(argv)\n    try:\n",
         (REFUSED,),
     ),
     Mutant(
