@@ -49,6 +49,9 @@ REFERENCE = MEYER + "test_sl2_reduction_matches_the_reference_on_explicit_inputs
 GOLDEN = "tests/test_cli.py::test_output_is_exact"
 REFUSED = "tests/test_cli.py::test_refused_numbers_print_one_error_line"
 PARSED = "tests/test_cli.py::test_argparse_decisions_are_exact"
+READER = "tests/test_cli.py::test_reader_agrees_with_argparse"
+COLD = "tests/test_cold_start.py::"
+ARGPARSE_WORDS = COLD + "test_argparse_reads_the_other_lines_in_its_own_words"
 BASE_REFUSES = MEYER + "test_phi1_base_refuses_relations_the_cocycle_contradicts"
 CLOSED_FORM_REFUSED = MEYER + "test_phi1_refuses_a_closed_form_the_relations_contradict"
 RECORDS = "tests/test_records.py::test_validation_raises_the_documented_error"
@@ -641,6 +644,65 @@ MUTANTS = (
         '        p.add_argument("--json", action="store_true"',
         '        options and p.add_argument("--json", action="store_true"',
         (PARSED,),
+    ),
+    # the reader of canonical lines: it takes exactly what argparse would read
+    # alike, with the same types, and leaves argparse unloaded
+    Mutant(
+        "reader-accepts-abbreviations",  # tau --a A.txt read as --a1, not refused as ambiguous
+        "cli.py",
+        '        flag, eq, value = tok.partition("=")\n',
+        '        flag, eq, value = tok.partition("=")\n'
+        "        flag = next((f for f in kinds if len(flag) > 2 and f.startswith(flag)), flag)\n",
+        (READER, ARGPARSE_WORDS),
+    ),
+    Mutant(
+        "reader-repeated-option-last-wins",
+        "cli.py",
+        "        if flag not in kinds or flag in given:\n",
+        "        if flag not in kinds:\n",
+        (READER,),
+    ),
+    Mutant(
+        "reader-takes-a-dashed-value",  # germ --name -x looks up '-x'
+        "cli.py",
+        '            if value is None or value.startswith("-"):\n',
+        "            if value is None:\n",
+        (READER, "tests/test_cli.py::test_lasso_power_does_not_read_an_option_as_phi"),
+    ),
+    Mutant(
+        "reader-flag-takes-a-value",  # presets --json=1 prints JSON
+        "cli.py",
+        "            if eq:\n                return None\n            value = True\n",
+        "            value = True\n",
+        (READER,),
+    ),
+    Mutant(
+        "reader-json-stays-false",
+        "cli.py",
+        "            value = True\n",
+        '            value = flag != "--json"\n',
+        (GOLDEN,),
+    ),
+    Mutant(
+        "reader-skips-the-type",  # ci --m 1 hands the string "1" to the library
+        "cli.py",
+        "values[flag] = value if kind in (None, bool) else kind(value)",
+        "values[flag] = value",
+        (GOLDEN, READER),
+    ),
+    Mutant(
+        "reader-defers-every-line",  # argparse loads on every call
+        "cli.py",
+        "    if not argv or argv[0] not in _COMMANDS:\n        return None\n",
+        "    return None\n",
+        (READER, COLD + "test_a_canonical_line_loads_no_argparse"),
+    ),
+    Mutant(
+        "argparse-at-module-level",
+        "cli.py",
+        "import functools\nimport sys\n",
+        "import argparse\nimport functools\nimport sys\n",
+        (COLD + "test_cli_import_loads_no_layer_and_no_dataclasses", COLD + "test_a_canonical_line_loads_no_argparse"),
     ),
     Mutant(
         "ci-dropped-import",

@@ -300,6 +300,7 @@ CLI_CASES = [
     # a repeated option, a value that starts with -, an option before the
     # command, an extra token and --
     (["presets", "--jso"], False),
+    (["tau", "--a", "A.txt", "--a2", "A.txt"], False),
     (["germ", "--nam", "R4/F_31"], False),
     (["ci", "--deg", "3", "--m", "1"], False),
     (["lasso-power", "--p", "-9/17", "--n", "2"], False),
@@ -322,6 +323,7 @@ CLI_CASES = [
     (["presets", "extra"], False),
     (["phi1", "--matrix", "A.txt", "tau"], False),
     (["ci", "--m", "1", "--degrees", "3", "--json", "x"], False),
+    (["tau", *TAU_ARGS, "--json", "-"], False),
     (["germ", "--name", "R4/F_31", "--"], False),
     (["germ", "--", "--name", "R4/F_31"], False),
 ]
@@ -386,7 +388,7 @@ FAMILIES = {
 # others take tens of milliseconds each
 SLICE = {
     "phi1": 832, "phi1-word": 60, "sl2-word": 200, "power": 200, "tau": 400, "solve": 80,
-    "constructor": 943, "cli": 115,
+    "constructor": 943, "cli": 117,
 }
 
 

@@ -1,12 +1,16 @@
 import argparse
+import io
+import itertools
 import json
 import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from meyersig import InvalidInput, ledger_from_json, meyer, solve_unknown_germ, varieties
 from meyersig import cli
@@ -485,6 +489,102 @@ def test_subparser_is_built_from_every_keyword_argparse_forwards(monkeypatch):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sub.choices["tau"].allow_abbrev is False
     assert parser.parse_args(["tau", "--a1", "A", "--a2", "B"]).func is cli.cmd_tau
+
+
+# values an option may be given in argv: numerals the grammar reads and ones it
+# refuses, names, and short text; none starts with "-"
+VALUE = (
+    st.sampled_from(["0", "1", "2", "4", "x", "", "1/2", "\uff13", "1_0", "9" * 5000, "R4/F_31", "tau"])
+    | st.integers(0, 10**4).map(str)
+    | st.text(st.characters(exclude_characters="\x00-"), max_size=4)
+)
+# values that start with "-": argparse may read them as options or as numbers
+DASHED = st.sampled_from(["-1", "-9/17", "-x", "-", "--", "--json", "-h", "--m"])
+JOINED = VALUE | DASHED  # after "=", argparse reads any value as it is
+
+
+@st.composite
+def canonical_line(draw, command: str) -> list[str]:
+    """``command`` and each of its options once, in any order: a flag bare
+    or absent, an option with a value as ``--name value`` or ``--name=value``
+    (only the second form may carry a value that starts with "-")."""
+    parts = [["--json"]] * draw(st.booleans())
+    for flag, _, kind in cli._COMMANDS[command][2]:
+        if kind is bool:
+            parts += [[flag]] * draw(st.booleans())
+        elif draw(st.booleans()):
+            parts.append([f"{flag}={draw(JOINED)}"])
+        else:
+            parts.append([flag, draw(VALUE)])
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(parts)))]
+
+
+def respelled(data, command: str, argv: list[str], how: str) -> list[str]:
+    """``argv`` spelled in one way that only argparse reads."""
+    kinds = {"--json": bool, **{flag: kind for flag, _, kind in cli._COMMANDS[command][2]}}
+    valued = [flag for flag, kind in kinds.items() if kind is not bool]
+    at = {tok.partition("=")[0]: i for i, tok in enumerate(argv) if i and tok.startswith("--")}
+    if how == "abbreviated":  # every option with a value is in argv, a flag may be absent
+        flag = data.draw(st.sampled_from([f for f in kinds if len(f) > 3]))
+        short = flag[: data.draw(st.integers(3, len(flag) - 1))]
+        assume(short not in kinds)
+        if flag not in at:
+            return argv + [short]
+        return argv[: at[flag]] + [short + argv[at[flag]][len(flag):]] + argv[at[flag] + 1 :]
+    if how == "flag-with-value":
+        flag = data.draw(st.sampled_from([f for f, kind in kinds.items() if kind is bool]))
+        return [tok for tok in argv if tok != flag] + [f"{flag}={data.draw(VALUE)}"]
+    if how == "repeated":
+        flag = data.draw(st.sampled_from(list(kinds)))
+        if kinds[flag] is bool:
+            return argv + [flag] * (1 + (flag not in at))
+        return argv + [flag, data.draw(VALUE)]
+    if how == "option-first":
+        flag = data.draw(st.sampled_from(list(kinds)))
+        return [flag] + [data.draw(VALUE)] * (kinds[flag] is not bool) + argv
+    if how == "extra":
+        return argv + [data.draw(VALUE)]
+    assume(valued)
+    flag = data.draw(st.sampled_from(valued))
+    i, spaced = at[flag], "=" not in argv[at[flag]]
+    if how == "dashed-value":
+        return argv[:i] + [flag, data.draw(DASHED)] + argv[i + 1 + spaced :]
+    assert how == "missing"
+    return argv[:i] + argv[i + 1 + spaced :]
+
+
+RESPELLINGS = ["abbreviated", "flag-with-value", "repeated", "option-first", "extra", "dashed-value", "missing"]
+
+
+def outcome(call) -> object:
+    """The attributes of the namespace ``call`` returns (``None`` for none),
+    how argparse exited, or the type and message of an input error."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = call()
+    except SystemExit as exc:
+        return ("exit", exc.code)
+    except InvalidInput as exc:
+        return (type(exc), str(exc))
+    return None if args is None else vars(args)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_reader_agrees_with_argparse(command, data):
+    # the reader takes every canonical line as parse_args does, raising the
+    # same error where a type refuses a value, and leaves every respelling
+    # of it to argparse
+    argv = data.draw(canonical_line(command))
+    how = data.draw(st.sampled_from([None, *RESPELLINGS]))
+    if how is not None:
+        argv = respelled(data, command, argv, how)
+        assert outcome(lambda: cli._read_canonical(argv)) is None
+    else:
+        read = outcome(lambda: cli._read_canonical(argv))
+        assert read is not None
+        assert read == outcome(lambda: cli.build_parser(command).parse_args(argv))
 
 
 # argv, the one stderr line after "error: "; numerals read by argparse and

@@ -20,9 +20,11 @@ from pathlib import Path
 import pytest
 
 import meyersig
+from test_cli import PARSED
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+# the tree of the package under test, which a mutant run puts on PYTHONPATH
+SRC = Path(meyersig.__file__).resolve().parents[1]
 
 # runs the CLI on its arguments, then lists every loaded module on stderr
 PROBE = (
@@ -35,16 +37,27 @@ PROBE = (
 
 
 def fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     return subprocess.run(
         [sys.executable, "-S", *args], cwd=cwd, env=env, capture_output=True, timeout=60
     )
 
 
-def loaded_by(*argv, cwd=None) -> set[str]:
+def probe(*argv, cwd=None) -> tuple[int, str, str, set[str]]:
+    """The CLI's exit code, stdout and stderr on ``argv``, and the modules it loaded."""
     result = fresh_python("-c", PROBE, *argv, cwd=cwd)
-    assert result.returncode == 0, result.stderr
-    return set(result.stderr.decode().split())
+    head, sep, modules = result.stderr.decode().rstrip("\n").rpartition("\n")
+    return result.returncode, result.stdout.decode(), head + sep, set(modules.split())
+
+
+def loaded_by(*argv, cwd=None) -> set[str]:
+    code, _, err, modules = probe(*argv, cwd=cwd)
+    assert code == 0, err
+    return modules
+
+
+# argparse imports gettext, whose first message lookup imports locale
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_cli_import_loads_no_layer_and_no_dataclasses():
@@ -52,7 +65,7 @@ def test_cli_import_loads_no_layer_and_no_dataclasses():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.decode().split())
     assert "meyersig.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "json", "random", "typing", "meyersig.symplectic"}
+    unwanted = {"dataclasses", "inspect", "json", "random", "typing", "meyersig.symplectic"} | ARGPARSE
     assert loaded & unwanted == set()
 
 
@@ -104,6 +117,30 @@ def test_germ_loads_only_localsig():
 def test_text_output_loads_no_json(tmp_path, argv):
     (tmp_path / "A.txt").write_text("2 2\n1 -1\n0 1\n")
     assert "json" not in loaded_by(*argv, cwd=tmp_path)
+
+
+CANONICAL = {
+    "tau": ["tau", "--a1", "A.txt", "--a2", "A.txt"],
+    "phi1": ["phi1", "--matrix", "A.txt"],
+    "germ": ["germ", "--name", "R4/F_31"],
+    "fibration-json": ["fibration", "--json", "--ledger", "fib.json", "--solve"],
+    "presets": ["presets"],
+}
+
+
+@pytest.mark.parametrize("argv", CANONICAL.values(), ids=list(CANONICAL))
+def test_a_canonical_line_loads_no_argparse(tmp_path, argv):
+    (tmp_path / "A.txt").write_text("2 2\n1 -1\n0 1\n")
+    (tmp_path / "fib.json").write_text(LEDGER)
+    assert loaded_by(*argv, cwd=tmp_path) & ARGPARSE == set()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["frobnicate"], ["presets", "--jso"]], ids=["help", "unknown", "abbreviated"])
+def test_argparse_reads_the_other_lines_in_its_own_words(argv):
+    code, out, err, modules = probe(*argv)
+    assert ARGPARSE <= modules
+    expected = next((c, o, e) for a, c, o, e in PARSED if a == argv)
+    assert (code, out, err) == expected
 
 
 def test_json_output_loads_json():
