@@ -22,11 +22,15 @@ The file is not named ``test_*.py``, so pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
+import os
 import random
 import sys
+import tempfile
 from collections.abc import Iterator
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +50,7 @@ from meyersig import (  # noqa: E402
     tau,
     tau_form,
 )
+from meyersig.cli import main as cli_main  # noqa: E402
 from meyersig.exactnum import _solve  # noqa: E402
 
 BIG = 2**1100
@@ -333,13 +338,6 @@ def cli_family() -> Iterator[str]:
     """``cli.main``'s exit code, stdout and stderr, run in process at an
     80-column terminal in a temporary directory that holds the input files,
     on ``CLI_CASES`` and on seeded ``phi1`` and ``tau`` inputs."""
-    import io
-    import os
-    import tempfile
-    from contextlib import redirect_stderr, redirect_stdout
-
-    from meyersig.cli import main as cli_main
-
     r = random.Random(20288)
     seeded = {f"sl2_{i}.txt": random_transvection_product(r, 1, 6).mat for i in range(4)}
     for i, g in enumerate((1, 2, 3)):
